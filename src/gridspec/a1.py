@@ -1,19 +1,20 @@
 """A1 notation: column letters, addresses, and the emitted-formula parser.
 
-The formula grammar mirrors the specification expression grammar with
-element references replaced by concrete cell and range leaves, which is
-what lets the grid verifier re-evaluate emitted formulas one step.
+Formulas are parsed by the specification expression grammar, with cell
+and range references in place of element references, which is what lets
+the grid verifier re-evaluate emitted formulas one step with the
+evaluator's own eval_expr.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
-from .ast import Binary, BooleanLit, Call, Expr, NumberLit
+from .ast import Expr, IndexVar, SourcePos
 from .errors import ParseFailure
-from .parser import Diagnostic
-from .ast import SourcePos
+from .parser import Diagnostic, Parser, Token
 
 
 def column_letters(number: int) -> str:
@@ -64,129 +65,67 @@ class RangeRef(Expr):
                 yield Address(self.first.sheet, col, row)
 
 
+# groups are named after the spec token kinds the expression grammar reads
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     r"(?P<ref>(?:(?P<sheet>[A-Za-z_][A-Za-z0-9_]*)!)?\$?(?P<col>[A-Z]+)\$?(?P<row>[1-9][0-9]*))"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<number>[0-9]+(?:\.[0-9]+)?)"
+    r"|(?P<identifier>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<decimal>[0-9]+(?:\.[0-9]+)?)"
     r"|(?P<symbol><=|>=|<>|[():,=+\-*/<>])"
-    r")")
+    r"|(?P<illegal>\S))")
 
 
-class _A1Parser:
+@functools.cache  # formulas are short, so offsets repeat
+def _pos(offset: int) -> SourcePos:
+    return SourcePos(1, offset + 1, offset)
+
+
+def _lex(text: str) -> tuple[list[Token], list[re.Match]]:
+    """The tokens of a formula, and the match each was read from."""
+    tokens: list[Token] = []
+    matches = list(_TOKEN_RE.finditer(text))
+    for match in matches:
+        kind = match.lastgroup
+        word, start = match[kind], _pos(match.start(kind))
+        if kind == "illegal":
+            raise ParseFailure([Diagnostic("error", "ParseError",
+                                           f"illegal character {word!r}", start)])
+        if kind == "identifier" and word.upper() in ("TRUE", "FALSE"):
+            kind, word = "keyword", word.lower()
+        tokens.append(Token(kind, word, start))
+    tokens.append(Token("eoi", "", _pos(len(text))))
+    return tokens, matches
+
+
+class _A1Parser(Parser):
+    """The specification expression grammar over A1 tokens: cell and
+    range references take the place of element references."""
+
     def __init__(self, text: str, default_sheet: str):
-        self.text = text
+        tokens, self.matches = _lex(text)
+        super().__init__(tokens)
         self.default_sheet = default_sheet
-        self.tokens = self._lex(text)
-        self.pos = 0
-
-    def _lex(self, text):
-        tokens = []
-        i = 0
-        while i < len(text):
-            match = _TOKEN_RE.match(text, i)
-            if match is None:
-                if text[i:].strip():
-                    self._error(f"illegal character {text[i]!r}", i)
-                break
-            # cell references are only refs when not a function call; a
-            # name directly followed by '(' is always a call
-            if match.lastgroup is None:
-                break
-            tokens.append(match)
-            i = match.end()
-        return tokens
-
-    def _error(self, message, offset=0):
-        raise ParseFailure([Diagnostic("error", "ParseError", message,
-                                       SourcePos(1, offset + 1, offset))])
-
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _symbol(self, *symbols) -> str | None:
-        token = self._peek()
-        if token is not None and token.group("symbol") in symbols:
-            self.pos += 1
-            return token.group("symbol")
-        return None
-
-    def _expect_symbol(self, symbol):
-        if not self._symbol(symbol):
-            self._error(f"expected '{symbol}'")
-
-    def parse(self) -> Expr:
-        expr = self.expression()
-        if self._peek() is not None:
-            self._error("trailing input after formula")
-        return expr
-
-    def expression(self) -> Expr:
-        left = self.additive()
-        op = self._symbol("=", "<>", "<", "<=", ">", ">=")
-        if op:
-            return Binary(op, left, self.additive())
-        return left
-
-    def additive(self) -> Expr:
-        left = self.multiplicative()
-        while True:
-            op = self._symbol("+", "-")
-            if not op:
-                return left
-            left = Binary(op, left, self.multiplicative())
-
-    def multiplicative(self) -> Expr:
-        left = self.atom()
-        while True:
-            op = self._symbol("*", "/")
-            if not op:
-                return left
-            left = Binary(op, left, self.atom())
 
     def atom(self) -> Expr:
-        token = self._peek()
-        if token is None:
-            self._error("unexpected end of formula")
-        if token.group("number"):
-            self.pos += 1
-            return NumberLit(float(token.group("number")))
-        if token.group("symbol") == "(":
-            self.pos += 1
-            inner = self.expression()
-            self._expect_symbol(")")
-            return inner
-        if token.group("ref"):
-            self.pos += 1
-            first = self._address(token)
-            if self._symbol(":"):
-                last_token = self._peek()
-                if last_token is None or not last_token.group("ref"):
-                    self._error("expected a cell reference after ':'")
-                self.pos += 1
-                return RangeRef(first, self._address(last_token, first.sheet))
+        token = self.current()
+        if token.kind != "ref":
+            expr = super().atom()
+            if isinstance(expr, IndexVar):
+                self.fail("'(' after a function name")
+            return expr
+        first = self._address(self.default_sheet)
+        if not self.accept("symbol", ":"):
             return CellRef(first)
-        if token.group("name"):
-            name = token.group("name")
-            self.pos += 1
-            if name.upper() == "TRUE":
-                return BooleanLit(True)
-            if name.upper() == "FALSE":
-                return BooleanLit(False)
-            self._expect_symbol("(")
-            args = []
-            if not self._symbol(")"):
-                args.append(self.expression())
-                while self._symbol(","):
-                    args.append(self.expression())
-                self._expect_symbol(")")
-            return Call(name, tuple(args))
-        self._error(f"unexpected token {token.group(0).strip()!r}")
+        if not self.at("ref"):
+            self.fail("a cell reference after ':'")
+        return RangeRef(first, self._address(first.sheet))
 
-    def _address(self, token, default_sheet=None) -> Address:
-        sheet = token.group("sheet") or default_sheet or self.default_sheet
-        return Address(sheet, column_number(token.group("col")),
-                       int(token.group("row")))
+    def _address(self, default_sheet: str) -> Address:
+        """Consume the current reference token."""
+        match = self.matches[self.pos]
+        self.pos += 1
+        return Address(match["sheet"] or default_sheet, column_number(match["col"]),
+                       int(match["row"]))
 
 
 def parse_a1_formula(text: str, default_sheet: str = "Model") -> Expr:
@@ -194,5 +133,5 @@ def parse_a1_formula(text: str, default_sheet: str = "Model") -> Expr:
     are CellRef and RangeRef addresses."""
     if not text.startswith("="):
         raise ParseFailure([Diagnostic(
-            "error", "ParseError", "formula must begin with '='", SourcePos(1, 1, 0))])
-    return _A1Parser(text[1:], default_sheet).parse()
+            "error", "ParseError", "formula must begin with '='", _pos(0))])
+    return _A1Parser(text[1:], default_sheet).whole_expression()

@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .ast import (
+    BUILTINS,
     AllIndex,
     Binary,
     BooleanLit,
@@ -27,13 +28,10 @@ from .ast import (
     SpecDocument,
     TableDecl,
     VarPattern,
+    element_refs,
+    walk,
 )
 from .parser import Diagnostic
-
-BUILTIN_ARITY = {
-    "if": 3, "or": None, "and": None, "not": 1,
-    "isna": 1, "sum": 1, "match": 3, "date": 3,
-}
 
 _NUMERIC_FAMILY = frozenset({"number", "currency", "general"})
 
@@ -86,6 +84,8 @@ class CellPlan:
     rules: dict[CellId, RuleInstance]
     inputs: set[CellId]
     symtab: SymbolTable
+    # each rule's resolved element references; see evaluator.resolve_references
+    references: dict | None = field(default=None, repr=False)
 
 
 def compatible(declared: str, inferred: str) -> bool:
@@ -147,7 +147,7 @@ def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
                     element.pos))
                 continue
             equations[element.table].append(element)
-            for ref in _element_refs(element.rhs):
+            for ref in element_refs(element.rhs):
                 target = tables.get(ref.table)
                 if target is None:
                     diagnostics.append(Diagnostic(
@@ -161,19 +161,6 @@ def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
                         element.pos))
 
     return SymbolTable(bounds, tables, equations), diagnostics
-
-
-def _element_refs(expr: Expr):
-    if isinstance(expr, ElementRef):
-        yield expr
-        for index in expr.indices:
-            yield from _element_refs(index)
-    elif isinstance(expr, Binary):
-        yield from _element_refs(expr.left)
-        yield from _element_refs(expr.right)
-    elif isinstance(expr, Call):
-        for arg in expr.args:
-            yield from _element_refs(arg)
 
 
 def typecheck(doc: SpecDocument, symtab: SymbolTable) -> list[Diagnostic]:
@@ -244,10 +231,10 @@ class _TypeChecker:
         return decl.result_type
 
     def check_index_expr(self, expr: Expr):
-        for var in _index_vars(expr):
-            if var not in self.bound_vars:
+        for node in walk(expr):
+            if isinstance(node, IndexVar) and node.name not in self.bound_vars:
                 self.error("UnboundIndexVariable",
-                           f"index variable '{var}' is not bound on the left-hand side")
+                           f"index variable '{node.name}' is not bound on the left-hand side")
 
     def infer_binary(self, expr: Binary) -> str | None:
         left = self.infer(expr.left, all_ok=False)
@@ -274,10 +261,10 @@ class _TypeChecker:
 
     def infer_call(self, call: Call) -> str | None:
         name = call.func.lower()
-        if name not in BUILTIN_ARITY:
+        if name not in BUILTINS:
             self.error("UnknownFunction", f"unknown function '{call.func}'")
             return None
-        arity = BUILTIN_ARITY[name]
+        arity = BUILTINS[name]
         if arity is not None and len(call.args) != arity:
             self.error("ArityMismatch",
                        f"'{name}' takes {arity} argument(s), got {len(call.args)}")
@@ -341,14 +328,6 @@ class _TypeChecker:
         raise AssertionError(name)
 
 
-def _index_vars(expr: Expr):
-    if isinstance(expr, IndexVar):
-        yield expr.name
-    elif isinstance(expr, Binary):
-        yield from _index_vars(expr.left)
-        yield from _index_vars(expr.right)
-
-
 def match_patterns(patterns, indices) -> dict[str, int] | None:
     """Unify LHS patterns with concrete indices; return the substitution."""
     subst: dict[str, int] = {}
@@ -390,6 +369,7 @@ def elaborate(doc: SpecDocument, symtab: SymbolTable) -> tuple[CellPlan, list[Di
         if not equations:
             inputs.update(symtab.table_cells(name))
             continue
+        refs = {id(equation): element_refs(equation.rhs) for equation in equations}
         for cell in symtab.table_cells(name):
             matches = []
             for equation in equations:
@@ -408,14 +388,15 @@ def elaborate(doc: SpecDocument, symtab: SymbolTable) -> tuple[CellPlan, list[Di
                 continue
             equation, subst = matches[0]
             rules[cell] = RuleInstance(cell, equation, subst)
-            diagnostics.extend(_check_ref_bounds(equation, subst, cell, symtab))
+            diagnostics.extend(_check_ref_bounds(equation, refs[id(equation)], subst, cell,
+                                                 symtab))
 
     return CellPlan(rules, inputs, symtab), diagnostics
 
 
-def _check_ref_bounds(equation, subst, cell, symtab):
+def _check_ref_bounds(equation, refs, subst, cell, symtab):
     """Flag substituted RHS references that land outside their table's bounds."""
-    for ref in _element_refs(equation.rhs):
+    for ref in refs:
         decl = symtab.tables.get(ref.table)
         if decl is None or len(ref.indices) != len(decl.dims):
             continue

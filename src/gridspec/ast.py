@@ -8,6 +8,7 @@ to the original.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 
 @dataclass(frozen=True)
@@ -145,30 +146,86 @@ class SpecDocument:
     comments: tuple[Comment, ...] = ()
 
 
+# --- traversal -------------------------------------------------------------
+
+def children(expr: Expr) -> tuple[Expr, ...]:
+    """The direct subexpressions of a node: operands, arguments, indices."""
+    if isinstance(expr, Binary):
+        return (expr.left, expr.right)
+    if isinstance(expr, Call):
+        return expr.args
+    if isinstance(expr, ElementRef):
+        return expr.indices
+    return ()
+
+
+def walk(expr: Expr):
+    """Every node of an expression, parents before their children."""
+    yield expr
+    for child in children(expr):
+        yield from walk(child)
+
+
+def element_refs(expr: Expr) -> list[ElementRef]:
+    """The element references in an expression, in walk order."""
+    return [node for node in walk(expr) if isinstance(node, ElementRef)]
+
+
+# --- builtins --------------------------------------------------------------
+
+# name -> argument count; None for one or more
+BUILTINS = {
+    "if": 3, "or": None, "and": None, "not": 1,
+    "isna": 1, "sum": 1, "match": 3, "date": 3,
+}
+
+# builtins whose arguments may be ranges (`all` indices)
+AGGREGATES = ("sum", "match")
+
+
 # --- pretty printing -------------------------------------------------------
 
-_PREC_COMPARISON = 1
-_PREC_ADDITIVE = 2
-_PREC_MULTIPLICATIVE = 3
-_PREC_ATOM = 4
-
-_OP_PREC = {op: _PREC_COMPARISON for op in COMPARISON_OPS}
-_OP_PREC.update({op: _PREC_ADDITIVE for op in ADDITIVE_OPS})
-_OP_PREC.update({op: _PREC_MULTIPLICATIVE for op in MULTIPLICATIVE_OPS})
+_OP_PREC = {op: 1 for op in COMPARISON_OPS}
+_OP_PREC.update({op: 2 for op in ADDITIVE_OPS})
+_OP_PREC.update({op: 3 for op in MULTIPLICATIVE_OPS})
 
 
 def format_number(value: float) -> str:
-    """Render a numeric literal, preferring integer form."""
+    """Render a finite number in positional notation, never exponent form:
+    integer form where it is exact, otherwise the shortest digits that
+    read back as the same float."""
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
-    return repr(value)
+    text = repr(value)
+    if "e" in text:
+        text = format(Decimal(text), "f")
+    return text
+
+
+def format_expr(expr: Expr, leaf, pad: str = " ", parent_prec: int = 0) -> str:
+    """Text of an expression with the fewest parentheses that keep its
+    structure.  Operators and calls are laid out here, with `pad` around
+    operators and inside brackets; `leaf(node)` gives the text of every
+    other node, and of a call's function name."""
+    if isinstance(expr, Binary):
+        prec = _OP_PREC[expr.op]
+        # comparison is non-associative; - and / are left-associative
+        left = format_expr(expr.left, leaf, pad,
+                           prec if expr.op in COMPARISON_OPS else prec - 1)
+        right = format_expr(expr.right, leaf, pad, prec)
+        text = f"{left}{pad}{expr.op}{pad}{right}"
+        return f"({pad}{text}{pad})" if prec <= parent_prec else text
+    if isinstance(expr, Call):
+        args = f",{pad}".join(format_expr(a, leaf, pad) for a in expr.args)
+        return f"{leaf(expr)}({pad}{args}{pad})"
+    return leaf(expr)
 
 
 def print_expr(expr: Expr) -> str:
-    return _print_expr(expr, 0)
+    return format_expr(expr, _spec_leaf)
 
 
-def _print_expr(expr: Expr, parent_prec: int) -> str:
+def _spec_leaf(expr: Expr) -> str:
     if isinstance(expr, NumberLit):
         return format_number(expr.value)
     if isinstance(expr, BooleanLit):
@@ -180,20 +237,9 @@ def _print_expr(expr: Expr, parent_prec: int) -> str:
     if isinstance(expr, ElementRef):
         if not expr.indices:
             return f"{expr.table}[]"
-        inner = ", ".join(_print_expr(i, 0) for i in expr.indices)
-        return f"{expr.table}[ {inner} ]"
+        return f"{expr.table}[ {', '.join(print_expr(i) for i in expr.indices)} ]"
     if isinstance(expr, Call):
-        args = ", ".join(_print_expr(a, 0) for a in expr.args)
-        return f"{expr.func}( {args} )"
-    if isinstance(expr, Binary):
-        prec = _OP_PREC[expr.op]
-        # comparison is non-associative; - and / are left-associative
-        left = _print_expr(expr.left, prec if expr.op in COMPARISON_OPS else prec - 1)
-        right = _print_expr(expr.right, prec)
-        text = f"{left} {expr.op} {right}"
-        if prec <= parent_prec:
-            return f"( {text} )"
-        return text
+        return expr.func
     raise TypeError(f"unprintable expression node: {expr!r}")
 
 

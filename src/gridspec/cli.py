@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import math
 import sys
 from pathlib import Path
 
@@ -89,6 +90,8 @@ def _parse_binding_value(text: str, result_type: str, line: int) -> Value:
         number = float(text)
     except ValueError:
         raise InputError("BadValue", f"line {line}: unparseable value {text!r}") from None
+    if not math.isfinite(number):
+        raise InputError("BadValue", f"line {line}: value {text!r} is not a finite number")
     if result_type in ("boolean", "date"):
         raise InputError("BadValue",
                          f"line {line}: numeric value for a {result_type} table")
@@ -140,10 +143,7 @@ def _evaluate_for(args, result):
             return EXIT_SPEC_ERROR
     try:
         values = evaluate(plan, inputs)
-    except CyclicDependency as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME_ERROR
-    except RuntimeFault as exc:
+    except (CyclicDependency, RuntimeFault) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
     return inputs, values
@@ -206,10 +206,7 @@ def cmd_compile(args) -> int:
 def cmd_verify(args) -> int:
     try:
         report = verify_directory(args.directory)
-    except (OSError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
-    except (GridSpecError, ValueError) as exc:
+    except (OSError, GridSpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
     print(f"checked {report.checks} cells, {len(report.mismatches)} mismatch(es)")

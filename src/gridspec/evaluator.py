@@ -10,10 +10,13 @@ sees an already-written value.
 from __future__ import annotations
 
 import datetime
+import math
 from dataclasses import dataclass
 
-from .analyzer import CellId, CellPlan, RuleInstance, eval_index_expr
+from .analyzer import CellId, CellPlan, eval_index_expr
 from .ast import (
+    AGGREGATES,
+    BUILTINS,
     AllIndex,
     Binary,
     BooleanLit,
@@ -22,10 +25,9 @@ from .ast import (
     Expr,
     IndexVar,
     NumberLit,
+    element_refs,
 )
 from .errors import CyclicDependency, RuntimeFault, UnknownFunction, UnsupportedMatchType
-
-BUILTINS = ("if", "or", "and", "not", "isna", "sum", "match", "date")
 
 
 class Value:
@@ -145,14 +147,16 @@ def apply_binary(op: str, left: Value, right: Value) -> Value:
     if op in ("+", "-", "*", "/"):
         a, b = _as_number(left), _as_number(right)
         if op == "+":
-            return Number(a + b)
-        if op == "-":
-            return Number(a - b)
-        if op == "*":
-            return Number(a * b)
-        if b == 0:
+            result = a + b
+        elif op == "-":
+            result = a - b
+        elif op == "*":
+            result = a * b
+        elif b == 0:
             raise _Fault("division by zero")
-        return Number(a / b)
+        else:
+            result = a / b
+        return _finite(result)
     # comparisons; operands must share a type
     if isinstance(left, DateValue) and isinstance(right, DateValue):
         a, b = left.date, right.date
@@ -170,20 +174,13 @@ def apply_binary(op: str, left: Value, right: Value) -> Value:
 
 
 def apply_builtin(name: str, args: list) -> Value:
-    """Apply a builtin to evaluated arguments.
+    """Apply a builtin other than `if` to evaluated arguments.
 
     Range-valued arguments (from `all` indices) arrive as Python lists
-    of Values.  `if` here is the eager form used by the grid verifier;
-    eval_expr evaluates `if` lazily before reaching this point.
+    of Values.  `if` evaluates only the branch it takes, so eval_expr
+    applies it before the branches are evaluated.
     """
     name = name.lower()
-    if name not in BUILTINS:
-        raise UnknownFunction(name)
-    if name == "if":
-        cond, then, other = args
-        if is_na(cond):
-            return NA
-        return then if _as_boolean(cond) else other
     if name in ("or", "and"):
         if any(is_na(a) for a in args):
             return NA
@@ -203,7 +200,7 @@ def apply_builtin(name: str, args: list) -> Value:
             if isinstance(item, (Blank, Boolean)):
                 continue
             total += _as_number(item)
-        return Number(total)
+        return _finite(total)
     if name == "match":
         needle, rng, mode = args
         if not (isinstance(mode, Number) and mode.value == 0):
@@ -230,7 +227,13 @@ def apply_builtin(name: str, args: list) -> Value:
             return DateValue.of(year, month, day)
         except ValueError as exc:
             raise _Fault(f"invalid date({year}, {month}, {day}): {exc}") from None
-    raise AssertionError(name)
+    raise UnknownFunction(name)
+
+
+def _finite(number: float) -> Number:
+    if not math.isfinite(number):
+        raise _Fault(f"result {number} is not a finite number")
+    return Number(number)
 
 
 def _flatten(args):
@@ -241,33 +244,54 @@ def _flatten(args):
             yield arg
 
 
-# --- dependency graph ------------------------------------------------------
+# --- evaluation ------------------------------------------------------------
 
-@dataclass
-class DependencyGraph:
-    nodes: list[CellId]
-    edges: dict[CellId, set[CellId]]  # cell -> cells its rule reads
-    topo_order: list[CellId]
+def eval_expr(expr: Expr, leaf) -> Value:
+    """Evaluate a formula: a spec right-hand side or a parsed A1 formula.
+
+    `leaf(node)` gives the value of every node that is not a literal,
+    operator or call: an element reference, index variable, cell or
+    range.  It returns a list of Values for a range, which only `sum`
+    and `match` accept as an argument.  Raises _Fault when an operator
+    or builtin rejects its operands."""
+    value = _eval(expr, leaf, False)
+    if isinstance(value, Blank):
+        # a formula whose result is an empty cell yields 0, as in the
+        # host application
+        return Number(0.0)
+    return value
 
 
-def rule_dependencies(rule: RuleInstance, symtab) -> set[CellId]:
-    """The concrete cells a rule's right-hand side reads."""
-    deps: set[CellId] = set()
-    _collect_refs(rule.equation.rhs, rule.substitution, symtab, deps)
-    return deps
-
-
-def _collect_refs(expr: Expr, subst, symtab, out: set[CellId]):
-    if isinstance(expr, ElementRef):
-        out.update(expand_ref(expr, subst, symtab))
-        return
+def _eval(expr: Expr, leaf, range_ok: bool):
+    if isinstance(expr, NumberLit):
+        return Number(expr.value)
+    if isinstance(expr, BooleanLit):
+        return Boolean(expr.value)
     if isinstance(expr, Binary):
-        _collect_refs(expr.left, subst, symtab, out)
-        _collect_refs(expr.right, subst, symtab, out)
-    elif isinstance(expr, Call):
-        for arg in expr.args:
-            _collect_refs(arg, subst, symtab, out)
+        return apply_binary(expr.op, _eval(expr.left, leaf, False),
+                            _eval(expr.right, leaf, False))
+    if isinstance(expr, Call):
+        name = expr.func.lower()
+        if name not in BUILTINS:
+            raise UnknownFunction(name)
+        arity = BUILTINS[name]
+        if not expr.args or (arity is not None and len(expr.args) != arity):
+            raise _Fault(f"{name} given {len(expr.args)} argument(s)")
+        if name == "if":
+            cond = _eval(expr.args[0], leaf, False)
+            if is_na(cond):
+                return NA
+            branch = expr.args[1] if _as_boolean(cond) else expr.args[2]
+            return _eval(branch, leaf, False)
+        aggregate = name in AGGREGATES
+        return apply_builtin(name, [_eval(arg, leaf, aggregate) for arg in expr.args])
+    value = leaf(expr)
+    if isinstance(value, list) and not range_ok:
+        raise _Fault("range reference outside sum or match")
+    return value
 
+
+# --- reference resolution and the dependency graph -------------------------
 
 def expand_ref(ref: ElementRef, subst, symtab) -> list[CellId]:
     """Resolve a reference to concrete cells; `all` spans its dimension.
@@ -288,13 +312,70 @@ def expand_ref(ref: ElementRef, subst, symtab) -> list[CellId]:
     return cells
 
 
+@dataclass(slots=True)
+class ResolvedRefs:
+    """The cells that one rule instance's element references read.
+
+    `refs[node]` is one CellId for a single-cell reference, and a tuple
+    of CellIds in row-major order for a reference with an `all` index."""
+
+    # id() of each reference node -> its place in cells; every instance
+    # of an equation shares one such map
+    positions: dict[int, int]
+    cells: tuple
+
+    def __getitem__(self, ref: ElementRef):
+        return self.cells[self.positions[id(ref)]]
+
+
+def resolve_references(plan: CellPlan) -> dict[CellId, ResolvedRefs]:
+    """Resolve every rule instance's element references, once per plan.
+
+    Each reference is expanded once and mapped onto the plan's own
+    CellIds.  The result is kept on the plan; the dependency graph,
+    evaluation and formula rendering all read it."""
+    if plan.references is None:
+        symtab = plan.symtab
+        own = {cell: cell for cell in plan.rules}
+        own.update((cell, cell) for cell in plan.inputs)
+        by_equation: dict[int, tuple[list[ElementRef], dict[int, int]]] = {}
+        references = {}
+        for cell, rule in plan.rules.items():
+            rhs = rule.equation.rhs
+            if id(rhs) not in by_equation:
+                refs = element_refs(rhs)
+                by_equation[id(rhs)] = refs, {id(ref): k for k, ref in enumerate(refs)}
+            refs, positions = by_equation[id(rhs)]
+            resolved = []
+            for ref in refs:
+                cells = [own[c] for c in expand_ref(ref, rule.substitution, symtab)]
+                if any(isinstance(i, AllIndex) for i in ref.indices):
+                    resolved.append(tuple(cells))
+                else:
+                    resolved.append(cells[0])
+            references[cell] = ResolvedRefs(positions, tuple(resolved))
+        plan.references = references
+    return plan.references
+
+
+@dataclass
+class DependencyGraph:
+    nodes: list[CellId]
+    edges: dict[CellId, set[CellId]]  # cell -> cells its rule reads
+    topo_order: list[CellId]
+
+
 def build_graph(plan: CellPlan) -> DependencyGraph:
     """Build the cell dependency graph and a deterministic topological order."""
-    symtab = plan.symtab
     nodes = sorted(set(plan.rules) | plan.inputs, key=lambda c: (c.table, c.indices))
     edges = {cell: set() for cell in nodes}
-    for cell, rule in plan.rules.items():
-        edges[cell] = rule_dependencies(rule, symtab)
+    for cell, resolved in resolve_references(plan).items():
+        deps = edges[cell]
+        for cells in resolved.cells:
+            if isinstance(cells, tuple):
+                deps.update(cells)
+            else:
+                deps.add(cells)
 
     dependents: dict[CellId, list[CellId]] = {cell: [] for cell in nodes}
     indegree = {}
@@ -333,49 +414,11 @@ def _find_cycle(edges, remaining):
     return path[seen[cell]:]
 
 
-# --- evaluation ------------------------------------------------------------
-
-def eval_expr(expr: Expr, env: dict[str, int], store: dict[CellId, Value],
-              symtab) -> Value:
-    """Evaluate an expression; element references read the store."""
-    if isinstance(expr, NumberLit):
-        return Number(expr.value)
-    if isinstance(expr, BooleanLit):
-        return Boolean(expr.value)
-    if isinstance(expr, IndexVar):
-        return Number(env[expr.name])
-    if isinstance(expr, ElementRef):
-        cells = expand_ref(expr, env, symtab)
-        if len(cells) == 1 and not any(isinstance(i, AllIndex) for i in expr.indices):
-            return store[cells[0]]
-        raise _Fault(f"range reference to '{expr.table}' outside sum or match")
-    if isinstance(expr, Binary):
-        left = eval_expr(expr.left, env, store, symtab)
-        right = eval_expr(expr.right, env, store, symtab)
-        return apply_binary(expr.op, left, right)
-    if isinstance(expr, Call):
-        name = expr.func.lower()
-        if name == "if":
-            cond = eval_expr(expr.args[0], env, store, symtab)
-            if is_na(cond):
-                return NA
-            branch = expr.args[1] if _as_boolean(cond) else expr.args[2]
-            return eval_expr(branch, env, store, symtab)
-        args = []
-        for arg in expr.args:
-            if (name in ("sum", "match") and isinstance(arg, ElementRef)
-                    and any(isinstance(i, AllIndex) for i in arg.indices)):
-                args.append([store[c] for c in expand_ref(arg, env, symtab)])
-            else:
-                args.append(eval_expr(arg, env, store, symtab))
-        return apply_builtin(name, args)
-    raise TypeError(f"unevaluable expression node: {expr!r}")
-
-
 def evaluate(plan: CellPlan, inputs: dict[CellId, Value]) -> dict[CellId, Value]:
     """Evaluate every cell of the plan; returns the complete value grid."""
     symtab = plan.symtab
     graph = build_graph(plan)
+    references = resolve_references(plan)
     store: dict[CellId, Value] = {}
     for cell in graph.topo_order:
         if cell in plan.inputs:
@@ -383,14 +426,24 @@ def evaluate(plan: CellPlan, inputs: dict[CellId, Value]) -> dict[CellId, Value]
         else:
             rule = plan.rules[cell]
             try:
-                value = eval_expr(rule.equation.rhs, rule.substitution, store, symtab)
+                value = eval_expr(rule.equation.rhs,
+                                  _store_leaf(references[cell], rule.substitution, store))
             except _Fault as exc:
                 raise RuntimeFault(cell, str(exc)) from None
-            if isinstance(value, Blank):
-                # a formula whose result is an empty cell yields 0, as in
-                # the host application
-                value = Number(0.0)
         if isinstance(value, Number) and symtab.tables[cell.table].result_type == "currency":
             value = Number(value.value, currency=True)
         store[cell] = value
     return store
+
+
+def _store_leaf(resolved: ResolvedRefs, subst: dict[str, int], store: dict[CellId, Value]):
+    """The leaf values of one rule instance: index variables from its
+    substitution, element references from the store."""
+    def leaf(node):
+        if isinstance(node, IndexVar):
+            return Number(subst[node.name])
+        cells = resolved[node]
+        if isinstance(cells, tuple):
+            return [store[c] for c in cells]
+        return store[cells]
+    return leaf

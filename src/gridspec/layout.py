@@ -21,20 +21,17 @@ import json
 from dataclasses import dataclass, field
 
 from .a1 import Address, column_letters
-from .analyzer import CellId, CellPlan, RuleInstance, SymbolTable, eval_index_expr
+from .analyzer import CellId, CellPlan, RuleInstance, SymbolTable
 from .ast import (
-    AllIndex,
-    Binary,
     BooleanLit,
     Call,
     Comment,
-    ElementRef,
-    EquationDecl,
     Expr,
     IndexVar,
     NumberLit,
     SpecDocument,
     TableDecl,
+    format_expr,
     format_number,
 )
 from .errors import LayoutOverflow, UnmappedCell
@@ -45,8 +42,10 @@ from .evaluator import (
     DateValue,
     NAError,
     Number,
+    ResolvedRefs,
     Value,
-    expand_ref,
+    expand_ref,  # not called here; perfbench/tracing.py counts calls through this name
+    resolve_references,
 )
 
 MAIN_SHEET = "Model"
@@ -242,57 +241,43 @@ def _orientation(decl: TableDecl) -> str:
 
 # --- formula rendering -----------------------------------------------------
 
-_PREC = {"=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
-         "+": 2, "-": 2, "*": 3, "/": 3}
-
-
 def _format_ref(address: Address, home_sheet: str) -> str:
     if address.sheet == home_sheet:
         return address.a1()
     return f"{address.sheet}!{address.a1()}"
 
 
-def render_formula(rule: RuleInstance, layout: Layout) -> str:
-    """Render a rule instance as an A1 formula for its cell's sheet."""
+def render_formula(rule: RuleInstance, refs: ResolvedRefs, layout: Layout) -> str:
+    """Render a rule instance as an A1 formula for its cell's sheet, given
+    the rule's resolved references (see evaluator.resolve_references)."""
     home = layout.cell_address(rule.cell).sheet
-    return "=" + _render(rule.equation.rhs, rule.substitution, layout, home, 0)
 
-
-def _render(expr: Expr, subst, layout: Layout, home: str, parent_prec: int) -> str:
-    if isinstance(expr, NumberLit):
-        return format_number(expr.value)
-    if isinstance(expr, BooleanLit):
-        return "TRUE" if expr.value else "FALSE"
-    if isinstance(expr, IndexVar):
-        return str(subst[expr.name])
-    if isinstance(expr, ElementRef):
-        cells = expand_ref(expr, subst, layout.symtab)
-        addresses = [layout.cell_address(c) for c in cells]
-        if len(addresses) == 1 and not any(isinstance(i, AllIndex) for i in expr.indices):
-            return _format_ref(addresses[0], home)
-        first = min(addresses, key=lambda a: (a.row, a.column))
-        last = max(addresses, key=lambda a: (a.row, a.column))
+    def leaf(expr: Expr) -> str:
+        if isinstance(expr, NumberLit):
+            return format_number(expr.value)
+        if isinstance(expr, BooleanLit):
+            return "TRUE" if expr.value else "FALSE"
+        if isinstance(expr, IndexVar):
+            return str(rule.substitution[expr.name])
+        if isinstance(expr, Call):
+            return expr.func.upper()
+        cells = refs[expr]
+        if isinstance(cells, CellId):
+            return _format_ref(layout.cell_address(cells), home)
+        # a range lists its cells row-major, so the first and last are corners
+        first, last = layout.cell_address(cells[0]), layout.cell_address(cells[-1])
         return f"{_format_ref(first, home)}:{last.a1()}"
-    if isinstance(expr, Call):
-        args = ",".join(_render(a, subst, layout, home, 0) for a in expr.args)
-        return f"{expr.func.upper()}({args})"
-    if isinstance(expr, Binary):
-        prec = _PREC[expr.op]
-        left = _render(expr.left, subst, layout, home,
-                       prec if expr.op in ("=", "<>", "<", "<=", ">", ">=") else prec - 1)
-        right = _render(expr.right, subst, layout, home, prec)
-        text = f"{left}{expr.op}{right}"
-        if prec <= parent_prec:
-            return f"({text})"
-        return text
-    raise TypeError(f"unrenderable expression node: {expr!r}")
+
+    return "=" + format_expr(rule.equation.rhs, leaf, pad="")
 
 
 # --- value rendering and emission ------------------------------------------
 
 def render_value(value: Value, currency: bool = False) -> str:
-    """Machine-readable value text: currency to two decimals without a
-    symbol, booleans TRUE/FALSE, NA as #N/A, dates ISO, blanks empty."""
+    """Machine-readable value text that reads back as the same value:
+    currency to two decimals without a symbol where that is exact, other
+    numbers in positional notation, booleans TRUE/FALSE, NA as #N/A,
+    dates ISO, blanks empty."""
     if isinstance(value, Blank):
         return ""
     if isinstance(value, NAError):
@@ -303,7 +288,9 @@ def render_value(value: Value, currency: bool = False) -> str:
         return value.date.isoformat()
     if isinstance(value, Number):
         if currency or value.currency:
-            return f"{value.value:.2f}"
+            text = f"{value.value:.2f}"
+            if float(text) == value.value:
+                return text
         return format_number(value.value)
     raise TypeError(f"unrenderable value: {value!r}")
 
@@ -349,6 +336,7 @@ def emit(layout: Layout, plan: CellPlan, values: dict[CellId, Value],
                 put(sheet, band_top + index - low, column, text, text)
 
     # table cells
+    references = resolve_references(plan)
     for name in symtab.tables:
         decl = symtab.tables[name]
         currency = decl.result_type == "currency"
@@ -358,7 +346,7 @@ def emit(layout: Layout, plan: CellPlan, values: dict[CellId, Value],
                 text = render_value(inputs.get(cell, BLANK), currency)
                 put(address.sheet, address.row, address.column, text, text)
             else:
-                formula = render_formula(plan.rules[cell], layout)
+                formula = render_formula(plan.rules[cell], references[cell], layout)
                 put(address.sheet, address.row, address.column, formula,
                     render_value(values[cell], currency))
 

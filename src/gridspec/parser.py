@@ -15,6 +15,7 @@ it is the element terminator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import ast
@@ -50,7 +51,7 @@ _IDENT_CONT = _IDENT_START | set("0123456789")
 _DIGITS = set("0123456789")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     kind: str  # identifier | integer | decimal | keyword | symbol | eoi
     text: str
@@ -181,12 +182,20 @@ class Parser:
         return token
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        token = self.current()
+        token = self.tokens[self.pos]
         return token.kind == kind and (text is None or token.text == text)
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
         if self.at(kind, text):
             return self.advance()
+        return None
+
+    def accept_op(self, ops: tuple[str, ...]) -> str | None:
+        """Consume the next token if it is one of the symbols `ops`."""
+        token = self.tokens[self.pos]
+        if token.kind == "symbol" and token.text in ops:
+            self.pos += 1
+            return token.text
         return None
 
     def expect(self, kind: str, text: str | None = None, expected: str | None = None) -> Token:
@@ -265,44 +274,43 @@ class Parser:
         if self.at("integer"):
             return ConstantPattern(int(self.advance().text))
         name = self.expect("identifier", expected="an index pattern").text
-        for comparator in ast.GUARD_COMPARATORS:
-            if self.at("symbol", comparator):
-                self.advance()
-                bound = int(self.expect("integer", expected="an integer guard bound").text)
-                return GuardedVarPattern(name, comparator, bound)
+        comparator = self.accept_op(ast.GUARD_COMPARATORS)
+        if comparator:
+            bound = int(self.expect("integer", expected="an integer guard bound").text)
+            return GuardedVarPattern(name, comparator, bound)
         return VarPattern(name)
 
     # --- expressions ---
 
     def expression(self) -> Expr:
         left = self.additive()
-        for op in ast.COMPARISON_OPS:
-            if self.at("symbol", op):
-                self.advance()
-                return Binary(op, left, self.additive())
-        return left
+        op = self.accept_op(ast.COMPARISON_OPS)
+        return Binary(op, left, self.additive()) if op else left
 
     def additive(self) -> Expr:
         left = self.multiplicative()
-        while self.at("symbol", "+") or self.at("symbol", "-"):
-            op = self.advance().text
+        while op := self.accept_op(ast.ADDITIVE_OPS):
             left = Binary(op, left, self.multiplicative())
         return left
 
     def multiplicative(self) -> Expr:
         left = self.atom()
-        while self.at("symbol", "*") or self.at("symbol", "/"):
-            op = self.advance().text
+        while op := self.accept_op(ast.MULTIPLICATIVE_OPS):
             left = Binary(op, left, self.atom())
         return left
 
     def atom(self) -> Expr:
-        if self.at("integer") or self.at("decimal"):
-            return NumberLit(float(self.advance().text))
-        if self.accept("keyword", "true"):
-            return BooleanLit(True)
-        if self.accept("keyword", "false"):
-            return BooleanLit(False)
+        token = self.current()
+        if token.kind in ("integer", "decimal"):
+            self.pos += 1
+            number = float(token.text)
+            if not math.isfinite(number):
+                raise _ParseDiagnostic(Diagnostic(
+                    "error", "ParseError", "number literal too large", token.pos))
+            return NumberLit(number)
+        if token.kind == "keyword" and token.text in ("true", "false"):
+            self.pos += 1
+            return BooleanLit(token.text == "true")
         if self.accept("keyword", "all"):
             # only legal inside an index position; the analyzer rejects
             # any other placement with MisplacedAll
@@ -311,8 +319,9 @@ class Parser:
             inner = self.expression()
             self.expect("symbol", ")")
             return inner
-        if self.at("identifier"):
-            name = self.advance().text
+        if token.kind == "identifier":
+            self.pos += 1
+            name = token.text
             if self.accept("symbol", "("):
                 args = []
                 if not self.at("symbol", ")"):
@@ -332,13 +341,22 @@ class Parser:
             return IndexVar(name)
         self.fail("an expression")
 
+    def whole_expression(self) -> Expr:
+        """An expression spanning every token; raises ParseFailure if not."""
+        try:
+            expr = self.expression()
+            if not self.at("eoi"):
+                self.fail("end of input")
+        except _ParseDiagnostic as exc:
+            raise ParseFailure([exc.diagnostic]) from None
+        return expr
+
     def index_expression(self) -> Expr:
         """Index positions allow only `all`, integers, index variables, + and -."""
         if self.accept("keyword", "all"):
             return AllIndex()
         left = self.index_atom()
-        while self.at("symbol", "+") or self.at("symbol", "-"):
-            op = self.advance().text
+        while op := self.accept_op(ast.ADDITIVE_OPS):
             left = Binary(op, left, self.index_atom())
         return left
 
@@ -373,11 +391,4 @@ def parse_document(text: str) -> SpecDocument:
 
 def parse_expression(text: str) -> Expr:
     """Parse a standalone expression (the equation right-hand-side grammar)."""
-    parser = Parser(tokenize(text))
-    try:
-        expr = parser.expression()
-        if not parser.at("eoi"):
-            parser.fail("end of input")
-    except _ParseDiagnostic as exc:
-        raise ParseFailure([exc.diagnostic]) from None
-    return expr
+    return Parser(tokenize(text)).whole_expression()

@@ -2,8 +2,9 @@
 
 Every formula cell is re-evaluated one step: the formula is parsed, the
 values document supplies the value at each referenced address, the
-result is computed with the evaluator's builtin semantics and compared
-to the cell's own entry in the values document.  Numbers compare within
+result is computed by the evaluator's own eval_expr and compared to the
+cell's own entry in the values document.  A formula whose operands make
+it fault is a mismatch that names the fault.  Numbers compare within
 relative tolerance 1e-9; booleans, dates, and NA compare exactly.
 """
 
@@ -14,21 +15,18 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .a1 import Address, CellRef, RangeRef, parse_a1_formula
-from .ast import Binary, BooleanLit, Call, Expr, NumberLit
+from .a1 import Address, CellRef, parse_a1_formula
 from .errors import ParseFailure
 from .evaluator import (
     BLANK,
     NA,
-    Blank,
     Boolean,
     DateValue,
     Number,
     Value,
-    apply_binary,
-    apply_builtin,
+    _Fault,
+    eval_expr,
     is_na,
-    _as_boolean,
 )
 from .layout import Grid
 
@@ -63,11 +61,13 @@ def parse_value_text(text: str) -> Value | None:
 @dataclass
 class Mismatch:
     address: Address
-    expected: Value  # what one-step evaluation of the formula produces
+    expected: Value | None  # what one-step evaluation of the formula produces
     actual: Value | None  # what the values document holds
+    fault: str = ""  # why one-step evaluation failed, when expected is None
 
     def __str__(self):
-        return f"{self.address}: formula gives {self.expected!r}, document holds {self.actual!r}"
+        gives = f"faults ({self.fault})" if self.fault else f"gives {self.expected!r}"
+        return f"{self.address}: formula {gives}, document holds {self.actual!r}"
 
 
 @dataclass
@@ -78,37 +78,6 @@ class VerifyReport:
     @property
     def ok(self) -> bool:
         return not self.mismatches
-
-
-def _eval_one_step(expr: Expr, lookup) -> Value:
-    if isinstance(expr, NumberLit):
-        return Number(expr.value)
-    if isinstance(expr, BooleanLit):
-        return Boolean(expr.value)
-    if isinstance(expr, CellRef):
-        return lookup(expr.address)
-    if isinstance(expr, RangeRef):
-        raise ValueError("range outside an aggregate argument")
-    if isinstance(expr, Binary):
-        return apply_binary(expr.op,
-                            _eval_one_step(expr.left, lookup),
-                            _eval_one_step(expr.right, lookup))
-    if isinstance(expr, Call):
-        name = expr.func.lower()
-        if name == "if":
-            cond = _eval_one_step(expr.args[0], lookup)
-            if is_na(cond):
-                return NA
-            branch = expr.args[1] if _as_boolean(cond) else expr.args[2]
-            return _eval_one_step(branch, lookup)
-        args = []
-        for arg in expr.args:
-            if isinstance(arg, RangeRef):
-                args.append([lookup(a) for a in arg.addresses()])
-            else:
-                args.append(_eval_one_step(arg, lookup))
-        return apply_builtin(name, args)
-    raise TypeError(f"unexpected formula node: {expr!r}")
 
 
 def values_agree(computed: Value, stored: Value | None) -> bool:
@@ -125,14 +94,20 @@ def values_agree(computed: Value, stored: Value | None) -> bool:
 def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
     """One-step check of every formula cell against the values document."""
     report = VerifyReport()
+    # each cell's text is parsed once, however many formulas read it
+    parsed = {sheet: {at: parse_value_text(text) for at, text in cells.items()}
+              for sheet, cells in values.items()}
 
-    def lookup(address: Address) -> Value:
-        sheet = values.get(address.sheet, {})
-        text = sheet.get((address.row, address.column), "")
-        value = parse_value_text(text)
+    def operand(address: Address) -> Value:
+        value = parsed.get(address.sheet, {}).get((address.row, address.column), BLANK)
         if value is None:
             raise ValueError(f"formula references non-value cell {address}")
         return value
+
+    def leaf(node) -> Value | list[Value]:
+        if isinstance(node, CellRef):
+            return operand(node.address)
+        return [operand(a) for a in node.addresses()]
 
     for sheet in sorted(formulas):
         for (row, column), text in sorted(formulas[sheet].items()):
@@ -140,11 +115,13 @@ def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
                 continue
             address = Address(sheet, column, row)
             expr = parse_a1_formula(text, default_sheet=sheet)
-            computed = _eval_one_step(expr, lookup)
-            if isinstance(computed, Blank):
-                computed = Number(0.0)  # formulas never yield true blank
-            stored = parse_value_text(values.get(sheet, {}).get((row, column), ""))
+            stored = parsed.get(sheet, {}).get((row, column), BLANK)
             report.checks += 1
+            try:
+                computed = eval_expr(expr, leaf)
+            except _Fault as exc:
+                report.mismatches.append(Mismatch(address, None, stored, str(exc)))
+                continue
             if not values_agree(computed, stored):
                 report.mismatches.append(Mismatch(address, computed, stored))
     return report

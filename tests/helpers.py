@@ -8,8 +8,10 @@ from pathlib import Path
 
 from gridspec import analyze, evaluate, parse_document
 from gridspec.ast import (
+    AllIndex,
     Binary,
     BoundsDecl,
+    Call,
     ConstantPattern,
     ElementRef,
     EquationDecl,
@@ -58,7 +60,9 @@ def random_pattern(rng: random.Random, low: int, high: int, var: str):
 def random_document(rng: random.Random, max_dims: int = 2, max_span: int = 6,
                     max_rules: int = 3) -> SpecDocument:
     """A small random document: one or two bounds, an input table, and a
-    derived table whose rules may or may not cover its cells."""
+    derived table whose rules may or may not cover its cells.  Either
+    table may hold currency; a rule adds to, divides, sums or matches
+    over the input table, or is a constant."""
     elements = []
     bounds_names = []
     for index in range(rng.randint(1, 2)):
@@ -70,19 +74,49 @@ def random_document(rng: random.Random, max_dims: int = 2, max_span: int = 6,
 
     dims = tuple(rng.choice(bounds_names) for _ in range(rng.randint(1, max_dims)))
     dim_names = tuple(d[0] for d in dims)
-    elements.append(TableDecl("src", dim_names, "number"))
-    elements.append(TableDecl("out", dim_names, "number"))
+    elements.append(TableDecl("src", dim_names, rng.choice(("number", "currency"))))
+    elements.append(TableDecl("out", dim_names, rng.choice(("number", "currency"))))
 
     variables = [f"i{k}" for k in range(len(dims))]
     for _ in range(rng.randint(1, max_rules)):
         patterns = tuple(random_pattern(rng, low, high, var)
                          for (name, low, high), var in zip(dims, variables))
         bound = [p.name for p in patterns if not isinstance(p, ConstantPattern)]
-        if bound and rng.random() < 0.5:
-            ref_indices = tuple(IndexVar(v) if v in bound else NumberLit(dims[k][1])
-                                for k, v in enumerate(variables))
-            rhs = Binary("+", ElementRef("src", ref_indices), NumberLit(1))
-        else:
-            rhs = NumberLit(rng.randint(0, 9))
+
+        def ref(whole=None):
+            """src at the rule's own indices, the low bound where a
+            variable is unbound, and `all` along dimension `whole`."""
+            return ElementRef("src", tuple(
+                AllIndex() if k == whole else IndexVar(v) if v in bound
+                else NumberLit(dims[k][1]) for k, v in enumerate(variables)))
+
+        whole = rng.randrange(len(dims))
+        rhs = rng.choice((
+            NumberLit(rng.randint(0, 9)),
+            Binary("+", ref(), NumberLit(1)),
+            Binary("/", ref(), NumberLit(rng.choice((3, 7, 12)))),
+            Binary("/", NumberLit(100), ref()),
+            Call("sum", (ref(whole),)),
+            Call("match", (ref(), ref(whole), NumberLit(0))),
+        ))
         elements.append(EquationDecl("out", patterns, rhs))
     return SpecDocument(tuple(elements))
+
+
+def random_inputs(rng: random.Random, doc: SpecDocument) -> str:
+    """Input CSV records for the `src` table of a random document: whole
+    numbers, or cents for currency; about a tenth of the cells blank."""
+    decl = next(e for e in doc.elements if isinstance(e, TableDecl) and e.name == "src")
+    bounds = {e.name: (e.low, e.high) for e in doc.elements if isinstance(e, BoundsDecl)}
+    cells = [()]
+    for dim in decl.dims:
+        low, high = bounds[dim]
+        cells = [c + (i,) for c in cells for i in range(low, high + 1)]
+    lines = []
+    for cell in cells:
+        if rng.random() < 0.1:
+            continue
+        value = rng.randint(-500, 5000)
+        text = f"{value / 100:.2f}" if decl.result_type == "currency" else str(value)
+        lines.append(",".join(["src", *map(str, cell), text]))
+    return "\n".join(lines) + "\n"

@@ -1,11 +1,13 @@
+import random
+
 import pytest
 
-from gridspec import InputError, analyze, parse_document
+from gridspec import InputError, analyze, parse_document, pretty_print
 from gridspec.analyzer import CellId
 from gridspec.cli import main, load_inputs
 from gridspec.evaluator import Boolean, Number
 
-from helpers import FIXTURES, fixture_text
+from helpers import FIXTURES, fixture_text, random_document, random_inputs
 
 
 @pytest.fixture
@@ -159,3 +161,97 @@ class TestCompileAndVerify:
         bad.write_text("initial_cash,not_a_number\n", encoding="utf-8")
         assert main(["compile", str(FIXTURES / "cashflow.gsx"),
                      "--inputs", str(bad), "--out-dir", str(tmp_path / "o")]) == 1
+
+
+def run_cli(tmp_path, spec, inputs=None):
+    """Compile a spec (and optional input records) into tmp_path/out;
+    returns the compile exit code and the output directory."""
+    spec_path = tmp_path / "spec.gsx"
+    spec_path.write_text(spec, encoding="utf-8")
+    argv = ["compile", str(spec_path), "--out-dir", str(tmp_path / "out")]
+    if inputs is not None:
+        argv += ["--inputs", str(write_inputs(tmp_path, inputs))]
+    return main(argv), tmp_path / "out"
+
+
+class TestValueTextReadsBack:
+    def test_currency_division_verifies(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "table a : -> currency.\ntable b : -> currency.\n"
+                                      "a[] = 10 / 3.\nb[] = a[] * 3.\n")
+        assert code == 0
+        assert main(["verify", str(out)]) == 0
+        assert "0 mismatch(es)" in capsys.readouterr().out
+
+    def test_small_literal_is_positional(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "table x : -> number.\ntable y : -> number.\n"
+                                      "y[] = x[] * 0.00001.\n", "x,3\n")
+        assert code == 0
+        assert "=A2*0.00001" in (out / "Model.formulas.csv").read_text(encoding="utf-8")
+        assert main(["verify", str(out)]) == 0
+        assert "0 mismatch(es)" in capsys.readouterr().out
+
+    def test_large_result_is_positional(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "table x : -> number.\ntable y : -> number.\n"
+                                      "y[] = x[] * 1000000.\n", "x,1000000000000000\n")
+        assert code == 0
+        values = (out / "Model.values.csv").read_text(encoding="utf-8")
+        assert "1000000000000000000000" in values and "e+" not in values
+        assert main(["verify", str(out)]) == 0
+        assert "0 mismatch(es)" in capsys.readouterr().out
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("text", ["inf", "nan", "-Infinity", "1e400"])
+    def test_non_finite_input_rejected(self, tmp_path, capsys, text):
+        code, _ = run_cli(tmp_path, "table x : -> number.\ntable y : -> number.\n"
+                                    "y[] = x[] + 1.\n", f"x,{text}\n")
+        assert code == 1
+        assert "BadValue" in capsys.readouterr().err
+
+    def test_overflowing_product_is_runtime_fault(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, "table x : -> number.\ntable y : -> number.\n"
+                                    "y[] = x[] * 1000000 * 1000000.\n", "x,1e300\n")
+        assert code == 3
+        assert "not a finite number" in capsys.readouterr().err
+
+    def test_overflowing_sum_is_runtime_fault(self, tmp_path, capsys):
+        code, _ = run_cli(tmp_path, "bounds b: 1 to 2.\ntable x : b -> number.\n"
+                                    "table y : -> number.\ny[] = sum( x[ all ] ).\n",
+                          "x,1,1e308\nx,2,1e308\n")
+        assert code == 3
+        assert "y[]" in capsys.readouterr().err
+
+
+class TestVerifyFaults:
+    def test_faulting_formula_is_a_mismatch(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "table x : -> number.\ntable y : -> number.\n"
+                                      "table a : -> number.\na[] = x[] / y[].\n",
+                            "x,1\ny,2\n")
+        assert code == 0
+        values_path = out / "Model.values.csv"
+        rows = values_path.read_text(encoding="utf-8").splitlines()
+        assert rows[1] == "1,2,0.5"
+        values_path.write_text("\n".join([rows[0], "1,0,0.5"]) + "\n", encoding="utf-8")
+        assert main(["verify", str(out)]) == 1
+        report = capsys.readouterr().out
+        assert "1 mismatch(es)" in report
+        assert "Model!C2: formula faults (division by zero)" in report
+
+
+class TestCompileVerifyProperty:
+    def test_compile_success_implies_verify_success(self, tmp_path, capsys):
+        rng = random.Random(1187)
+        compiled = 0
+        for trial in range(300):
+            doc = random_document(rng)
+            work = tmp_path / str(trial)
+            work.mkdir()
+            code, out = run_cli(work, pretty_print(doc), random_inputs(rng, doc))
+            assert code in (0, 1, 2, 3)
+            if code != 0:
+                continue
+            compiled += 1
+            capsys.readouterr()
+            assert main(["verify", str(out)]) == 0, capsys.readouterr().out
+            assert "0 mismatch(es)" in capsys.readouterr().out
+        assert compiled >= 40

@@ -104,6 +104,14 @@ class TestRenderValue:
         assert render_value(DateValue.of(2009, 1, 1)) == "2009-01-01"
         assert render_value(BLANK) == ""
 
+    def test_number_text_reads_back_exactly(self):
+        for value in (10 / 3, 0.1 + 0.2, -2.5, 1e21, 1e-5, 123456.78):
+            for currency in (False, True):
+                text = render_value(Number(value), currency=currency)
+                assert float(text) == value and "e" not in text, text
+        assert render_value(Number(1e-5)) == "0.00001"
+        assert render_value(Number(10 / 3), currency=True) == "3.3333333333333335"
+
 
 class TestRenderedFormulas:
     def test_cashflow_formulas(self):

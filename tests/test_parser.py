@@ -15,6 +15,7 @@ from gridspec.ast import (
     GuardedVarPattern,
     IndexVar,
     NumberLit,
+    SpecDocument,
     TableDecl,
     pretty_print,
 )
@@ -159,6 +160,20 @@ class TestRoundTrip:
         doc = random_document(random.Random(seed))
         again = parse_document(pretty_print(doc))
         assert again.elements == doc.elements
+
+    @pytest.mark.parametrize("value", [0.00001, 1e21, 1.5e-7, 2.5e16])
+    def test_extreme_literal_round_trip(self, value):
+        doc = SpecDocument((TableDecl("x", (), "number"), TableDecl("y", (), "number"),
+                            EquationDecl("y", (), Binary("*", ElementRef("x", ()),
+                                                         NumberLit(value)))))
+        text = pretty_print(doc)
+        assert "e" not in text.split("=")[1]
+        assert parse_document(text).elements == doc.elements
+
+    def test_literal_too_large_is_diagnostic(self):
+        with pytest.raises(ParseFailure) as info:
+            parse_document("table y : -> number.\ny[] = 1" + "0" * 400 + ".\n")
+        assert "too large" in str(info.value)
 
     def test_comment_transparency(self):
         source = fixture_text("cashflow")
