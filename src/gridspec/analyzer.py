@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ast import (
     BUILTINS,
@@ -44,8 +45,10 @@ _GUARDS = {
 }
 
 
-@dataclass(frozen=True)
-class CellId:
+class CellId(NamedTuple):
+    """One cell of a table.  As a tuple it hashes and compares in C, and
+    its natural order, (table, indices), is the evaluation tie-break."""
+
     table: str
     indices: tuple[int, ...]
 

@@ -185,9 +185,10 @@ AGGREGATES = ("sum", "match")
 
 # --- pretty printing -------------------------------------------------------
 
-_OP_PREC = {op: 1 for op in COMPARISON_OPS}
-_OP_PREC.update({op: 2 for op in ADDITIVE_OPS})
-_OP_PREC.update({op: 3 for op in MULTIPLICATIVE_OPS})
+# binding strength of each binary operator, for the parser and printers
+PRECEDENCE = {op: 1 for op in COMPARISON_OPS}
+PRECEDENCE.update({op: 2 for op in ADDITIVE_OPS})
+PRECEDENCE.update({op: 3 for op in MULTIPLICATIVE_OPS})
 
 
 def format_number(value: float) -> str:
@@ -208,7 +209,7 @@ def format_expr(expr: Expr, leaf, pad: str = " ", parent_prec: int = 0) -> str:
     operators and inside brackets; `leaf(node)` gives the text of every
     other node, and of a call's function name."""
     if isinstance(expr, Binary):
-        prec = _OP_PREC[expr.op]
+        prec = PRECEDENCE[expr.op]
         # comparison is non-associative; - and / are left-associative
         left = format_expr(expr.left, leaf, pad,
                            prec if expr.op in COMPARISON_OPS else prec - 1)

@@ -18,6 +18,7 @@ from .errors import (
     CyclicDependency,
     GridSpecError,
     InputError,
+    LayoutOverflow,
     ParseFailure,
     RuntimeFault,
 )
@@ -129,8 +130,20 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _evaluate_for(args, result):
+def _compile_grids(args):
+    """Analyze, lay out, evaluate and emit a spec; returns the EmitResult
+    or an int exit code after printing.  The layout is planned from the
+    declarations alone, so a grid too large for a sheet is reported
+    before any cell is evaluated."""
+    result = _load_and_analyze(args.spec)
+    if isinstance(result, int):
+        return result
     doc, symtab, plan = result
+    try:
+        layout = plan_layout(doc, symtab, LayoutOptions(caption_table=args.caption_table))
+    except LayoutOverflow as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SPEC_ERROR
     inputs = {}
     if args.inputs:
         try:
@@ -146,25 +159,13 @@ def _evaluate_for(args, result):
     except (CyclicDependency, RuntimeFault) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
-    return inputs, values
-
-
-def _emit_for(args, result, inputs, values):
-    doc, symtab, plan = result
-    options = LayoutOptions(caption_table=args.caption_table)
-    layout = plan_layout(doc, symtab, options)
     return emit(layout, plan, values, inputs, doc)
 
 
 def cmd_eval(args) -> int:
-    result = _load_and_analyze(args.spec)
-    if isinstance(result, int):
-        return result
-    outcome = _evaluate_for(args, result)
-    if isinstance(outcome, int):
-        return outcome
-    inputs, values = outcome
-    emitted = _emit_for(args, result, inputs, values)
+    emitted = _compile_grids(args)
+    if isinstance(emitted, int):
+        return emitted
     try:
         if args.out_dir:
             out = Path(args.out_dir)
@@ -187,14 +188,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    result = _load_and_analyze(args.spec)
-    if isinstance(result, int):
-        return result
-    outcome = _evaluate_for(args, result)
-    if isinstance(outcome, int):
-        return outcome
-    inputs, values = outcome
-    emitted = _emit_for(args, result, inputs, values)
+    emitted = _compile_grids(args)
+    if isinstance(emitted, int):
+        return emitted
     try:
         write_outputs(emitted, args.out_dir)
     except OSError as exc:

@@ -10,6 +10,7 @@ sees an already-written value.
 from __future__ import annotations
 
 import datetime
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -316,8 +317,9 @@ def expand_ref(ref: ElementRef, subst, symtab) -> list[CellId]:
 class ResolvedRefs:
     """The cells that one rule instance's element references read.
 
-    `refs[node]` is one CellId for a single-cell reference, and a tuple
-    of CellIds in row-major order for a reference with an `all` index."""
+    `refs[node]` is one CellId for a single-cell reference, and a plain
+    tuple of CellIds in row-major order for a reference with an `all`
+    index.  A CellId is a tuple too, so tell them apart by exact type."""
 
     # id() of each reference node -> its place in cells; every instance
     # of an equation shares one such map
@@ -366,13 +368,16 @@ class DependencyGraph:
 
 
 def build_graph(plan: CellPlan) -> DependencyGraph:
-    """Build the cell dependency graph and a deterministic topological order."""
-    nodes = sorted(set(plan.rules) | plan.inputs, key=lambda c: (c.table, c.indices))
+    """Build the cell dependency graph and a deterministic topological order.
+
+    Kahn's algorithm over a min-heap: of the cells whose dependencies
+    are all placed, the smallest (table, indices) is placed next."""
+    nodes = sorted(set(plan.rules) | plan.inputs)
     edges = {cell: set() for cell in nodes}
     for cell, resolved in resolve_references(plan).items():
         deps = edges[cell]
         for cells in resolved.cells:
-            if isinstance(cells, tuple):
+            if type(cells) is tuple:
                 deps.update(cells)
             else:
                 deps.add(cells)
@@ -382,18 +387,17 @@ def build_graph(plan: CellPlan) -> DependencyGraph:
     for cell in nodes:
         indegree[cell] = len(edges[cell])
         for dep in edges[cell]:
-            dependents.setdefault(dep, []).append(cell)
+            dependents[dep].append(cell)
 
-    ready = [cell for cell in nodes if indegree[cell] == 0]
+    ready = [cell for cell in nodes if indegree[cell] == 0]  # sorted, so a heap
     order: list[CellId] = []
     while ready:
-        ready.sort(key=lambda c: (c.table, c.indices), reverse=True)
-        cell = ready.pop()
+        cell = heapq.heappop(ready)
         order.append(cell)
-        for dependent in dependents.get(cell, ()):
+        for dependent in dependents[cell]:
             indegree[dependent] -= 1
             if indegree[dependent] == 0:
-                ready.append(dependent)
+                heapq.heappush(ready, dependent)
 
     if len(order) != len(nodes):
         raise CyclicDependency(_find_cycle(edges, {c for c in nodes if indegree[c] > 0}))
@@ -402,14 +406,13 @@ def build_graph(plan: CellPlan) -> DependencyGraph:
 
 def _find_cycle(edges, remaining):
     """Walk unresolved cells until one repeats; return the cycle path."""
-    start = sorted(remaining, key=lambda c: (c.table, c.indices))[0]
+    start = min(remaining)
     seen = {}
     path = [start]
     cell = start
     while cell not in seen:
         seen[cell] = len(path) - 1
-        cell = sorted((d for d in edges[cell] if d in remaining),
-                      key=lambda c: (c.table, c.indices))[0]
+        cell = min(d for d in edges[cell] if d in remaining)
         path.append(cell)
     return path[seen[cell]:]
 
@@ -443,7 +446,7 @@ def _store_leaf(resolved: ResolvedRefs, subst: dict[str, int], store: dict[CellI
         if isinstance(node, IndexVar):
             return Number(subst[node.name])
         cells = resolved[node]
-        if isinstance(cells, tuple):
+        if type(cells) is tuple:
             return [store[c] for c in cells]
         return store[cells]
     return leaf

@@ -46,6 +46,15 @@ KEYWORDS = ("bounds", "table", "to", "all", "true", "false")
 SYMBOLS = ("->", "<=", ">=", "<>", ":", "[", "]", "(", ")", ",",
            "=", "+", "-", "*", "/", "<", ">", ".")
 
+# The deepest expression either grammar accepts.  Each parenthesis, function
+# call and binary operator on the path from an expression down to a leaf is
+# one level.  The bound keeps every recursive pass over the tree (parsing,
+# analysis, evaluation, rendering, verify) well inside Python's recursion limit.
+MAX_EXPRESSION_DEPTH = 100
+
+_INDEX_PRECEDENCE = {op: ast.PRECEDENCE[op] for op in ast.ADDITIVE_OPS}
+_COMPARISON = ast.PRECEDENCE["="]  # the loosest binding, for all comparisons
+
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789")
 _DIGITS = set("0123456789")
@@ -169,6 +178,8 @@ class Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # levels of the expression parsed last
+        self.open = 0   # parentheses and calls around the current token
 
     # --- token plumbing ---
 
@@ -281,23 +292,72 @@ class Parser:
         return VarPattern(name)
 
     # --- expressions ---
+    # Each method leaves the depth of the expression it returns in
+    # self.depth; see MAX_EXPRESSION_DEPTH.
 
     def expression(self) -> Expr:
-        left = self.additive()
-        op = self.accept_op(ast.COMPARISON_OPS)
-        return Binary(op, left, self.additive()) if op else left
+        return self._operations(self.atom, ast.PRECEDENCE)
 
-    def additive(self) -> Expr:
-        left = self.multiplicative()
-        while op := self.accept_op(ast.ADDITIVE_OPS):
-            left = Binary(op, left, self.multiplicative())
+    def _operations(self, operand, precedence: dict[str, int], floor: int = 0) -> Expr:
+        """Operands joined by the binary operators in `precedence` that
+        bind more tightly than `floor`; `precedence` gives each operator's
+        binding strength.  Every operator is left-associative, and a
+        comparison joins at most two operands.  A chain of equally binding
+        operators is read in a loop, so its length costs no recursion."""
+        self.depth = 0
+        left = operand()
+        depth = self.depth
+        compared = False
+        while True:
+            token = self.tokens[self.pos]
+            strength = precedence.get(token.text, 0) if token.kind == "symbol" else 0
+            if strength <= floor or (compared and strength == _COMPARISON):
+                break
+            compared = strength == _COMPARISON
+            self.pos += 1
+            right = self._operations(operand, precedence, strength)
+            depth = self._level(max(depth, self.depth), token)
+            left = Binary(token.text, left, right)
+        self.depth = depth
         return left
 
-    def multiplicative(self) -> Expr:
-        left = self.atom()
-        while op := self.accept_op(ast.MULTIPLICATIVE_OPS):
-            left = Binary(op, left, self.atom())
-        return left
+    def _level(self, depth: int, token: Token) -> int:
+        """The depth of a node at `token` over children `depth` deep."""
+        if depth >= MAX_EXPRESSION_DEPTH:
+            raise _ParseDiagnostic(Diagnostic(
+                "error", "ParseError",
+                f"expression nested more than {MAX_EXPRESSION_DEPTH} levels deep", token.pos))
+        return depth + 1
+
+    def _nested(self, token: Token, func: str | None) -> Expr:
+        """A parenthesised expression, or the arguments of a call to
+        `func`, opened at `token`.  The nesting is checked on the way in,
+        so that the recursion of this parser is bounded too."""
+        self._level(self.open, token)
+        self.open += 1
+        try:
+            if func is None:
+                inside = self.expression()
+                self.expect("symbol", ")")
+            else:
+                inside = Call(func, self._list(self.expression, ")"))
+        finally:
+            self.open -= 1
+        self.depth = self._level(self.depth, token)
+        return inside
+
+    def _list(self, item, close: str) -> tuple[Expr, ...]:
+        """Comma-separated items up to the symbol `close`."""
+        items, depth = [], 0
+        if not self.at("symbol", close):
+            items.append(item())
+            depth = self.depth
+            while self.accept("symbol", ","):
+                items.append(item())
+                depth = max(depth, self.depth)
+        self.expect("symbol", close)
+        self.depth = depth
+        return tuple(items)
 
     def atom(self) -> Expr:
         token = self.current()
@@ -316,29 +376,14 @@ class Parser:
             # any other placement with MisplacedAll
             return AllIndex()
         if self.accept("symbol", "("):
-            inner = self.expression()
-            self.expect("symbol", ")")
-            return inner
+            return self._nested(token, None)
         if token.kind == "identifier":
             self.pos += 1
-            name = token.text
             if self.accept("symbol", "("):
-                args = []
-                if not self.at("symbol", ")"):
-                    args.append(self.expression())
-                    while self.accept("symbol", ","):
-                        args.append(self.expression())
-                self.expect("symbol", ")")
-                return Call(name, tuple(args))
+                return self._nested(token, token.text)
             if self.accept("symbol", "["):
-                indices = []
-                if not self.at("symbol", "]"):
-                    indices.append(self.index_expression())
-                    while self.accept("symbol", ","):
-                        indices.append(self.index_expression())
-                self.expect("symbol", "]")
-                return ElementRef(name, tuple(indices))
-            return IndexVar(name)
+                return ElementRef(token.text, self._list(self.index_expression, "]"))
+            return IndexVar(token.text)
         self.fail("an expression")
 
     def whole_expression(self) -> Expr:
@@ -354,11 +399,9 @@ class Parser:
     def index_expression(self) -> Expr:
         """Index positions allow only `all`, integers, index variables, + and -."""
         if self.accept("keyword", "all"):
+            self.depth = 0
             return AllIndex()
-        left = self.index_atom()
-        while op := self.accept_op(ast.ADDITIVE_OPS):
-            left = Binary(op, left, self.index_atom())
-        return left
+        return self._operations(self.index_atom, _INDEX_PRECEDENCE)
 
     def index_atom(self) -> Expr:
         if self.at("integer"):

@@ -120,3 +120,25 @@ def random_inputs(rng: random.Random, doc: SpecDocument) -> str:
         text = f"{value / 100:.2f}" if decl.result_type == "currency" else str(value)
         lines.append(",".join(["src", *map(str, cell), text]))
     return "\n".join(lines) + "\n"
+
+
+# --- expressions at a given depth ------------------------------------------
+
+DEPTH_SHAPES = ("parentheses", "calls", "operators")
+
+
+def nested_expression(shape: str, depth: int) -> str:
+    """An expression `depth` levels deep (see parser.MAX_EXPRESSION_DEPTH)
+    whose levels are all parentheses, all calls, or one flat operator
+    chain.  It is boolean for calls and numeric otherwise."""
+    if shape == "parentheses":
+        return "(" * depth + "1" + ")" * depth
+    if shape == "calls":
+        return "not(" * depth + "true" + ")" * depth
+    return " + ".join(["1"] * (depth + 1))
+
+
+def nested_spec(shape: str, depth: int) -> str:
+    """A one-cell spec whose equation is nested_expression(shape, depth)."""
+    result_type = "boolean" if shape == "calls" else "number"
+    return f"table a : -> {result_type}.\na[] = {nested_expression(shape, depth)}.\n"

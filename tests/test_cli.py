@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,8 +10,16 @@ from gridspec import InputError, analyze, parse_document, pretty_print
 from gridspec.analyzer import CellId
 from gridspec.cli import main, load_inputs
 from gridspec.evaluator import Boolean, Number
+from gridspec.parser import MAX_EXPRESSION_DEPTH
 
-from helpers import FIXTURES, fixture_text, random_document, random_inputs
+from helpers import (
+    DEPTH_SHAPES,
+    FIXTURES,
+    fixture_text,
+    nested_spec,
+    random_document,
+    random_inputs,
+)
 
 
 @pytest.fixture
@@ -255,3 +267,45 @@ class TestCompileVerifyProperty:
             assert main(["verify", str(out)]) == 0, capsys.readouterr().out
             assert "0 mismatch(es)" in capsys.readouterr().out
         assert compiled >= 40
+
+
+class TestExpressionDepth:
+    @pytest.mark.parametrize("shape", DEPTH_SHAPES)
+    def test_limit_checks_compiles_and_verifies(self, tmp_path, capsys, shape):
+        spec = nested_spec(shape, MAX_EXPRESSION_DEPTH)
+        code, out = run_cli(tmp_path, spec)
+        assert code == 0
+        assert main(["check", str(tmp_path / "spec.gsx")]) == 0
+        assert main(["verify", str(out)]) == 0
+        assert "1 cells, 0 mismatch(es)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("shape", DEPTH_SHAPES)
+    def test_one_deeper_is_a_diagnostic(self, tmp_path, capsys, shape):
+        code, out = run_cli(tmp_path, nested_spec(shape, MAX_EXPRESSION_DEPTH + 1))
+        assert code == 1
+        assert "ParseError 2:" in capsys.readouterr().out
+        assert not out.exists()
+
+
+class TestLayoutOverflow:
+    SPEC = "bounds s: 1 to 20000. bounds u: 1 to 2.\ntable x : s u -> number.\nx[ i, j ] = 1.\n"
+
+    @pytest.mark.parametrize("command", ["compile", "eval"])
+    def test_overflow_is_a_diagnostic(self, tmp_path, capsys, command):
+        spec = tmp_path / "spec.gsx"
+        spec.write_text(self.SPEC, encoding="utf-8")
+        assert main([command, str(spec), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: layout exceeds sheet extents at Model!A3:ACOF4\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_module_entry_point():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "gridspec", "check",
+                           str(FIXTURES / "cashflow.gsx")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ""

@@ -19,7 +19,7 @@ from gridspec.evaluator import (
     value_equal,
 )
 
-from helpers import evaluate_fixture
+from helpers import analyze_fixture, evaluate_fixture, random_document
 
 
 def number_at(values, table, *indices):
@@ -135,6 +135,71 @@ class TestDependencyGraph:
             "s[t] = sum( x[ all ] ).")
         graph = build_graph(plan)
         assert graph.edges[CellId("s", (1,))] == {CellId("x", (t,)) for t in range(1, 5)}
+
+
+def reference_topo_order(graph):
+    """The evaluation order rule, kept simple: sort the ready cells by
+    (table, indices) and place the smallest, until none are left."""
+    indegree = {cell: len(deps) for cell, deps in graph.edges.items()}
+    dependents = {cell: [] for cell in graph.nodes}
+    for cell, deps in graph.edges.items():
+        for dep in deps:
+            dependents[dep].append(cell)
+    ready = [cell for cell in graph.nodes if indegree[cell] == 0]
+    order = []
+    while ready:
+        ready.sort(key=lambda c: (c.table, c.indices), reverse=True)
+        cell = ready.pop()
+        order.append(cell)
+        for dependent in dependents[cell]:
+            indegree[dependent] -= 1
+            if indegree[dependent] == 0:
+                ready.append(dependent)
+    return order
+
+
+class TestEvaluationOrder:
+    @pytest.mark.parametrize("name", ["cashflow", "borrowing", "loans"])
+    def test_fixture_order_is_the_reference_order(self, name):
+        _, _, plan = analyze_fixture(name)
+        graph = build_graph(plan)
+        assert len(graph.topo_order) == len(graph.nodes)
+        assert graph.topo_order == reference_topo_order(graph)
+
+    def test_random_document_order_is_the_reference_order(self):
+        rng = random.Random(3)
+        checked = 0
+        for _ in range(400):
+            _, plan, _ = analyze(random_document(rng))
+            if plan is None:
+                continue
+            graph = build_graph(plan)
+            assert graph.topo_order == reference_topo_order(graph)
+            checked += 1
+        assert checked >= 40
+
+    def test_cell_read_twice_is_one_dependency(self):
+        plan = analyze_source(
+            "bounds b: 1 to 3.\n"
+            "table x : b -> number.\ntable y : b -> number.\n"
+            "y[ t ] = x[ t ] + x[ t ].")
+        graph = build_graph(plan)
+        assert graph.edges[CellId("y", (2,))] == {CellId("x", (2,))}
+        assert graph.topo_order == [CellId("x", (1,)), CellId("x", (2,)), CellId("x", (3,)),
+                                    CellId("y", (1,)), CellId("y", (2,)), CellId("y", (3,))]
+
+    def test_cells_sort_by_table_then_indices(self):
+        rng = random.Random(7)
+        cells = [CellId(rng.choice("abc"), tuple(rng.randint(1, 12) for _ in range(arity)))
+                 for arity in (0, 1, 2) for _ in range(40)]
+        assert sorted(cells) == sorted(cells, key=lambda c: (c.table, c.indices))
+        assert min(cells) == sorted(cells)[0]
+
+    def test_cell_text(self):
+        assert str(CellId("a", ())) == "a[]"
+        assert str(CellId("x", (1, 12))) == "x[1,12]"
+        assert repr(CellId("x", (1,))) == "CellId(table='x', indices=(1,))"
+        assert CellId("x", (1,)) == CellId(table="x", indices=(1,))
 
 
 class TestRuntimeFaults:

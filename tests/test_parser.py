@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridspec import ParseFailure, parse_document, parse_expression, tokenize
+from gridspec import ParseFailure, parse_a1_formula, parse_document, parse_expression, tokenize
 from gridspec.ast import (
     AllIndex,
     Binary,
@@ -18,9 +18,11 @@ from gridspec.ast import (
     SpecDocument,
     TableDecl,
     pretty_print,
+    print_expr,
 )
+from gridspec.parser import MAX_EXPRESSION_DEPTH
 
-from helpers import fixture_text, random_document
+from helpers import DEPTH_SHAPES, fixture_text, nested_expression, nested_spec, random_document
 
 
 class TestTokenize:
@@ -144,6 +146,80 @@ class TestParseExpression:
     def test_guard_rejected_in_index_position(self):
         with pytest.raises(ParseFailure):
             parse_expression("x[ t>1 ]")
+
+    def test_operators_associate_left(self):
+        a, b, c, d = (IndexVar(n) for n in "abcd")
+        assert parse_expression("a - b - c") == Binary("-", Binary("-", a, b), c)
+        assert parse_expression("a / b * c - d") == \
+            Binary("-", Binary("*", Binary("/", a, b), c), d)
+        assert parse_expression("a - b * c + d") == \
+            Binary("+", Binary("-", a, Binary("*", b, c)), d)
+        assert parse_expression("a < b + c") == Binary("<", a, Binary("+", b, c))
+
+    def test_comparison_joins_two_operands(self):
+        with pytest.raises(ParseFailure) as info:
+            parse_expression("a < b = c")
+        assert "expected end of input, found '='" in str(info.value)
+        assert parse_expression("( a < b ) = c").op == "="
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_random_expression_round_trip(self, seed):
+        rng = random.Random(seed)
+
+        def expr(depth):
+            if depth == 0 or rng.random() < 0.2:
+                return rng.choice((NumberLit(rng.randint(0, 9)), IndexVar("t"),
+                                   ElementRef("x", (Binary("+", IndexVar("t"), NumberLit(1)),))))
+            if rng.random() < 0.2:
+                return Call("f", tuple(expr(depth - 1) for _ in range(rng.randint(1, 3))))
+            op = rng.choice(("=", "<", "+", "-", "*", "/"))
+            return Binary(op, expr(depth - 1), expr(depth - 1))
+
+        tree = expr(5)
+        assert parse_expression(print_expr(tree)) == tree
+
+
+class TestExpressionDepth:
+    @pytest.mark.parametrize("shape", DEPTH_SHAPES)
+    def test_limit_accepted_by_both_grammars(self, shape):
+        text = nested_expression(shape, MAX_EXPRESSION_DEPTH)
+        parse_document(nested_spec(shape, MAX_EXPRESSION_DEPTH))
+        parse_a1_formula("=" + text)
+
+    @pytest.mark.parametrize("shape", DEPTH_SHAPES)
+    def test_one_deeper_rejected_by_both_grammars(self, shape):
+        text = nested_expression(shape, MAX_EXPRESSION_DEPTH + 1)
+        for parse in (lambda: parse_document(nested_spec(shape, MAX_EXPRESSION_DEPTH + 1)),
+                      lambda: parse_a1_formula("=" + text)):
+            with pytest.raises(ParseFailure) as info:
+                parse()
+            (diagnostic,) = info.value.diagnostics
+            assert diagnostic.code == "ParseError"
+            assert f"more than {MAX_EXPRESSION_DEPTH} levels" in diagnostic.message
+
+    def test_diagnostic_at_offending_token(self):
+        chain = nested_expression("operators", MAX_EXPRESSION_DEPTH + 1)
+        with pytest.raises(ParseFailure) as info:
+            parse_expression(chain)
+        # the operator that adds the level past the limit
+        assert info.value.diagnostics[0].pos.offset == chain.rindex("+")
+        parens = nested_expression("parentheses", 2000)
+        with pytest.raises(ParseFailure) as info:
+            parse_expression(parens)
+        assert info.value.diagnostics[0].pos.offset == MAX_EXPRESSION_DEPTH
+
+    def test_index_expressions_count(self):
+        index = " + ".join(["t"] * (MAX_EXPRESSION_DEPTH + 1))
+        parse_expression(f"x[ {index} ]")
+        with pytest.raises(ParseFailure):
+            parse_expression(f"x[ {index} + t ]")
+
+    def test_document_parsing_resumes_after_a_deep_element(self):
+        deep = nested_spec("parentheses", 3000)
+        with pytest.raises(ParseFailure) as info:
+            parse_document(deep + "b[] = 1 1.\n")
+        assert [d.pos.line for d in info.value.diagnostics] == [2, 3]
 
 
 class TestRoundTrip:
