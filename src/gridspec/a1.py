@@ -8,13 +8,12 @@ evaluator's own eval_expr.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 
 from .ast import Expr, IndexVar, SourcePos
 from .errors import ParseFailure
-from .parser import Diagnostic, Parser, Token
+from .parser import Diagnostic, Parser, scan
 
 
 def column_letters(number: int) -> str:
@@ -65,36 +64,18 @@ class RangeRef(Expr):
                 yield Address(self.first.sheet, col, row)
 
 
-# groups are named after the spec token kinds the expression grammar reads
-_TOKEN_RE = re.compile(
+# The A1 grammar's tokens, for parser.scan: a cell reference is a `ref`
+# (tried before keywords, so TRUE1 is a cell), TRUE and FALSE are keywords
+# in any case, whitespace is any Unicode whitespace, and a number is
+# always a `decimal`.
+_A1_TOKENS = re.compile(
     r"\s*(?:"
-    r"(?P<ref>(?:(?P<sheet>[A-Za-z_][A-Za-z0-9_]*)!)?\$?(?P<col>[A-Z]+)\$?(?P<row>[1-9][0-9]*))"
-    r"|(?P<identifier>[A-Za-z_][A-Za-z0-9_]*)"
+    r"(?P<symbol><=|>=|<>|[():,=+\-*/<>])"
     r"|(?P<decimal>[0-9]+(?:\.[0-9]+)?)"
-    r"|(?P<symbol><=|>=|<>|[():,=+\-*/<>])"
+    r"|(?P<ref>(?:(?P<sheet>[A-Za-z_][A-Za-z0-9_]*)!)?\$?(?P<col>[A-Z]+)\$?(?P<row>[1-9][0-9]*))"
+    r"|(?P<keyword>(?ai:true|false)(?![A-Za-z0-9_]))"
+    r"|(?P<identifier>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<illegal>\S))")
-
-
-@functools.cache  # formulas are short, so offsets repeat
-def _pos(offset: int) -> SourcePos:
-    return SourcePos(1, offset + 1, offset)
-
-
-def _lex(text: str) -> tuple[list[Token], list[re.Match]]:
-    """The tokens of a formula, and the match each was read from."""
-    tokens: list[Token] = []
-    matches = list(_TOKEN_RE.finditer(text))
-    for match in matches:
-        kind = match.lastgroup
-        word, start = match[kind], _pos(match.start(kind))
-        if kind == "illegal":
-            raise ParseFailure([Diagnostic("error", "ParseError",
-                                           f"illegal character {word!r}", start)])
-        if kind == "identifier" and word.upper() in ("TRUE", "FALSE"):
-            kind, word = "keyword", word.lower()
-        tokens.append(Token(kind, word, start))
-    tokens.append(Token("eoi", "", _pos(len(text))))
-    return tokens, matches
 
 
 class _A1Parser(Parser):
@@ -102,7 +83,11 @@ class _A1Parser(Parser):
     range references take the place of element references."""
 
     def __init__(self, text: str, default_sheet: str):
-        tokens, self.matches = _lex(text)
+        tokens, _, illegal = scan(text, _A1_TOKENS)
+        if illegal:
+            raise ParseFailure([Diagnostic("error", "ParseError",
+                                           f"illegal character {illegal[0].text!r}",
+                                           illegal[0].pos)])
         super().__init__(tokens)
         self.default_sheet = default_sheet
 
@@ -114,7 +99,7 @@ class _A1Parser(Parser):
                 self.fail("'(' after a function name")
             return expr
         first = self._address(self.default_sheet)
-        if not self.accept("symbol", ":"):
+        if not self.accept_op((":",)):
             return CellRef(first)
         if not self.at("ref"):
             self.fail("a cell reference after ':'")
@@ -122,7 +107,7 @@ class _A1Parser(Parser):
 
     def _address(self, default_sheet: str) -> Address:
         """Consume the current reference token."""
-        match = self.matches[self.pos]
+        match = self.tokens[self.pos].match
         self.pos += 1
         return Address(match["sheet"] or default_sheet, column_number(match["col"]),
                        int(match["row"]))
@@ -133,5 +118,5 @@ def parse_a1_formula(text: str, default_sheet: str = "Model") -> Expr:
     are CellRef and RangeRef addresses."""
     if not text.startswith("="):
         raise ParseFailure([Diagnostic(
-            "error", "ParseError", "formula must begin with '='", _pos(0))])
+            "error", "ParseError", "formula must begin with '='", SourcePos(1, 1, 0))])
     return _A1Parser(text[1:], default_sheet).whole_expression()

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import datetime
 import math
 import sys
 from pathlib import Path
@@ -78,15 +77,12 @@ def _parse_binding_value(text: str, result_type: str, line: int) -> Value:
             raise InputError("BadValue",
                              f"line {line}: boolean value for a {result_type} table")
         return Boolean(text == "true")
-    try:
-        date = datetime.date.fromisoformat(text)
-    except ValueError:
-        date = None
+    date = DateValue.read(text)
     if date is not None:
         if result_type != "date":
             raise InputError("BadValue",
                              f"line {line}: date value for a {result_type} table")
-        return DateValue(date)
+        return date
     try:
         number = float(text)
     except ValueError:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import datetime
 import heapq
 import math
+import re
 from dataclasses import dataclass
 
 from .analyzer import CellId, CellPlan, eval_index_expr
@@ -90,6 +91,9 @@ class Boolean(Value):
     value: bool
 
 
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 @dataclass(frozen=True)
 class DateValue(Value):
     """A calendar date; proleptic Gregorian, validated on construction."""
@@ -99,6 +103,17 @@ class DateValue(Value):
     @classmethod
     def of(cls, year: int, month: int, day: int) -> "DateValue":
         return cls(datetime.date(year, month, day))
+
+    @classmethod
+    def read(cls, text: str) -> "DateValue | None":
+        """The date written YYYY-MM-DD, the one form that dates are
+        written and read in; None for any other text."""
+        if _ISO_DATE.fullmatch(text):
+            try:
+                return cls(datetime.date.fromisoformat(text))
+            except ValueError:
+                pass
+        return None
 
 
 class _Fault(Exception):
@@ -274,7 +289,7 @@ def _eval(expr: Expr, leaf, range_ok: bool):
     if isinstance(expr, Call):
         name = expr.func.lower()
         if name not in BUILTINS:
-            raise UnknownFunction(name)
+            raise UnknownFunction(f"unknown function {name}")
         arity = BUILTINS[name]
         if not expr.args or (arity is not None and len(expr.args) != arity):
             raise _Fault(f"{name} given {len(expr.args)} argument(s)")

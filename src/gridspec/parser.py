@@ -1,4 +1,4 @@
-"""Tokenizer and recursive-descent parser for specification documents.
+"""Scanner and recursive-descent parser for specification documents.
 
 The surface syntax has four element kinds, each terminated by a period:
 
@@ -8,14 +8,18 @@ The surface syntax has four element kinds, each terminated by a period:
         - expenses_during_period[ t ].
     -- a line comment, retained for documentation emission
 
-Whitespace and newlines are insignificant inside elements.  A `.` lexes
-as part of a decimal literal only with a digit on both sides; otherwise
-it is the element terminator.
+Whitespace (space, tab, CR and LF) is insignificant inside elements.  A
+`.` lexes as part of a decimal literal only with a digit on both sides;
+otherwise it is the element terminator.  Any other character outside
+the token alphabet is illegal.  The A1 formula parser in a1.py reads its
+own tokens with the same `scan` loop.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import re
 from dataclasses import dataclass
 
 from . import ast
@@ -40,11 +44,15 @@ from .ast import (
 )
 from .errors import ParseFailure
 
-KEYWORDS = ("bounds", "table", "to", "all", "true", "false")
-
-# longest first so that <= beats < and -> beats -
-SYMBOLS = ("->", "<=", ">=", "<>", ":", "[", "]", "(", ")", ",",
-           "=", "+", "-", "*", "/", "<", ">", ".")
+_SPEC_TOKENS = re.compile(
+    r"[ \t\r\n]*(?:"
+    r"(?P<comment>--[^\n]*)"
+    r"|(?P<symbol>->|<=|>=|<>|[:\[\](),=+\-*/<>.])"  # two-character symbols first
+    r"|(?P<decimal>[0-9]+\.[0-9]+)"
+    r"|(?P<integer>[0-9]+)"
+    r"|(?P<keyword>(?:bounds|table|to|all|true|false)(?![A-Za-z0-9_]))"
+    r"|(?P<identifier>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<illegal>[^ \t\r\n]))")
 
 # The deepest expression either grammar accepts.  Each parenthesis, function
 # call and binary operator on the path from an expression down to a leaf is
@@ -55,16 +63,24 @@ MAX_EXPRESSION_DEPTH = 100
 _INDEX_PRECEDENCE = {op: ast.PRECEDENCE[op] for op in ast.ADDITIVE_OPS}
 _COMPARISON = ast.PRECEDENCE["="]  # the loosest binding, for all comparisons
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_DIGITS = set("0123456789")
 
-
-@dataclass(slots=True)
 class Token:
-    kind: str  # identifier | integer | decimal | keyword | symbol | eoi
-    text: str
-    pos: SourcePos
+    """A token of either grammar.  Its line and column are worked out
+    from its offset only when `pos` is asked for."""
+
+    __slots__ = ("kind", "text", "offset", "lines", "match")
+
+    def __init__(self, kind: str, text: str, offset: int, lines: list[int], match=None):
+        self.kind = kind  # identifier | integer | decimal | keyword | symbol | eoi | ref
+        self.text = text
+        self.offset = offset
+        self.lines = lines  # the offset at which each line of the source starts
+        self.match = match  # the match a `ref` token was read from
+
+    @property
+    def pos(self) -> SourcePos:
+        line = bisect.bisect_right(self.lines, self.offset)
+        return SourcePos(line, self.offset - self.lines[line - 1] + 1, self.offset)
 
     def __str__(self):
         return "end of input" if self.kind == "eoi" else f"'{self.text}'"
@@ -83,77 +99,45 @@ class Diagnostic:
         return f"{self.severity} {self.code} {self.pos} {self.message}"
 
 
-def _scan(text: str):
-    """Scan source text into (tokens, comments, diagnostics)."""
+def scan(text: str, pattern: re.Pattern):
+    """Split `text` into (tokens, comments, illegal) by `pattern`:
+    optional whitespace, then one named group per token kind, the last
+    an `illegal` group that takes any other non-whitespace character.
+    `comment` and `illegal` tokens go to their own lists, and the token
+    list ends with `eoi`.  Keyword text is lowercased, for A1 reads TRUE
+    and FALSE in any case; a `ref` token keeps its match, whose groups
+    the A1 parser decodes."""
+    lines = [0]
+    end = text.find("\n")
+    while end >= 0:
+        lines.append(end + 1)
+        end = text.find("\n", end + 1)
+    tokens, comments, illegal = [], [], []
+    for match in pattern.finditer(text):
+        kind = match.lastgroup
+        word = match[kind]
+        if kind == "keyword":
+            word = word.lower()
+        token = Token(kind, word, match.start(kind), lines, match if kind == "ref" else None)
+        if kind == "comment":
+            comments.append(token)
+        elif kind == "illegal":
+            illegal.append(token)
+        else:
+            tokens.append(token)
+    tokens.append(Token("eoi", "", len(text), lines))
+    return tokens, comments, illegal
+
+
+def _scan_spec(text: str):
+    """Scan a specification into (tokens, comments, diagnostics).  A
+    leading byte-order mark is dropped before offsets are counted."""
     if text.startswith("\ufeff"):
         text = text[1:]
-    tokens: list[Token] = []
-    comments: list[Comment] = []
-    diagnostics: list[Diagnostic] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def pos():
-        return SourcePos(line, col, i)
-
-    def advance(k=1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if text.startswith("--", i):
-            start = pos()
-            end = text.find("\n", i)
-            end = n if end < 0 else end
-            comments.append(Comment(text[i + 2:end].strip(), start))
-            advance(end - i)
-            continue
-        if ch in _IDENT_START:
-            start = pos()
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word in KEYWORDS else "identifier"
-            tokens.append(Token(kind, word, start))
-            advance(j - i)
-            continue
-        if ch in _DIGITS:
-            start = pos()
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            # a dot continues the literal only with a digit after it
-            if j < n - 1 and text[j] == "." and text[j + 1] in _DIGITS:
-                j += 1
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-                tokens.append(Token("decimal", text[i:j], start))
-            else:
-                tokens.append(Token("integer", text[i:j], start))
-            advance(j - i)
-            continue
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("symbol", sym, pos()))
-                advance(len(sym))
-                break
-        else:
-            diagnostics.append(Diagnostic(
-                "error", "IllegalCharacter", f"illegal character {ch!r}", pos()))
-            advance()
-    tokens.append(Token("eoi", "", pos()))
-    return tokens, comments, diagnostics
+    tokens, comments, illegal = scan(text, _SPEC_TOKENS)
+    return (tokens, [Comment(c.text[2:].strip(), c.pos) for c in comments],
+            [Diagnostic("error", "IllegalCharacter", f"illegal character {t.text!r}", t.pos)
+             for t in illegal])
 
 
 def tokenize(text: str) -> list[Token]:
@@ -161,7 +145,7 @@ def tokenize(text: str) -> list[Token]:
 
     Raises ParseFailure on characters outside the lexical alphabet.
     """
-    tokens, _, diagnostics = _scan(text)
+    tokens, _, diagnostics = _scan_spec(text)
     if diagnostics:
         raise ParseFailure(diagnostics)
     return tokens
@@ -371,19 +355,20 @@ class Parser:
         if token.kind == "keyword" and token.text in ("true", "false"):
             self.pos += 1
             return BooleanLit(token.text == "true")
+        if token.kind == "identifier":
+            self.pos += 1
+            bracket = self.accept_op(("(", "["))
+            if bracket == "(":
+                return self._nested(token, token.text)
+            if bracket == "[":
+                return ElementRef(token.text, self._list(self.index_expression, "]"))
+            return IndexVar(token.text)
         if self.accept("keyword", "all"):
             # only legal inside an index position; the analyzer rejects
             # any other placement with MisplacedAll
             return AllIndex()
         if self.accept("symbol", "("):
             return self._nested(token, None)
-        if token.kind == "identifier":
-            self.pos += 1
-            if self.accept("symbol", "("):
-                return self._nested(token, token.text)
-            if self.accept("symbol", "["):
-                return ElementRef(token.text, self._list(self.index_expression, "]"))
-            return IndexVar(token.text)
         self.fail("an expression")
 
     def whole_expression(self) -> Expr:
@@ -418,7 +403,7 @@ def parse_document(text: str) -> SpecDocument:
     next `.`) and raises ParseFailure carrying all of them if any error
     was found.
     """
-    tokens, comments, diagnostics = _scan(text)
+    tokens, comments, diagnostics = _scan_spec(text)
     parser = Parser(tokens)
     elements = []
     while not parser.at("eoi"):

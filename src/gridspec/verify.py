@@ -3,20 +3,21 @@
 Every formula cell is re-evaluated one step: the formula is parsed, the
 values document supplies the value at each referenced address, the
 result is computed by the evaluator's own eval_expr and compared to the
-cell's own entry in the values document.  A formula whose operands make
-it fault is a mismatch that names the fault.  Numbers compare within
-relative tolerance 1e-9; booleans, dates, and NA compare exactly.
+cell's own entry in the values document.  A formula that does not
+parse, calls an unknown function, reads a cell that holds no value, or
+whose operands make it fault is a mismatch that names the reason.
+Numbers compare within relative tolerance 1e-9; booleans, dates, and NA
+compare exactly.
 """
 
 from __future__ import annotations
 
-import datetime
 import math
 import re
 from dataclasses import dataclass, field
 
 from .a1 import Address, CellRef, parse_a1_formula
-from .errors import ParseFailure
+from .errors import ParseFailure, UnknownFunction, UnsupportedMatchType
 from .evaluator import (
     BLANK,
     NA,
@@ -32,7 +33,6 @@ from .layout import Grid
 
 REL_TOLERANCE = 1e-9
 
-_DATE_RE = re.compile(r"\d{4}-\d{2}-\d{2}$")
 _NUMBER_RE = re.compile(r"-?\d+(\.\d+)?$")
 
 
@@ -48,14 +48,9 @@ def parse_value_text(text: str) -> Value | None:
         return Boolean(True)
     if text == "FALSE":
         return Boolean(False)
-    if _DATE_RE.match(text):
-        try:
-            return DateValue(datetime.date.fromisoformat(text))
-        except ValueError:
-            return None
     if _NUMBER_RE.match(text):
         return Number(float(text))
-    return None
+    return DateValue.read(text)
 
 
 @dataclass
@@ -101,7 +96,7 @@ def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
     def operand(address: Address) -> Value:
         value = parsed.get(address.sheet, {}).get((address.row, address.column), BLANK)
         if value is None:
-            raise ValueError(f"formula references non-value cell {address}")
+            raise _Fault(f"references non-value cell {address}")
         return value
 
     def leaf(node) -> Value | list[Value]:
@@ -114,12 +109,16 @@ def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
             if not text.startswith("="):
                 continue
             address = Address(sheet, column, row)
-            expr = parse_a1_formula(text, default_sheet=sheet)
             stored = parsed.get(sheet, {}).get((row, column), BLANK)
             report.checks += 1
             try:
-                computed = eval_expr(expr, leaf)
-            except _Fault as exc:
+                computed = eval_expr(parse_a1_formula(text, default_sheet=sheet), leaf)
+            except ParseFailure as exc:
+                first = exc.diagnostics[0]
+                fault = f"does not parse: {first.code} {first.pos} {first.message}"
+                report.mismatches.append(Mismatch(address, None, stored, fault))
+                continue
+            except (_Fault, UnknownFunction, UnsupportedMatchType) as exc:
                 report.mismatches.append(Mismatch(address, None, stored, str(exc)))
                 continue
             if not values_agree(computed, stored):

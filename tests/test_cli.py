@@ -212,6 +212,30 @@ class TestValueTextReadsBack:
         assert "0 mismatch(es)" in capsys.readouterr().out
 
 
+class TestDateInputs:
+    """Input dates are read only in the YYYY-MM-DD form that values are
+    written in."""
+
+    SPEC = ("bounds b: 1 to 1.\ntable amount : b -> currency.\n"
+            "table day : b -> date.\ntable y : b -> currency.\ny[ i ] = amount[ i ] + 1.\n")
+
+    def test_compact_digits_are_a_number(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, self.SPEC, "amount,1,20090101\n")
+        assert code == 0, capsys.readouterr().err
+        assert "20090101.00" in (out / "Model.values.csv").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("text", ["20090101", "2009-W01-1", "2009-1-1", "2009-02-30"])
+    def test_other_forms_are_not_dates(self, tmp_path, capsys, text):
+        code, _ = run_cli(tmp_path, self.SPEC, f"day,1,{text}\n")
+        assert code == 1
+        assert "BadValue" in capsys.readouterr().err
+
+    def test_iso_date(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, self.SPEC, "day,1,2009-01-31\n")
+        assert code == 0, capsys.readouterr().err
+        assert "2009-01-31" in (out / "Model.values.csv").read_text(encoding="utf-8")
+
+
 class TestNonFiniteNumbers:
     @pytest.mark.parametrize("text", ["inf", "nan", "-Infinity", "1e400"])
     def test_non_finite_input_rejected(self, tmp_path, capsys, text):
@@ -248,6 +272,31 @@ class TestVerifyFaults:
         report = capsys.readouterr().out
         assert "1 mismatch(es)" in report
         assert "Model!C2: formula faults (division by zero)" in report
+
+
+class TestUncheckableFormulas:
+    """A formula that cannot be checked is a mismatch at its address; every
+    other formula is still checked."""
+
+    @pytest.mark.parametrize("formula, reason", [
+        ("=1+", "does not parse: ParseError 1:3 expected an expression, found end of input"),
+        ("=B1", "references non-value cell Model!B1"),
+        ("=FOO(1)", "unknown function foo"),
+    ])
+    def test_mismatch_names_the_reason(self, tmp_path, capsys, formula, reason):
+        out = tmp_path / "grid"
+        assert main(["compile", str(FIXTURES / "cashflow.gsx"),
+                     "--inputs", str(FIXTURES / "cashflow_inputs.csv"),
+                     "--out-dir", str(out)]) == 0
+        formulas = out / "Model.formulas.csv"
+        rows = formulas.read_text(encoding="utf-8").split("\n")
+        assert rows[2].split(",")[3] == "=C2"  # the first formula, at D3
+        rows[2] = rows[2].replace("=C2", formula)
+        formulas.write_text("\n".join(rows), encoding="utf-8")
+        assert main(["verify", str(out)]) == 1
+        report = capsys.readouterr().out
+        assert "checked 36 cells, 1 mismatch(es)" in report
+        assert f"Model!D3: formula faults ({reason})" in report
 
 
 class TestCompileVerifyProperty:

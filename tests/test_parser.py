@@ -61,6 +61,120 @@ class TestTokenize:
         assert info.value.diagnostics[0].pos.column == 7
 
 
+def lexemes(text):
+    return [(t.kind, t.text, t.pos.line, t.pos.column) for t in tokenize(text)]
+
+
+class TestLexicalRules:
+    """The spec grammar's lexical rules, pinned token by token."""
+
+    def test_crlf_counts_cr_as_a_column(self):
+        assert lexemes("bounds b: 1 to 2.\r\nx\r\n") == [
+            ("keyword", "bounds", 1, 1), ("identifier", "b", 1, 8), ("symbol", ":", 1, 9),
+            ("integer", "1", 1, 11), ("keyword", "to", 1, 13), ("integer", "2", 1, 16),
+            ("symbol", ".", 1, 17), ("identifier", "x", 2, 1), ("eoi", "", 3, 1),
+        ]
+
+    def test_tab_is_one_column(self):
+        assert lexemes("\tx\t=\t1.") == [
+            ("identifier", "x", 1, 2), ("symbol", "=", 1, 4), ("integer", "1", 1, 6),
+            ("symbol", ".", 1, 7), ("eoi", "", 1, 8),
+        ]
+
+    def test_offsets_follow_a_stripped_bom(self):
+        tokens = tokenize("\ufeffa\n b")
+        assert [(t.text, t.pos.line, t.pos.column, t.pos.offset) for t in tokens] == [
+            ("a", 1, 1, 0), ("b", 2, 2, 3), ("", 2, 3, 4)]
+
+    def test_only_a_leading_bom_is_stripped(self):
+        with pytest.raises(ParseFailure) as info:
+            tokenize("\ufeff\ufeff")
+        (diagnostic,) = info.value.diagnostics
+        assert str(diagnostic) == "error IllegalCharacter 1:1 illegal character '\\ufeff'"
+
+    def test_comment_at_end_of_input(self):
+        assert lexemes("a. -- end") == [
+            ("identifier", "a", 1, 1), ("symbol", ".", 1, 2), ("eoi", "", 1, 10)]
+        (comment,) = parse_document("bounds b: 1 to 2. -- end").comments
+        assert (comment.text, comment.pos.line, comment.pos.column, comment.pos.offset) == \
+            ("end", 1, 19, 18)
+
+    def test_dots(self):
+        assert lexemes("1..2") == [
+            ("integer", "1", 1, 1), ("symbol", ".", 1, 2), ("symbol", ".", 1, 3),
+            ("integer", "2", 1, 4), ("eoi", "", 1, 5)]
+        assert lexemes("a.b") == [
+            ("identifier", "a", 1, 1), ("symbol", ".", 1, 2), ("identifier", "b", 1, 3),
+            ("eoi", "", 1, 4)]
+
+    def test_two_character_symbols_first(self):
+        assert lexemes("x->y<=>=<>") == [
+            ("identifier", "x", 1, 1), ("symbol", "->", 1, 2), ("identifier", "y", 1, 4),
+            ("symbol", "<=", 1, 5), ("symbol", ">=", 1, 7), ("symbol", "<>", 1, 9),
+            ("eoi", "", 1, 11)]
+
+    def test_keywords_are_whole_words(self):
+        assert [(t.kind, t.text) for t in tokenize("to tom table_ true1 all")] == [
+            ("keyword", "to"), ("identifier", "tom"), ("identifier", "table_"),
+            ("identifier", "true1"), ("keyword", "all"), ("eoi", "")]
+
+    def test_every_illegal_character_is_reported(self):
+        with pytest.raises(ParseFailure) as info:
+            parse_document("bounds b: 1 @ to 2.\ntable x : b # -> number.")
+        assert [(str(d), d.pos.offset) for d in info.value.diagnostics] == [
+            ("error IllegalCharacter 1:13 illegal character '@'", 12),
+            ("error IllegalCharacter 2:13 illegal character '#'", 32)]
+
+    def test_end_of_input_position(self):
+        assert lexemes("a\n  ") == [("identifier", "a", 1, 1), ("eoi", "", 2, 3)]
+        with pytest.raises(ParseFailure) as info:
+            parse_document("bounds b: 1 to\n  ")
+        assert str(info.value.diagnostics[0]) == \
+            "error ParseError 2:3 expected an integer high bound, found end of input"
+
+
+# lexically interesting characters, mixed with arbitrary ones
+FUZZ_TEXT = st.text(st.one_of(st.sampled_from(list(
+    " \t\r\n\x00\ufeff\u00e9.-:=<>[](),+*/!$@#_aZ1tT"
+    "bounds table to all true false TRUE A1 Time!$B$2 ")), st.characters()), max_size=80)
+
+
+def assert_positions_agree(diagnostics, source):
+    """Each diagnostic's line and column agree with its offset in `source`."""
+    for diagnostic in diagnostics:
+        pos = diagnostic.pos
+        assert 0 <= pos.offset <= len(source)
+        assert pos.line == source.count("\n", 0, pos.offset) + 1
+        assert pos.column == pos.offset - source.rfind("\n", 0, pos.offset)
+
+
+class TestParsersFuzzed:
+    """Arbitrary text never escapes as a traceback: each parser returns or
+    raises ParseFailure."""
+
+    @given(FUZZ_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_spec_parsers(self, text):
+        source = text.removeprefix("\ufeff")  # offsets are counted after a BOM
+        for parse in (tokenize, parse_document):
+            try:
+                parse(text)
+            except ParseFailure as exc:
+                assert exc.diagnostics
+                assert_positions_agree(exc.diagnostics, source)
+
+    @given(FUZZ_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_formula_parser(self, text):
+        for formula in ("=" + text, text):
+            try:
+                parse_a1_formula(formula)
+            except ParseFailure as exc:
+                (diagnostic,) = exc.diagnostics
+                # offsets are counted after the leading '='
+                assert_positions_agree([diagnostic], formula[1:])
+
+
 class TestParseDocument:
     def test_zero_dim_table(self):
         doc = parse_document("table initial_cash : -> currency.")

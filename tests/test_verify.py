@@ -3,7 +3,8 @@ import datetime
 import pytest
 
 from gridspec.a1 import Address, CellRef, RangeRef, parse_a1_formula
-from gridspec.ast import Binary, Call
+from gridspec.ast import Binary, BooleanLit, Call, NumberLit
+from gridspec.errors import ParseFailure
 from gridspec.evaluator import BLANK, NA, Boolean, DateValue, Number
 from gridspec.layout import emit, plan_layout
 from gridspec.verify import parse_value_text, values_agree, verify_grid
@@ -38,6 +39,40 @@ class TestFormulaParsing:
     def test_leading_equals_required(self):
         with pytest.raises(Exception):
             parse_a1_formula("D3-B3", default_sheet="Model")
+
+
+class TestFormulaLexing:
+    """The A1 grammar's lexical rules, pinned through the parser."""
+
+    def test_absolute_references(self):
+        assert parse_a1_formula("=$A$1") == CellRef(Address("Model", 1, 1))
+        assert parse_a1_formula("=Time!$A$3") == CellRef(Address("Time", 1, 3))
+
+    def test_sheet_qualified_range(self):
+        expr = parse_a1_formula("=SUM(Time!A1:B2)")
+        assert expr == Call("SUM", (RangeRef(Address("Time", 1, 1), Address("Time", 2, 2)),))
+
+    def test_booleans_in_any_case(self):
+        assert parse_a1_formula("=true") == BooleanLit(True)
+        assert parse_a1_formula("=True") == BooleanLit(True)
+        assert parse_a1_formula("=FALSE") == BooleanLit(False)
+
+    def test_whitespace_between_tokens(self):
+        assert parse_a1_formula("= 1 +\tA1 ") == \
+            Binary("+", NumberLit(1), CellRef(Address("Model", 1, 1)))
+
+    @pytest.mark.parametrize("formula, message, offset", [
+        ("=1 + @", "error ParseError 1:5 illegal character '@'", 4),
+        ("=1 \u00e9", "error ParseError 1:3 illegal character '\u00e9'", 2),
+        ("=1+", "error ParseError 1:3 expected an expression, found end of input", 2),
+        ("=A1:", "error ParseError 1:4 expected a cell reference after ':', "
+                 "found end of input", 3),
+    ])
+    def test_diagnostics(self, formula, message, offset):
+        with pytest.raises(ParseFailure) as info:
+            parse_a1_formula(formula)
+        (diagnostic,) = info.value.diagnostics
+        assert (str(diagnostic), diagnostic.pos.offset) == (message, offset)
 
 
 class TestValueParsing:
