@@ -13,6 +13,7 @@ from .errors import (
     CyclicDependency,
     GridSpecError,
     InputError,
+    LayoutError,
     LayoutOverflow,
     ParseFailure,
     RuntimeFault,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ast import Expr, IndexVar, SourcePos
 from .errors import ParseFailure
@@ -34,8 +35,7 @@ def column_number(letters: str) -> int:
     return number
 
 
-@dataclass(frozen=True)
-class Address:
+class Address(NamedTuple):
     sheet: str
     column: int  # 1-based
     row: int     # 1-based
@@ -45,6 +45,14 @@ class Address:
 
     def __str__(self):
         return f"{self.sheet}!{self.a1()}"
+
+
+def sheet_prefix(sheet: str) -> str:
+    """`sheet!` as a formula writes it, quoting a name that is not an
+    identifier.  Sheet names come from identifiers, so hold no quote."""
+    if sheet.isascii() and sheet.isidentifier():
+        return f"{sheet}!"
+    return f"'{sheet}'!"
 
 
 @dataclass(frozen=True)
@@ -65,14 +73,16 @@ class RangeRef(Expr):
 
 
 # The A1 grammar's tokens, for parser.scan: a cell reference is a `ref`
-# (tried before keywords, so TRUE1 is a cell), TRUE and FALSE are keywords
+# (tried before keywords, so TRUE1 is a cell) whose sheet is an identifier
+# or a quoted name (see sheet_prefix), TRUE and FALSE are keywords
 # in any case, whitespace is any Unicode whitespace, and a number is
 # always a `decimal`.
 _A1_TOKENS = re.compile(
     r"\s*(?:"
     r"(?P<symbol><=|>=|<>|[():,=+\-*/<>])"
     r"|(?P<decimal>[0-9]+(?:\.[0-9]+)?)"
-    r"|(?P<ref>(?:(?P<sheet>[A-Za-z_][A-Za-z0-9_]*)!)?\$?(?P<col>[A-Z]+)\$?(?P<row>[1-9][0-9]*))"
+    r"|(?P<ref>(?:(?:(?P<sheet>[A-Za-z_][A-Za-z0-9_]*)|'(?P<quoted>[^']+)')!)?"
+    r"\$?(?P<col>[A-Z]+)\$?(?P<row>[1-9][0-9]*))"
     r"|(?P<keyword>(?ai:true|false)(?![A-Za-z0-9_]))"
     r"|(?P<identifier>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<illegal>\S))")
@@ -109,8 +119,8 @@ class _A1Parser(Parser):
         """Consume the current reference token."""
         match = self.tokens[self.pos].match
         self.pos += 1
-        return Address(match["sheet"] or default_sheet, column_number(match["col"]),
-                       int(match["row"]))
+        return Address(match["quoted"] or match["sheet"] or default_sheet,
+                       column_number(match["col"]), int(match["row"]))
 
 
 def parse_a1_formula(text: str, default_sheet: str = "Model") -> Expr:

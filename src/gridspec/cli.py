@@ -17,7 +17,7 @@ from .errors import (
     CyclicDependency,
     GridSpecError,
     InputError,
-    LayoutOverflow,
+    LayoutError,
     ParseFailure,
     RuntimeFault,
 )
@@ -137,7 +137,7 @@ def _compile_grids(args):
     doc, symtab, plan = result
     try:
         layout = plan_layout(doc, symtab, LayoutOptions(caption_table=args.caption_table))
-    except LayoutOverflow as exc:
+    except LayoutError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
     inputs = {}

@@ -50,7 +50,11 @@ class UnsupportedMatchType(GridSpecError):
     pass
 
 
-class LayoutOverflow(GridSpecError):
+class LayoutError(GridSpecError):
+    """The tables cannot be laid out as asked."""
+
+
+class LayoutOverflow(LayoutError):
     pass
 
 

@@ -241,7 +241,7 @@ def apply_builtin(name: str, args: list) -> Value:
         year, month, day = parts
         try:
             return DateValue.of(year, month, day)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise _Fault(f"invalid date({year}, {month}, {day}): {exc}") from None
     raise UnknownFunction(name)
 

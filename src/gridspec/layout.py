@@ -1,16 +1,22 @@
 """Grid layout, A1 formula rendering, and emission of the output documents.
 
-Tables are grouped into row bands by their dimension signature: all
-tables over the same bounds tuple share data rows, so one period lies
-on one row everywhere within a band.  Each band is a header row, one
-spare row (zero-dimensional tables live there), and the data rows;
-successive bands are separated by a single blank row.  2-D tables run
-their first dimension horizontally across contiguous columns, which is
-what makes MATCH and SUM ranges possible.
+One axis rule places every table: a table of two or more dimensions runs
+its first dimension across contiguous columns, which is what makes MATCH
+and SUM ranges possible, and its other dimensions down rows in row-major
+order; any other table runs down one column (a 0-D table is one cell).
+So a cell's column and row are each linear in its indices.
 
-The designated caption table is placed on its own sheet and its values
-are copied (not referenced) into column A of the main sheet alongside
-every band that runs vertically over the caption bounds.
+Tables are grouped into row bands by their dimension signature, in order
+of first appearance, and 0-D tables join the first band: all tables over
+the same bounds tuple share data rows, so one period lies on one row
+everywhere within a band.  Each band is a header row, one spare row
+(zero-dimensional tables live there), and the data rows; successive
+bands are separated by a single blank row.
+
+The caption table (by default a 1-D table named `time`, if any; it must
+have one dimension) is placed on its own sheet and its values are copied
+(not referenced) into column A of the main sheet alongside every band
+whose last dimension is the caption's.
 """
 
 from __future__ import annotations
@@ -18,9 +24,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
+from operator import mul
 
-from .a1 import Address, column_letters
+from .a1 import Address, column_letters, sheet_prefix
 from .analyzer import CellId, CellPlan, RuleInstance, SymbolTable
 from .ast import (
     BooleanLit,
@@ -34,7 +42,7 @@ from .ast import (
     format_expr,
     format_number,
 )
-from .errors import LayoutOverflow, UnmappedCell
+from .errors import LayoutError, LayoutOverflow, UnmappedCell
 from .evaluator import (
     BLANK,
     Blank,
@@ -61,11 +69,15 @@ def humanize_caption(name: str) -> str:
 
 @dataclass
 class LayoutOptions:
-    caption_table: str | None = None  # default: a table named "time", if any
+    caption_table: str | None = None  # default: a 1-D table named "time", if any
 
 
 @dataclass
 class Region:
+    """A table's rectangle.  The cell at `indices` lies in column
+    origin[0] + sum(indices[k] * column_steps[k]) and in row
+    origin[1] + sum(indices[k] * row_steps[k])."""
+
     sheet: str
     top: int          # first data row
     left: int         # first column
@@ -73,6 +85,9 @@ class Region:
     height: int
     orientation: str  # cell | vertical | block
     header_row: int
+    column_steps: tuple[int, ...]  # columns moved by one step along each dimension
+    row_steps: tuple[int, ...]     # rows moved by one step along each dimension
+    origin: tuple[int, int]        # (column, row) that all-zero indices would take
 
     @property
     def bottom(self) -> int:
@@ -89,154 +104,95 @@ class Region:
         return f"{first}:{column_letters(self.right)}{self.bottom}"
 
 
+def _place(decl: TableDecl, bounds: dict[str, tuple[int, int]], sheet: str,
+           top: int, left: int, header_row: int) -> Region:
+    """The region of `decl` whose first cell is at (`top`, `left`), by the
+    axis rule: with two or more dimensions the first runs across columns;
+    the others run down rows, the last fastest."""
+    lows = [bounds[dim][0] for dim in decl.dims]
+    sizes = [bounds[dim][1] - low + 1 for dim, low in zip(decl.dims, lows)]
+    across = 1 if len(sizes) > 1 else 0
+    down = sizes[across:]
+    column_steps = (1,) * across + (0,) * len(down)
+    row_steps = (0,) * across + tuple(math.prod(down[k + 1:]) for k in range(len(down)))
+    return Region(sheet, top, left, math.prod(sizes[:across]), math.prod(down),
+                  ("cell", "vertical", "block")[min(len(sizes), 2)], header_row,
+                  column_steps, row_steps,
+                  (left - sum(map(mul, lows, column_steps)), top - sum(map(mul, lows, row_steps))))
+
+
 @dataclass
 class Layout:
     sheets: list[str]
     regions: dict[str, Region]
-    row_band: dict[str, int]  # vertical bounds name -> first data row of its first band
     caption_column: tuple[str, int, str] | None  # (sheet, column, source table)
     caption_rows: list[int] = field(default_factory=list)  # band start rows mirrored
-    symtab: SymbolTable | None = None
 
     def cell_address(self, cell: CellId) -> Address:
         region = self.regions.get(cell.table)
         if region is None:
             raise UnmappedCell(str(cell))
-        decl = self.symtab.tables[cell.table]
-        if not decl.dims:
-            return Address(region.sheet, region.left, region.top)
-        if len(decl.dims) == 1:
-            low, _ = self.symtab.bounds[decl.dims[0]]
-            return Address(region.sheet, region.left,
-                           region.top + cell.indices[0] - low)
-        # first dimension horizontal, the rest vertical in row-major order
-        col_low, _ = self.symtab.bounds[decl.dims[0]]
-        column = region.left + cell.indices[0] - col_low
-        row_offset = 0
-        for dim, index in zip(decl.dims[1:], cell.indices[1:]):
-            low, high = self.symtab.bounds[dim]
-            row_offset = row_offset * (high - low + 1) + (index - low)
-        return Address(region.sheet, column, region.top + row_offset)
+        column, row = region.origin
+        return Address(region.sheet, column + sum(map(mul, cell.indices, region.column_steps)),
+                       row + sum(map(mul, cell.indices, region.row_steps)))
 
 
-def _vertical_size(decl: TableDecl, symtab: SymbolTable) -> int:
-    if not decl.dims:
-        return 1
-    dims = decl.dims if len(decl.dims) == 1 else decl.dims[1:]
-    size = 1
-    for dim in dims:
-        low, high = symtab.bounds[dim]
-        size *= high - low + 1
-    return size
-
-
-def _width(decl: TableDecl, symtab: SymbolTable) -> int:
-    if len(decl.dims) < 2:
-        return 1
-    low, high = symtab.bounds[decl.dims[0]]
-    return high - low + 1
+def _caption_table(name: str | None, symtab: SymbolTable) -> TableDecl | None:
+    """The caption table: `name`, or else `time` if it is declared with one
+    dimension.  A named caption table must be declared with one dimension."""
+    decl = symtab.tables.get("time" if name is None else name)
+    if decl is not None and len(decl.dims) == 1:
+        return decl
+    if name is not None:
+        raise LayoutError(f"caption table '{name}' is not a declared table of one dimension")
+    return None
 
 
 def plan_layout(doc: SpecDocument, symtab: SymbolTable,
                 options: LayoutOptions | None = None) -> Layout:
     """Assign every table a sheet, rectangle, and orientation."""
     options = options or LayoutOptions()
-    declared = [t for t in doc.elements if isinstance(t, TableDecl)]
-    caption_name = options.caption_table
-    if caption_name is None and any(t.name == "time" for t in declared):
-        caption_name = "time"
-
+    caption = _caption_table(options.caption_table, symtab)
+    main_tables = [t for t in doc.elements
+                   if isinstance(t, TableDecl) and (caption is None or t.name != caption.name)]
+    bounds = symtab.bounds
     regions: dict[str, Region] = {}
-    sheets: list[str] = []
-    row_band: dict[str, int] = {}
+    sheets = [MAIN_SHEET] if main_tables else []
     caption_column = None
     caption_rows: list[int] = []
-
-    caption_decl = symtab.tables.get(caption_name) if caption_name else None
-    main_tables = [t for t in declared if t.name != caption_name]
-
-    if main_tables:
-        sheets.append(MAIN_SHEET)
-    if caption_decl is not None:
-        caption_sheet = humanize_caption(caption_decl.name)
-        sheets.append(caption_sheet)
-        regions[caption_decl.name] = Region(
-            caption_sheet, top=3, left=1, width=_width(caption_decl, symtab),
-            height=_vertical_size(caption_decl, symtab),
-            orientation=_orientation(caption_decl), header_row=1)
+    if caption is not None:
+        sheets.append(humanize_caption(caption.name))
+        regions[caption.name] = _place(caption, bounds, sheets[-1], 3, 1, 1)
         if main_tables:
-            caption_column = (MAIN_SHEET, 1, caption_decl.name)
+            caption_column = (MAIN_SHEET, 1, caption.name)
 
-    # group main-sheet tables into bands by dimension signature, in order
-    # of first appearance; 0-dim tables join the first band
-    bands: list[tuple[tuple[str, ...], list[TableDecl]]] = []
-    zero_dim: list[TableDecl] = []
-    by_signature: dict[tuple[str, ...], list[TableDecl]] = {}
-    order: list[tuple[str, ...]] = []
+    # one band per dimension signature, in order of first appearance; 0-D
+    # tables join the first band, in declaration order
+    first_signature = next((t.dims for t in main_tables if t.dims), ())
+    bands: dict[tuple[str, ...], list[TableDecl]] = {}
     for decl in main_tables:
-        if not decl.dims:
-            zero_dim.append(decl)
-            continue
-        signature = decl.dims
-        if signature not in by_signature:
-            by_signature[signature] = []
-            order.append(signature)
-        by_signature[signature].append(decl)
-    for signature in order:
-        bands.append((signature, by_signature[signature]))
-    if zero_dim:
-        if bands:
-            # interleave by declaration order within the first band
-            signature, members = bands[0]
-            merged = [t for t in main_tables if t in members or t in zero_dim]
-            bands[0] = (signature, merged)
-        else:
-            bands.append(((), zero_dim))
+        bands.setdefault(decl.dims or first_signature, []).append(decl)
 
-    first_column = 2 if caption_column else 1
     header_row = 1
-    for signature, members in bands:
-        spare_row = header_row + 1
-        data_row = spare_row + 1
-        height = 0
-        column = first_column
+    for signature, members in bands.items():
+        data_row = header_row + 2  # below the header row and the spare row
+        column = 2 if caption_column else 1
         for decl in members:
-            if not decl.dims:
-                regions[decl.name] = Region(
-                    MAIN_SHEET, top=spare_row, left=column, width=1, height=1,
-                    orientation="cell", header_row=header_row)
-                column += 1
-                continue
-            width = _width(decl, symtab)
-            table_height = _vertical_size(decl, symtab)
-            height = max(height, table_height)
-            regions[decl.name] = Region(
-                MAIN_SHEET, top=data_row, left=column, width=width,
-                height=table_height, orientation=_orientation(decl),
-                header_row=header_row)
-            column += width
-            if width > 1:
-                column += 1  # blank separator column after a block
-        if signature:
-            vertical_bounds = signature[-1] if len(signature) > 1 else signature[0]
-            row_band.setdefault(vertical_bounds, data_row)
-            if (caption_decl is not None and caption_decl.dims
-                    and signature[-len(caption_decl.dims):] == caption_decl.dims):
-                caption_rows.append(data_row)
-        header_row = data_row + max(height, 0) + 1  # one blank row between bands
+            # a 0-D table sits in the spare row
+            region = _place(decl, bounds, MAIN_SHEET, data_row if decl.dims else data_row - 1,
+                            column, header_row)
+            regions[decl.name] = region
+            column += region.width + (region.width > 1)  # blank column after a block
+        if caption is not None and signature[-1:] == caption.dims:
+            caption_rows.append(data_row)
+        # one blank row between bands
+        header_row = max(regions[decl.name].bottom for decl in members) + 2
 
-    layout = Layout(sheets, regions, row_band, caption_column, caption_rows, symtab)
     for region in regions.values():
         if region.right > MAX_COLUMNS or region.bottom > MAX_ROWS:
             raise LayoutOverflow(
                 f"layout exceeds sheet extents at {region.sheet}!{region.a1_range()}")
-    return layout
-
-
-def _orientation(decl: TableDecl) -> str:
-    if not decl.dims:
-        return "cell"
-    return "vertical" if len(decl.dims) == 1 else "block"
+    return Layout(sheets, regions, caption_column, caption_rows)
 
 
 # --- formula rendering -----------------------------------------------------
@@ -244,7 +200,7 @@ def _orientation(decl: TableDecl) -> str:
 def _format_ref(address: Address, home_sheet: str) -> str:
     if address.sheet == home_sheet:
         return address.a1()
-    return f"{address.sheet}!{address.a1()}"
+    return f"{sheet_prefix(address.sheet)}{address.a1()}"
 
 
 def render_formula(rule: RuleInstance, refs: ResolvedRefs, layout: Layout) -> str:

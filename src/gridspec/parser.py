@@ -60,6 +60,9 @@ _SPEC_TOKENS = re.compile(
 # analysis, evaluation, rendering, verify) well inside Python's recursion limit.
 MAX_EXPRESSION_DEPTH = 100
 
+# The largest integer literal: every integer up to it is exactly a double.
+MAX_INTEGER = 2 ** 53
+
 _INDEX_PRECEDENCE = {op: ast.PRECEDENCE[op] for op in ast.ADDITIVE_OPS}
 _COMPARISON = ast.PRECEDENCE["="]  # the loosest binding, for all comparisons
 
@@ -225,9 +228,9 @@ class Parser:
         start = self.expect("keyword", "bounds").pos
         name = self.expect("identifier", expected="a bounds name").text
         self.expect("symbol", ":")
-        low = int(self.expect("integer", expected="an integer low bound").text)
+        low = self.integer("an integer low bound")
         self.expect("keyword", "to")
-        high = int(self.expect("integer", expected="an integer high bound").text)
+        high = self.integer("an integer high bound")
         self.expect("symbol", ".", expected="'.' ending the bounds element")
         return BoundsDecl(name, low, high, start)
 
@@ -267,13 +270,21 @@ class Parser:
 
     def index_pattern(self):
         if self.at("integer"):
-            return ConstantPattern(int(self.advance().text))
+            return ConstantPattern(self.integer())
         name = self.expect("identifier", expected="an index pattern").text
         comparator = self.accept_op(ast.GUARD_COMPARATORS)
         if comparator:
-            bound = int(self.expect("integer", expected="an integer guard bound").text)
-            return GuardedVarPattern(name, comparator, bound)
+            return GuardedVarPattern(name, comparator, self.integer("an integer guard bound"))
         return VarPattern(name)
+
+    def integer(self, expected: str = "an integer") -> int:
+        """Consume an integer literal of at most MAX_INTEGER."""
+        token = self.expect("integer", expected=expected)
+        digits = token.text.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_INTEGER)) or int(digits) > MAX_INTEGER:
+            raise _ParseDiagnostic(Diagnostic(
+                "error", "ParseError", "integer literal too large", token.pos))
+        return int(digits)
 
     # --- expressions ---
     # Each method leaves the depth of the expression it returns in
@@ -390,7 +401,7 @@ class Parser:
 
     def index_atom(self) -> Expr:
         if self.at("integer"):
-            return NumberLit(float(self.advance().text))
+            return NumberLit(float(self.integer()))
         if self.at("identifier"):
             return IndexVar(self.advance().text)
         self.fail("an index expression (integer or index variable)")

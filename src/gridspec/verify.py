@@ -33,7 +33,7 @@ from .layout import Grid
 
 REL_TOLERANCE = 1e-9
 
-_NUMBER_RE = re.compile(r"-?\d+(\.\d+)?$")
+_NUMBER_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")  # the whole text, ASCII digits only
 
 
 def parse_value_text(text: str) -> Value | None:
@@ -48,7 +48,7 @@ def parse_value_text(text: str) -> Value | None:
         return Boolean(True)
     if text == "FALSE":
         return Boolean(False)
-    if _NUMBER_RE.match(text):
+    if _NUMBER_RE.fullmatch(text):
         return Number(float(text))
     return DateValue.read(text)
 
@@ -127,7 +127,9 @@ def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
 
 
 def verify_directory(out_dir) -> VerifyReport:
-    """Load an emitted directory (manifest plus per-sheet CSVs) and verify."""
+    """Load an emitted directory (manifest plus per-sheet CSVs) and verify.
+    Raises ValueError for a manifest or CSV that cannot be read as one."""
+    import csv
     import json
     from pathlib import Path
 
@@ -139,13 +141,23 @@ def verify_directory(out_dir) -> VerifyReport:
         raise FileNotFoundError(str(manifest_path))
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseFailure([]) from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise ValueError(f"{manifest_path}: {exc}") from None
+    sheets = manifest.get("sheets") if isinstance(manifest, dict) else None
+    if not (isinstance(sheets, list) and all(
+            isinstance(s, str) and s and "/" not in s and "\\" not in s for s in sheets)):
+        raise ValueError(f"{manifest_path}: expected an object whose 'sheets' lists "
+                         "sheet names without path separators")
+
+    def grid(path: Path) -> dict[tuple[int, int], str]:
+        try:
+            return csv_to_grid(path.read_text(encoding="utf-8"))
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
     formulas: Grid = {}
     values: Grid = {}
-    for sheet in manifest.get("sheets", []):
-        formulas[sheet] = csv_to_grid(
-            (out / f"{sheet}.formulas.csv").read_text(encoding="utf-8"))
-        values[sheet] = csv_to_grid(
-            (out / f"{sheet}.values.csv").read_text(encoding="utf-8"))
+    for sheet in sheets:
+        formulas[sheet] = grid(out / f"{sheet}.formulas.csv")
+        values[sheet] = grid(out / f"{sheet}.values.csv")
     return verify_grid(formulas, values)

@@ -142,3 +142,24 @@ def nested_spec(shape: str, depth: int) -> str:
     """A one-cell spec whose equation is nested_expression(shape, depth)."""
     result_type = "boolean" if shape == "calls" else "number"
     return f"table a : -> {result_type}.\na[] = {nested_expression(shape, depth)}.\n"
+
+
+# --- random table shapes for the layout ------------------------------------
+
+def random_shape_spec(rng: random.Random) -> str:
+    """Spec source declaring one to three bounds and one to seven input
+    tables of 0 to 3 dimensions in random order, so 0-D tables come before,
+    between and after the dimensioned ones; about one spec in six declares
+    only 0-D tables, and about one in three has a 1-D `time` table."""
+    bounds = [(f"b{k}", rng.randint(0, 3)) for k in range(rng.randint(1, 3))]
+    lines = [f"bounds {name}: {low} to {low + rng.randint(0, 3)}." for name, low in bounds]
+    only_scalars = rng.random() < 1 / 6
+    tables = []
+    for k in range(rng.randint(1, 7)):
+        arity = 0 if only_scalars else rng.randint(0, 3)
+        tables.append((f"t{k}", [rng.choice(bounds)[0] for _ in range(arity)]))
+    if not only_scalars and rng.random() < 1 / 3:
+        tables.insert(rng.randint(0, len(tables)), ("time", [rng.choice(bounds)[0]]))
+    for name, dims in tables:
+        lines.append(f"table {name} : {' '.join(dims)} -> number.")
+    return "\n".join(lines) + "\n"

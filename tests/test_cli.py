@@ -1,16 +1,20 @@
+import json
 import os
 import random
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridspec import InputError, analyze, parse_document, pretty_print
 from gridspec.analyzer import CellId
 from gridspec.cli import main, load_inputs
 from gridspec.evaluator import Boolean, Number
-from gridspec.parser import MAX_EXPRESSION_DEPTH
+from gridspec.parser import MAX_EXPRESSION_DEPTH, MAX_INTEGER
 
 from helpers import (
     DEPTH_SHAPES,
@@ -358,3 +362,160 @@ def test_module_entry_point():
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == ""
+
+
+def compile_fixture(name, out, *options):
+    return main(["compile", str(FIXTURES / f"{name}.gsx"),
+                 "--inputs", str(FIXTURES / f"{name}_inputs.csv"), "--out-dir", str(out),
+                 *options])
+
+
+class TestCaptionSheets:
+    """A caption sheet whose name is not an identifier is written quoted
+    in formulas, so compile exit 0 still implies verify exit 0."""
+
+    @pytest.mark.parametrize("name, caption", [
+        ("cashflow", "expenses_during_period"),
+        ("cashflow", "total_cash_at_end_of_period"),
+        ("loans", "first_that_can_supply_wants"),
+        ("loans", "has_ceiling"),
+    ])
+    def test_compile_then_verify(self, tmp_path, capsys, name, caption):
+        assert compile_fixture(name, tmp_path / "out", "--caption-table", caption) == 0
+        assert main(["verify", str(tmp_path / "out")]) == 0
+        assert " 0 mismatch(es)" in capsys.readouterr().out
+
+    def test_quoted_reference(self, tmp_path):
+        compile_fixture("cashflow", tmp_path / "out", "--caption-table", "expenses_during_period")
+        rows = (tmp_path / "out" / "Model.formulas.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[2] == "5.00,\"=DATE(2009,1,1)\",,=C2,=D3-'Expenses during period'!A3"
+
+
+class TestCaptionTable:
+    """The caption table has exactly one dimension."""
+
+    @pytest.mark.parametrize("command", ["compile", "eval"])
+    @pytest.mark.parametrize("name, caption", [
+        ("cashflow", "initial_cash"), ("loans", "can_supply_wants"), ("cashflow", "no_such_table")])
+    def test_other_tables_are_refused(self, tmp_path, capsys, command, name, caption):
+        assert main([command, str(FIXTURES / f"{name}.gsx"),
+                     "--inputs", str(FIXTURES / f"{name}_inputs.csv"),
+                     "--out-dir", str(tmp_path / "out"), "--caption-table", caption]) == 1
+        assert capsys.readouterr().err == \
+            f"error: caption table '{caption}' is not a declared table of one dimension\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dims, ref", [("", "time[]"), ("b b", "time[ i, 1 ]")])
+    def test_time_of_another_arity_is_an_ordinary_table(self, tmp_path, capsys, dims, ref):
+        code, out = run_cli(tmp_path, f"bounds b: 1 to 2.\ntable time : {dims} -> number.\n"
+                                      f"table x : b -> number.\nx[ i ] = {ref} + i.\n")
+        assert code == 0, capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["sheets"] == ["Model"] and "caption_column" not in manifest
+        assert main(["verify", str(out)]) == 0
+
+
+@pytest.mark.parametrize("template", [
+    "bounds b: 1 to {}.\n",
+    "bounds b: 1 to 2.\ntable x : b -> number.\nx[ {} ] = 1.\n",
+    "bounds b: 1 to 2.\ntable x : b -> number.\nx[ t < {} ] = 1.\n",
+    "bounds b: 1 to 2.\ntable x : b -> number.\ntable y : b -> number.\ny[ t ] = x[ {} ].\n",
+])
+def test_integer_literal_too_large(tmp_path, capsys, template):
+    digits = "9" * (400 if "x[ {} ]" in template else 5000)
+    for literal, code in ((digits, 1), (str(MAX_INTEGER + 1), 1)):
+        spec = tmp_path / "spec.gsx"
+        spec.write_text(template.format(literal), encoding="utf-8")
+        assert main(["check", str(spec)]) == code
+        assert "integer literal too large" in capsys.readouterr().out
+
+
+def test_date_out_of_range_is_runtime_fault(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, "table d : -> date.\nd[] = date(100000000000000000000, 1, 1).\n")
+    assert code == 3
+    assert "invalid date(100000000000000000000, 1, 1)" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    out = tmp_path_factory.mktemp("compiled") / "cashflow"
+    assert compile_fixture("cashflow", out) == 0
+    return out
+
+
+def mutated(compiled, edits, work):
+    """Copy the compiled directory to `work` and apply `edits` to its files."""
+    shutil.copytree(compiled, work)
+    for name, edit, *args in edits:
+        path = work / name
+        data = path.read_bytes() if path.exists() else b""
+        if edit == "remove":
+            path.unlink(missing_ok=True)
+            continue
+        if edit == "json":
+            data = json.dumps(args[0]).encode()
+        elif edit == "garble":
+            data = args[0]
+        else:
+            at = args[0] % (len(data) + 1)
+            if edit == "replace":
+                data = data[:at] + args[1] + data[at + len(args[1]):]
+            elif edit == "insert":
+                data = data[:at] + args[1] + data[at:]
+            elif edit == "delete":
+                data = data[:at] + data[at + args[1]:]
+            else:  # truncate
+                data = data[:at]
+        path.write_bytes(data)
+    return work
+
+
+JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+                    lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                    max_leaves=8)
+SHEETS = st.lists(st.sampled_from(["Model", "Time", "Other", "", "..", "a/b", "a\\b", "a\0b"])
+                  | st.text(max_size=6), max_size=3)
+EDITS = st.lists(st.tuples(
+    st.sampled_from(["manifest.json", "Model.formulas.csv", "Model.values.csv",
+                     "Time.formulas.csv", "Time.values.csv"]),
+    st.one_of(
+        st.tuples(st.just("json"), JSON | st.fixed_dictionaries({"sheets": SHEETS})),
+        st.tuples(st.sampled_from(["replace", "insert"]), st.integers(0, 10 ** 6),
+                  st.binary(min_size=1, max_size=2)),
+        st.tuples(st.just("delete"), st.integers(0, 10 ** 6), st.integers(1, 40)),
+        st.tuples(st.just("truncate"), st.integers(0, 10 ** 6)),
+        st.tuples(st.just("garble"), st.binary(max_size=40)),
+        st.tuples(st.just("remove")),
+    )).map(lambda pair: (pair[0], *pair[1])), min_size=1, max_size=3)
+
+
+class TestVerifyReadsAnyDirectory:
+    """Verify reports a directory it cannot read with exit code 2 and a
+    message naming the file, and never ends in a traceback."""
+
+    @pytest.mark.parametrize("text", ['{"sheets": 3}', "[1]", "{", '"Model"', "null",
+                                      '{"sheets": ["../Model"]}', '{"sheets": [1]}',
+                                      '{"sheets": ["Model\\\\x"]}', "[" * 100_000])
+    def test_bad_manifest(self, compiled, tmp_path, capsys, text):
+        work = mutated(compiled, [], tmp_path / "out")
+        (work / "manifest.json").write_text(text, encoding="utf-8")
+        assert main(["verify", str(work)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "manifest.json" in err
+
+    def test_manifest_without_sheets_verifies_nothing(self, compiled, tmp_path, capsys):
+        work = mutated(compiled, [("manifest.json", "json", {"sheets": []})], tmp_path / "out")
+        assert main(["verify", str(work)]) == 0
+        assert "checked 0 cells, 0 mismatch(es)" in capsys.readouterr().out
+
+    def test_csv_that_is_not_utf8(self, compiled, tmp_path, capsys):
+        work = mutated(compiled, [("Model.values.csv", "garble", b"1,\xff\n")], tmp_path / "out")
+        assert main(["verify", str(work)]) == 2
+        assert "Model.values.csv" in capsys.readouterr().err
+
+    @given(EDITS)
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_directory(self, compiled, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            assert main(["verify", str(mutated(compiled, edits, Path(tmp) / "out"))]) in (0, 1, 2, 3)

@@ -1,5 +1,9 @@
+import itertools
+import random
+
 from hypothesis import given, strategies as st
 
+from gridspec import analyze, evaluate, parse_document
 from gridspec.a1 import Address, column_letters, column_number
 from gridspec.layout import (
     LayoutOptions,
@@ -13,7 +17,7 @@ from gridspec.layout import (
 )
 from gridspec.evaluator import BLANK, NA, Boolean, DateValue, Number
 
-from helpers import evaluate_fixture
+from helpers import evaluate_fixture, random_shape_spec
 
 
 def compile_fixture(name):
@@ -191,3 +195,77 @@ class TestDeterminism:
             assert grid_to_csv(result_a.values[sheet]) == \
                 grid_to_csv(result_b.values[sheet])
         assert manifest_to_json(result_a.manifest) == manifest_to_json(result_b.manifest)
+
+
+def compile_source(source):
+    """Plan and emit a spec whose tables are all inputs, left blank."""
+    doc = parse_document(source)
+    symtab, plan, diagnostics = analyze(doc)
+    assert plan is not None, [str(d) for d in diagnostics]
+    layout = plan_layout(doc, symtab)
+    return symtab, layout, emit(layout, plan, evaluate(plan, {}), {}, doc)
+
+
+def sheet_order(cell):
+    """Row-major order over the sheet: a block's down dimensions first,
+    then its across dimension."""
+    return cell.indices[1:] + cell.indices[:1] if len(cell.indices) > 1 else cell.indices
+
+
+def check_geometry(symtab, layout, manifest):
+    regions = layout.regions
+    for name in symtab.tables:
+        region = regions[name]
+        addresses = [layout.cell_address(cell)
+                     for cell in sorted(symtab.table_cells(name), key=sheet_order)]
+        # one address per cell, all inside the rectangle, which they fill
+        assert len(set(addresses)) == len(addresses) == region.width * region.height, name
+        for address in addresses:
+            assert address.sheet == region.sheet
+            assert region.left <= address.column <= region.right, (name, address)
+            assert region.top <= address.row <= region.bottom, (name, address)
+        spots = [(address.row, address.column) for address in addresses]
+        assert spots == sorted(spots), name
+    for (name, region), (other_name, other) in itertools.combinations(regions.items(), 2):
+        assert (region.sheet != other.sheet or region.right < other.left
+                or other.right < region.left or region.bottom < other.top
+                or other.bottom < region.top), (name, other_name)
+    for name, region in regions.items():
+        assert not any(other.sheet == region.sheet and other.left <= region.left <= other.right
+                       and other.top <= region.header_row <= other.bottom
+                       for other in regions.values()), name
+        if layout.caption_column is not None and region.sheet == layout.caption_column[0]:
+            assert region.left > layout.caption_column[1], name
+    assert {t["name"]: (t["sheet"], t["rectangle"]) for t in manifest["tables"]} == \
+        {name: (region.sheet, region.a1_range()) for name, region in regions.items()}
+
+
+class TestGeometry:
+    """Every cell of every table has its own address inside its table's
+    rectangle; the rectangles fill without overlap; the manifest states them."""
+
+    def test_fixtures(self):
+        for name in ("cashflow", "borrowing", "loans"):
+            doc, symtab, plan, inputs, values = evaluate_fixture(name)
+            layout = plan_layout(doc, symtab)
+            check_geometry(symtab, layout, emit(layout, plan, values, inputs, doc).manifest)
+
+    def test_random_shapes(self):
+        rng = random.Random(6006)
+        for _ in range(300):
+            symtab, layout, result = compile_source(random_shape_spec(rng))
+            check_geometry(symtab, layout, result.manifest)
+
+    def test_scalars_before_any_dimensioned_table(self):
+        _, layout, _ = compile_source(
+            "bounds b: 1 to 3.\ntable a : -> number.\ntable x : b -> number.\n"
+            "table k : -> number.\ntable y : b b -> number.\n")
+        assert {name: (r.a1_range(), r.header_row) for name, r in layout.regions.items()} == {
+            "a": ("A2", 1), "x": ("B3:B5", 1), "k": ("C2", 1), "y": ("A9:C11", 7)}
+
+    def test_only_scalars(self):
+        _, layout, result = compile_source("table p : -> number.\ntable q : -> boolean.\n")
+        assert layout.sheets == ["Model"] and layout.caption_column is None
+        assert {name: (r.a1_range(), r.header_row) for name, r in layout.regions.items()} == {
+            "p": ("A2", 1), "q": ("B2", 1)}
+        assert result.formulas["Model"] == {(1, 1): "P", (1, 2): "Q"}

@@ -371,3 +371,39 @@ class TestRoundTrip:
         lines.insert(3, "-- an inserted comment line")
         with_comment = parse_document("\n".join(lines))
         assert with_comment.elements == parse_document(source).elements
+
+
+# Each site that reads an integer literal, with the column the literal starts in.
+INTEGER_SITES = [
+    ("bounds b: 1 to {}.\n", 16),
+    ("x[{}] = 1.\n", 3),
+    ("x[t<{}] = 1.\n", 5),
+    ("y[t] = x[{}].\n", 10),
+]
+
+
+class TestIntegerLiterals:
+    """Bounds, constant patterns, guard bounds and index literals read
+    integers by one rule: at most 2**53, or a ParseError at the literal."""
+
+    @pytest.mark.parametrize("template, column", INTEGER_SITES)
+    @pytest.mark.parametrize("digits", ["9" * 5000, "9" * 400, str(2 ** 53 + 1)])
+    def test_too_large_is_a_diagnostic(self, template, column, digits):
+        with pytest.raises(ParseFailure) as info:
+            parse_document(template.format(digits))
+        assert [str(d) for d in info.value.diagnostics] == [
+            f"error ParseError 1:{column} integer literal too large"]
+
+    @pytest.mark.parametrize("template, column", INTEGER_SITES)
+    def test_largest_and_zero_padded(self, template, column):
+        assert parse_document(template.format(2 ** 53)).elements == \
+            parse_document(template.format("0" * 5000 + str(2 ** 53))).elements
+
+    def test_values(self):
+        bounds, pattern, guarded, reference = parse_document(
+            "bounds b: 007 to 9007199254740992.\nx[0] = 1.\nx[t<010] = 1.\ny[t] = x[02].\n"
+        ).elements
+        assert (bounds.low, bounds.high) == (7, 2 ** 53)
+        assert pattern.lhs_patterns[0].value == 0
+        assert guarded.lhs_patterns[0] == GuardedVarPattern("t", "<", 10)
+        assert reference.rhs == ElementRef("x", (NumberLit(2.0),))

@@ -1,8 +1,9 @@
 import datetime
 
 import pytest
+from hypothesis import given, strategies as st
 
-from gridspec.a1 import Address, CellRef, RangeRef, parse_a1_formula
+from gridspec.a1 import Address, CellRef, RangeRef, parse_a1_formula, sheet_prefix
 from gridspec.ast import Binary, BooleanLit, Call, NumberLit
 from gridspec.errors import ParseFailure
 from gridspec.evaluator import BLANK, NA, Boolean, DateValue, Number
@@ -85,6 +86,10 @@ class TestValueParsing:
         assert parse_value_text("2009-01-01") == DateValue(datetime.date(2009, 1, 1))
         assert parse_value_text("Expenses during period") is None
 
+    @pytest.mark.parametrize("text", ["\u0661\u0662", "5\n", "\uff15", "1e5", "5.", ".5", "+5"])
+    def test_only_ascii_decimal_text_is_a_number(self, text):
+        assert parse_value_text(text) is None
+
     def test_agreement_tolerance(self):
         assert values_agree(Number(1.0), Number(1.0 + 1e-12))
         assert not values_agree(Number(1.0), Number(1.001))
@@ -130,3 +135,22 @@ class TestVerifyGrid:
         result.values["Model"][(7, 8)] = "2"  # true value is #N/A
         report = verify_grid(result.formulas, result.values)
         assert any(m.address.a1() == "H7" for m in report.mismatches)
+
+
+class TestQuotedSheetNames:
+    def test_quoted_reference(self):
+        assert parse_a1_formula("='Expenses during period'!A3+1") == Binary(
+            "+", CellRef(Address("Expenses during period", 1, 3)), NumberLit(1.0))
+
+    def test_quoted_range(self):
+        assert parse_a1_formula("=SUM('Total loan'!$B2:C3)") == Call(
+            "SUM", (RangeRef(Address("Total loan", 2, 2), Address("Total loan", 3, 3)),))
+        assert parse_a1_formula("='Model'!A1") == CellRef(Address("Model", 1, 1))
+
+    @given(st.text(min_size=1).filter(lambda name: "'" not in name))
+    def test_written_names_read_back(self, sheet):
+        assert parse_a1_formula(f"={sheet_prefix(sheet)}B2") == CellRef(Address(sheet, 2, 2))
+
+    def test_unquoted_name_with_a_space_does_not_parse(self):
+        with pytest.raises(ParseFailure):
+            parse_a1_formula("=Expenses during period!A3")
