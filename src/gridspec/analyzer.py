@@ -58,11 +58,22 @@ class CellId(NamedTuple):
         return f"{self.table}[{','.join(str(i) for i in self.indices)}]"
 
 
-@dataclass(frozen=True)
-class RuleInstance:
-    cell: CellId
+class RuleInstance(NamedTuple):
+    """The equation chosen for a derived cell, and its index-variable bindings."""
+
     equation: EquationDecl
-    substitution: dict[str, int] = field(compare=False)
+    substitution: dict[str, int]
+
+
+class Stencil(NamedTuple):
+    """An equation's element references, lowered once by `resolve`: `refs`
+    holds `(table, indices, axes, ranged)` per reference in walk order,
+    with per dimension the index expression (None for `all`) and the
+    table's shared `(dim, low, high)`, and whether any index is `all`;
+    `slots` maps the id() of each reference node to its place in `refs`."""
+
+    refs: tuple
+    slots: dict[int, int]
 
 
 @dataclass
@@ -70,6 +81,7 @@ class SymbolTable:
     bounds: dict[str, tuple[int, int]]
     tables: dict[str, TableDecl]
     equations_by_table: dict[str, list[EquationDecl]]
+    stencils: dict[int, Stencil] = field(repr=False)  # id() of each equation -> its stencil
 
     def is_input(self, table: str) -> bool:
         return not self.equations_by_table.get(table)
@@ -98,11 +110,13 @@ def compatible(declared: str, inferred: str) -> bool:
 
 
 def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
-    """Build the symbol table, reporting name and arity problems."""
+    """Build the symbol table and each equation's stencil, reporting name
+    and arity problems."""
     diagnostics: list[Diagnostic] = []
     bounds: dict[str, tuple[int, int]] = {}
     tables: dict[str, TableDecl] = {}
     equations: dict[str, list[EquationDecl]] = {}
+    stencils: dict[int, Stencil] = {}
 
     for element in doc.elements:
         if isinstance(element, BoundsDecl):
@@ -127,6 +141,9 @@ def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
             tables[element.name] = element
             equations[element.name] = []
 
+    # undeclared bounds are an UnknownBounds error, reported below
+    table_axes = {name: tuple([(dim, *bounds.get(dim, (1, 0))) for dim in decl.dims])
+                  for name, decl in tables.items()}
     for element in doc.elements:
         if isinstance(element, TableDecl):
             for dim in element.dims:
@@ -150,6 +167,8 @@ def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
                     element.pos))
                 continue
             equations[element.table].append(element)
+            refs = []
+            slots = {}
             for ref in element_refs(element.rhs):
                 target = tables.get(ref.table)
                 if target is None:
@@ -162,8 +181,17 @@ def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
                         f"reference '{ref.table}' has {len(ref.indices)} index "
                         f"expression(s) but the table has {len(target.dims)} dimension(s)",
                         element.pos))
+                else:
+                    indices = ref.indices
+                    ranged = AllIndex in map(type, indices)
+                    if ranged:
+                        indices = tuple([None if type(index) is AllIndex else index
+                                         for index in indices])
+                    slots[id(ref)] = len(refs)
+                    refs.append((ref.table, indices, table_axes[ref.table], ranged))
+            stencils[id(element)] = Stencil(tuple(refs), slots)
 
-    return SymbolTable(bounds, tables, equations), diagnostics
+    return SymbolTable(bounds, tables, equations, stencils), diagnostics
 
 
 def typecheck(doc: SpecDocument, symtab: SymbolTable) -> list[Diagnostic]:
@@ -309,8 +337,7 @@ class _TypeChecker:
         if name == "match":
             self.infer(call.args[0], all_ok=False)
             range_arg = call.args[1]
-            if not (isinstance(range_arg, ElementRef)
-                    and any(isinstance(i, AllIndex) for i in range_arg.indices)):
+            if not (isinstance(range_arg, ElementRef) and AllIndex in map(type, range_arg.indices)):
                 self.error("MisplacedAll",
                            "second argument of match must be an element reference "
                            "with an 'all' index")
@@ -366,13 +393,13 @@ def elaborate(doc: SpecDocument, symtab: SymbolTable) -> tuple[CellPlan, list[Di
     diagnostics: list[Diagnostic] = []
     rules: dict[CellId, RuleInstance] = {}
     inputs: set[CellId] = set()
+    stencils = symtab.stencils
 
     for name in symtab.tables:
         equations = symtab.equations_by_table[name]
         if not equations:
             inputs.update(symtab.table_cells(name))
             continue
-        refs = {id(equation): element_refs(equation.rhs) for equation in equations}
         for cell in symtab.table_cells(name):
             matches = []
             for equation in equations:
@@ -390,35 +417,26 @@ def elaborate(doc: SpecDocument, symtab: SymbolTable) -> tuple[CellPlan, list[Di
                     f"{len(matches)} equations cover cell {cell}", matches[1][0].pos))
                 continue
             equation, subst = matches[0]
-            rules[cell] = RuleInstance(cell, equation, subst)
-            diagnostics.extend(_check_ref_bounds(equation, refs[id(equation)], subst, cell,
-                                                 symtab))
+            rules[cell] = RuleInstance(equation, subst)
+            for table, indices, axes, _ in stencils[id(equation)].refs:
+                for index, (dim, low, high) in zip(indices, axes):
+                    if index is None:
+                        continue
+                    value = eval_index_expr(index, subst)
+                    if not low <= value <= high:
+                        diagnostics.append(Diagnostic(
+                            "error", "IndexOutOfBounds",
+                            f"rule for {cell} references {table} at {dim}={value}, "
+                            f"outside {low}..{high}", equation.pos))
 
     return CellPlan(rules, inputs, symtab), diagnostics
 
 
-def _check_ref_bounds(equation, refs, subst, cell, symtab):
-    """Flag substituted RHS references that land outside their table's bounds."""
-    for ref in refs:
-        decl = symtab.tables.get(ref.table)
-        if decl is None or len(ref.indices) != len(decl.dims):
-            continue
-        for index, dim in zip(ref.indices, decl.dims):
-            if isinstance(index, AllIndex):
-                continue
-            low, high = symtab.bounds[dim]
-            value = eval_index_expr(index, subst)
-            if not low <= value <= high:
-                yield Diagnostic(
-                    "error", "IndexOutOfBounds",
-                    f"rule for {cell} references {ref.table} at {dim}={value}, "
-                    f"outside {low}..{high}", equation.pos)
-
-
-def analyze(doc: SpecDocument):
+def analyze(doc: SpecDocument, before_elaborate=None):
     """Run the full pipeline; returns (symtab, plan, diagnostics).
 
-    The plan is None when any stage reported an error.
+    The plan is None when any stage reported an error.  If given,
+    `before_elaborate(doc, symtab)` runs between typecheck and elaborate.
     """
     symtab, diagnostics = resolve(doc)
     if _has_errors(diagnostics):
@@ -426,11 +444,11 @@ def analyze(doc: SpecDocument):
     diagnostics.extend(typecheck(doc, symtab))
     if _has_errors(diagnostics):
         return symtab, None, diagnostics
+    if before_elaborate is not None:
+        before_elaborate(doc, symtab)
     plan, more = elaborate(doc, symtab)
     diagnostics.extend(more)
-    if _has_errors(diagnostics):
-        return symtab, None, diagnostics
-    return symtab, plan, diagnostics
+    return symtab, None if _has_errors(diagnostics) else plan, diagnostics
 
 
 def _has_errors(diagnostics) -> bool:

@@ -100,7 +100,7 @@ def _print_diagnostics(diagnostics):
         print(diagnostic)
 
 
-def _load_and_analyze(spec_path):
+def _load_and_analyze(spec_path, before_elaborate=None):
     """Returns (doc, symtab, plan) or an int exit code after printing."""
     try:
         text = Path(spec_path).read_text(encoding="utf-8")
@@ -112,7 +112,7 @@ def _load_and_analyze(spec_path):
     except ParseFailure as exc:
         _print_diagnostics(exc.diagnostics)
         return EXIT_SPEC_ERROR
-    symtab, plan, diagnostics = analyze(doc)
+    symtab, plan, diagnostics = analyze(doc, before_elaborate)
     _print_diagnostics(diagnostics)
     if plan is None:
         return EXIT_SPEC_ERROR
@@ -129,17 +129,19 @@ def cmd_check(args) -> int:
 def _compile_grids(args):
     """Analyze, lay out, evaluate and emit a spec; returns the EmitResult
     or an int exit code after printing.  The layout is planned from the
-    declarations alone, so a grid too large for a sheet is reported
-    before any cell is evaluated."""
-    result = _load_and_analyze(args.spec)
-    if isinstance(result, int):
-        return result
-    doc, symtab, plan = result
+    declarations and stencils alone, before elaboration, so a grid too
+    large for a sheet is reported before any cell is enumerated."""
+    layouts = []
     try:
-        layout = plan_layout(doc, symtab, LayoutOptions(caption_table=args.caption_table))
+        result = _load_and_analyze(args.spec, lambda doc, symtab: layouts.append(
+            plan_layout(doc, symtab, LayoutOptions(caption_table=args.caption_table))))
     except LayoutError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
+    if isinstance(result, int):
+        return result
+    doc, symtab, plan = result
+    layout, = layouts
     inputs = {}
     if args.inputs:
         try:

@@ -14,20 +14,18 @@ import heapq
 import math
 import re
 from dataclasses import dataclass
+from itertools import product
 
 from .analyzer import CellId, CellPlan, eval_index_expr
 from .ast import (
     AGGREGATES,
     BUILTINS,
-    AllIndex,
     Binary,
     BooleanLit,
     Call,
-    ElementRef,
     Expr,
     IndexVar,
     NumberLit,
-    element_refs,
 )
 from .errors import CyclicDependency, RuntimeFault, UnknownFunction, UnsupportedMatchType
 
@@ -309,68 +307,36 @@ def _eval(expr: Expr, leaf, range_ok: bool):
 
 # --- reference resolution and the dependency graph -------------------------
 
-def expand_ref(ref: ElementRef, subst, symtab) -> list[CellId]:
-    """Resolve a reference to concrete cells; `all` spans its dimension.
-
-    Cells are produced in row-major order over the expanded dimensions,
-    which is the order aggregate builtins see."""
-    decl = symtab.tables[ref.table]
-    axes = []
-    for index, dim in zip(ref.indices, decl.dims):
-        if isinstance(index, AllIndex):
-            low, high = symtab.bounds[dim]
-            axes.append(range(low, high + 1))
-        else:
-            axes.append((eval_index_expr(index, subst),))
-    cells = [CellId(ref.table, ())]
-    for axis in axes:
-        cells = [CellId(ref.table, c.indices + (i,)) for c in cells for i in axis]
-    return cells
+def expand_ref(ref, subst: dict[str, int]):
+    """The cells one lowered element reference (see analyzer.Stencil) reads
+    under a substitution: a CellId, or for a range a tuple of CellIds in
+    row-major order over its axes, the order aggregate builtins see."""
+    table, indices, axes, ranged = ref
+    if not ranged:
+        return CellId(table, tuple([eval_index_expr(index, subst) for index in indices]))
+    spans = [range(low, high + 1) if index is None else (eval_index_expr(index, subst),)
+             for index, (_, low, high) in zip(indices, axes)]
+    return tuple([CellId(table, c) for c in product(*spans)])
 
 
-@dataclass(slots=True)
-class ResolvedRefs:
-    """The cells that one rule instance's element references read.
-
-    `refs[node]` is one CellId for a single-cell reference, and a plain
-    tuple of CellIds in row-major order for a reference with an `all`
-    index.  A CellId is a tuple too, so tell them apart by exact type."""
-
-    # id() of each reference node -> its place in cells; every instance
-    # of an equation shares one such map
-    positions: dict[int, int]
-    cells: tuple
-
-    def __getitem__(self, ref: ElementRef):
-        return self.cells[self.positions[id(ref)]]
-
-
-def resolve_references(plan: CellPlan) -> dict[CellId, ResolvedRefs]:
-    """Resolve every rule instance's element references, once per plan.
-
-    Each reference is expanded once and mapped onto the plan's own
-    CellIds.  The result is kept on the plan; the dependency graph,
-    evaluation and formula rendering all read it."""
+def resolve_references(plan: CellPlan) -> dict[CellId, tuple]:
+    """The cells each derived cell reads, resolved once and kept on the plan
+    for the dependency graph, evaluation and formula rendering: one entry
+    per slot of its equation's stencil, a CellId or, for a range, a plain
+    tuple of CellIds (tell them apart by exact type).  Cells are the
+    plan's own CellId objects."""
     if plan.references is None:
-        symtab = plan.symtab
+        stencils = plan.symtab.stencils
         own = {cell: cell for cell in plan.rules}
         own.update((cell, cell) for cell in plan.inputs)
-        by_equation: dict[int, tuple[list[ElementRef], dict[int, int]]] = {}
         references = {}
-        for cell, rule in plan.rules.items():
-            rhs = rule.equation.rhs
-            if id(rhs) not in by_equation:
-                refs = element_refs(rhs)
-                by_equation[id(rhs)] = refs, {id(ref): k for k, ref in enumerate(refs)}
-            refs, positions = by_equation[id(rhs)]
-            resolved = []
-            for ref in refs:
-                cells = [own[c] for c in expand_ref(ref, rule.substitution, symtab)]
-                if any(isinstance(i, AllIndex) for i in ref.indices):
-                    resolved.append(tuple(cells))
-                else:
-                    resolved.append(cells[0])
-            references[cell] = ResolvedRefs(positions, tuple(resolved))
+        for cell, (equation, subst) in plan.rules.items():
+            reads = []
+            for ref in stencils[id(equation)].refs:
+                cells = expand_ref(ref, subst)
+                reads.append(tuple([own[c] for c in cells]) if type(cells) is tuple
+                             else own[cells])
+            references[cell] = tuple(reads)
         plan.references = references
     return plan.references
 
@@ -389,9 +355,9 @@ def build_graph(plan: CellPlan) -> DependencyGraph:
     are all placed, the smallest (table, indices) is placed next."""
     nodes = sorted(set(plan.rules) | plan.inputs)
     edges = {cell: set() for cell in nodes}
-    for cell, resolved in resolve_references(plan).items():
+    for cell, reads in resolve_references(plan).items():
         deps = edges[cell]
-        for cells in resolved.cells:
+        for cells in reads:
             if type(cells) is tuple:
                 deps.update(cells)
             else:
@@ -438,30 +404,28 @@ def evaluate(plan: CellPlan, inputs: dict[CellId, Value]) -> dict[CellId, Value]
     graph = build_graph(plan)
     references = resolve_references(plan)
     store: dict[CellId, Value] = {}
+
+    def leaf(node):
+        # of the rule instance being evaluated: index variables from its
+        # substitution, element references from the store
+        if isinstance(node, IndexVar):
+            return Number(subst[node.name])
+        cells = reads[slots[id(node)]]
+        if type(cells) is tuple:
+            return [store[c] for c in cells]
+        return store[cells]
+
     for cell in graph.topo_order:
         if cell in plan.inputs:
             value = inputs.get(cell, BLANK)
         else:
-            rule = plan.rules[cell]
+            equation, subst = plan.rules[cell]
+            reads, slots = references[cell], symtab.stencils[id(equation)].slots
             try:
-                value = eval_expr(rule.equation.rhs,
-                                  _store_leaf(references[cell], rule.substitution, store))
+                value = eval_expr(equation.rhs, leaf)
             except _Fault as exc:
                 raise RuntimeFault(cell, str(exc)) from None
         if isinstance(value, Number) and symtab.tables[cell.table].result_type == "currency":
             value = Number(value.value, currency=True)
         store[cell] = value
     return store
-
-
-def _store_leaf(resolved: ResolvedRefs, subst: dict[str, int], store: dict[CellId, Value]):
-    """The leaf values of one rule instance: index variables from its
-    substitution, element references from the store."""
-    def leaf(node):
-        if isinstance(node, IndexVar):
-            return Number(subst[node.name])
-        cells = resolved[node]
-        if type(cells) is tuple:
-            return [store[c] for c in cells]
-        return store[cells]
-    return leaf

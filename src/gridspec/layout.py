@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from .a1 import Address, column_letters, sheet_prefix
-from .analyzer import CellId, CellPlan, RuleInstance, SymbolTable
+from .analyzer import CellId, CellPlan, SymbolTable
 from .ast import (
     BooleanLit,
     Call,
@@ -41,6 +41,7 @@ from .ast import (
     TableDecl,
     format_expr,
     format_number,
+    print_expr,
 )
 from .errors import LayoutError, LayoutOverflow, UnmappedCell
 from .evaluator import (
@@ -50,7 +51,6 @@ from .evaluator import (
     DateValue,
     NAError,
     Number,
-    ResolvedRefs,
     Value,
     expand_ref,  # not called here; perfbench/tracing.py counts calls through this name
     resolve_references,
@@ -139,9 +139,12 @@ class Layout:
 
 def _caption_table(name: str | None, symtab: SymbolTable) -> TableDecl | None:
     """The caption table: `name`, or else `time` if it is declared with one
-    dimension.  A named caption table must be declared with one dimension."""
+    dimension.  A named one must have one dimension and not the main sheet's name."""
     decl = symtab.tables.get("time" if name is None else name)
     if decl is not None and len(decl.dims) == 1:
+        # sheet names are file names, and some file systems ignore case
+        if humanize_caption(decl.name).lower() == MAIN_SHEET.lower():
+            raise LayoutError(f"caption table '{decl.name}' is named like the main sheet")
         return decl
     if name is not None:
         raise LayoutError(f"caption table '{name}' is not a declared table of one dimension")
@@ -192,6 +195,17 @@ def plan_layout(doc: SpecDocument, symtab: SymbolTable,
         if region.right > MAX_COLUMNS or region.bottom > MAX_ROWS:
             raise LayoutOverflow(
                 f"layout exceeds sheet extents at {region.sheet}!{region.a1_range()}")
+    # a range is written as the rectangle from its first cell to its last,
+    # so along the dimensions that run down rows its `all` indices come last
+    for stencil in symtab.stencils.values():
+        for table, indices, _, ranged in stencil.refs:
+            if not ranged:
+                continue
+            down = [i is None for i, step in zip(indices, regions[table].row_steps) if step]
+            if down != sorted(down):
+                text = ", ".join("all" if i is None else print_expr(i) for i in indices)
+                raise LayoutError(f"range {table}[ {text} ] is not one rectangle: its 'all' "
+                                  "indices must come last among the dimensions down rows")
     return Layout(sheets, regions, caption_column, caption_rows)
 
 
@@ -203,10 +217,13 @@ def _format_ref(address: Address, home_sheet: str) -> str:
     return f"{sheet_prefix(address.sheet)}{address.a1()}"
 
 
-def render_formula(rule: RuleInstance, refs: ResolvedRefs, layout: Layout) -> str:
-    """Render a rule instance as an A1 formula for its cell's sheet, given
-    the rule's resolved references (see evaluator.resolve_references)."""
-    home = layout.cell_address(rule.cell).sheet
+def render_formula(cell: CellId, plan: CellPlan, layout: Layout) -> str:
+    """Render a derived cell's rule instance as an A1 formula for the
+    cell's sheet, from the cells it reads (see evaluator.resolve_references)."""
+    equation, subst = plan.rules[cell]
+    reads = resolve_references(plan)[cell]
+    slots = plan.symtab.stencils[id(equation)].slots
+    home = layout.cell_address(cell).sheet
 
     def leaf(expr: Expr) -> str:
         if isinstance(expr, NumberLit):
@@ -214,17 +231,18 @@ def render_formula(rule: RuleInstance, refs: ResolvedRefs, layout: Layout) -> st
         if isinstance(expr, BooleanLit):
             return "TRUE" if expr.value else "FALSE"
         if isinstance(expr, IndexVar):
-            return str(rule.substitution[expr.name])
+            return str(subst[expr.name])
         if isinstance(expr, Call):
             return expr.func.upper()
-        cells = refs[expr]
-        if isinstance(cells, CellId):
+        cells = reads[slots[id(expr)]]
+        if type(cells) is not tuple:
             return _format_ref(layout.cell_address(cells), home)
-        # a range lists its cells row-major, so the first and last are corners
+        # a range lists its cells row-major, and plan_layout admits only
+        # ranges that fill one rectangle, so the first and last are corners
         first, last = layout.cell_address(cells[0]), layout.cell_address(cells[-1])
         return f"{_format_ref(first, home)}:{last.a1()}"
 
-    return "=" + format_expr(rule.equation.rhs, leaf, pad="")
+    return "=" + format_expr(equation.rhs, leaf, pad="")
 
 
 # --- value rendering and emission ------------------------------------------
@@ -292,9 +310,7 @@ def emit(layout: Layout, plan: CellPlan, values: dict[CellId, Value],
                 put(sheet, band_top + index - low, column, text, text)
 
     # table cells
-    references = resolve_references(plan)
-    for name in symtab.tables:
-        decl = symtab.tables[name]
+    for name, decl in symtab.tables.items():
         currency = decl.result_type == "currency"
         for cell in symtab.table_cells(name):
             address = layout.cell_address(cell)
@@ -302,7 +318,7 @@ def emit(layout: Layout, plan: CellPlan, values: dict[CellId, Value],
                 text = render_value(inputs.get(cell, BLANK), currency)
                 put(address.sheet, address.row, address.column, text, text)
             else:
-                formula = render_formula(plan.rules[cell], references[cell], layout)
+                formula = render_formula(cell, plan, layout)
                 put(address.sheet, address.row, address.column, formula,
                     render_value(values[cell], currency))
 

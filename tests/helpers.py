@@ -1,5 +1,6 @@
-"""Shared helpers for the test suite: fixture loading and a random
-well-formed document generator used by the property tests."""
+"""Shared helpers for the test suite: fixture loading, a random
+well-formed document generator used by the property tests, and reference
+code that the lowering of element references is compared against."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import random
 from pathlib import Path
 
 from gridspec import analyze, evaluate, parse_document
+from gridspec.analyzer import CellId, eval_index_expr
 from gridspec.ast import (
     AllIndex,
     Binary,
@@ -23,6 +25,7 @@ from gridspec.ast import (
     VarPattern,
 )
 from gridspec.cli import load_inputs
+from gridspec.parser import Diagnostic
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -163,3 +166,42 @@ def random_shape_spec(rng: random.Random) -> str:
     for name, dims in tables:
         lines.append(f"table {name} : {' '.join(dims)} -> number.")
     return "\n".join(lines) + "\n"
+
+
+# --- reference expansion of element references -----------------------------
+
+def reference_expand_ref(ref: ElementRef, subst, symtab) -> list[CellId]:
+    """Resolve a reference to concrete cells; `all` spans its dimension.
+
+    Cells are produced in row-major order over the expanded dimensions,
+    which is the order aggregate builtins see."""
+    decl = symtab.tables[ref.table]
+    axes = []
+    for index, dim in zip(ref.indices, decl.dims):
+        if isinstance(index, AllIndex):
+            low, high = symtab.bounds[dim]
+            axes.append(range(low, high + 1))
+        else:
+            axes.append((eval_index_expr(index, subst),))
+    cells = [CellId(ref.table, ())]
+    for axis in axes:
+        cells = [CellId(ref.table, c.indices + (i,)) for c in cells for i in axis]
+    return cells
+
+
+def reference_ref_bounds(equation, refs, subst, cell, symtab):
+    """Flag substituted RHS references that land outside their table's bounds."""
+    for ref in refs:
+        decl = symtab.tables.get(ref.table)
+        if decl is None or len(ref.indices) != len(decl.dims):
+            continue
+        for index, dim in zip(ref.indices, decl.dims):
+            if isinstance(index, AllIndex):
+                continue
+            low, high = symtab.bounds[dim]
+            value = eval_index_expr(index, subst)
+            if not low <= value <= high:
+                yield Diagnostic(
+                    "error", "IndexOutOfBounds",
+                    f"rule for {cell} references {ref.table} at {dim}={value}, "
+                    f"outside {low}..{high}", equation.pos)

@@ -353,6 +353,51 @@ class TestLayoutOverflow:
         assert not (tmp_path / "out").exists()
 
 
+class TestLayoutBeforeElaboration:
+    def test_overflow_is_found_without_enumerating_cells(self, tmp_path, capsys, monkeypatch):
+        def elaborate(*args):
+            raise AssertionError("elaborate was called")
+
+        monkeypatch.setattr("gridspec.analyzer.elaborate", elaborate)
+        spec = tmp_path / "spec.gsx"
+        spec.write_text("bounds s: 1 to 20000. bounds u: 1 to 10.\ntable x : s u -> number.\n"
+                        "x[ i, j ] = 1.\n", encoding="utf-8")
+        assert main(["compile", str(spec), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == \
+            "error: layout exceeds sheet extents at Model!A3:ACOF12\n"
+
+
+class TestRangeRectangles:
+    """A range is written as one rectangle, so along the dimensions that
+    run down rows its `all` indices must be the last ones."""
+
+    SPEC = ("bounds a: 1 to 2. bounds b: 1 to 3. bounds c: 1 to 2.\n"
+            "table x : a b c -> number.\ntable y : a b -> number.\ntable w : b c -> number.\n"
+            "y[ i, j ] = sum( x[ i, j, all ] ).\nw[ j, k ] = sum( x[ all, j, k ] ) + "
+            "sum( x[ all, all, all ] ).\n")
+    INPUTS = "".join(f"x,{i},{j},{k},{100 * i + 10 * j + k}\n"
+                     for i in (1, 2) for j in (1, 2, 3) for k in (1, 2))
+
+    def test_ranges_that_fill_a_rectangle_verify(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, self.SPEC, self.INPUTS)
+        assert code == 0, capsys.readouterr().err
+        assert main(["verify", str(out)]) == 0
+        assert " 0 mismatch(es)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["compile", "eval"])
+    def test_other_ranges_are_refused(self, tmp_path, capsys, command):
+        spec = tmp_path / "spec.gsx"
+        spec.write_text(self.SPEC + "table v : a c -> number.\n"
+                                    "v[ i, k ] = sum( x[ i, all, k ] ).\n", encoding="utf-8")
+        inputs = write_inputs(tmp_path, self.INPUTS)
+        assert main([command, str(spec), "--inputs", str(inputs),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: range x[ i, all, k ] is not one rectangle: its 'all' indices "
+            "must come last among the dimensions down rows\n")
+        assert not (tmp_path / "out").exists()
+
+
 def test_module_entry_point():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -413,6 +458,22 @@ class TestCaptionTable:
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["sheets"] == ["Model"] and "caption_column" not in manifest
         assert main(["verify", str(out)]) == 0
+
+
+class TestCaptionSheetName:
+    @pytest.mark.parametrize("command", ["compile", "eval"])
+    @pytest.mark.parametrize("name", ["model", "MODEL"])
+    def test_caption_named_like_the_main_sheet_is_refused(self, tmp_path, capsys, command,
+                                                          name):
+        spec = tmp_path / "spec.gsx"
+        spec.write_text(f"bounds b: 1 to 3.\ntable {name} : b -> number.\n"
+                        f"table x : b -> number.\nx[ i ] = {name}[ i ] + 1.\n",
+                        encoding="utf-8")
+        assert main([command, str(spec), "--out-dir", str(tmp_path / "out"),
+                     "--caption-table", name]) == 1
+        assert capsys.readouterr().err == \
+            f"error: caption table '{name}' is named like the main sheet\n"
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("template", [
