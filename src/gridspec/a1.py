@@ -3,18 +3,23 @@
 Formulas are parsed by the specification expression grammar, with cell
 and range references in place of element references, which is what lets
 the grid verifier re-evaluate emitted formulas one step with the
-evaluator's own eval_expr.
+evaluator's own eval_expr.  Formulas that differ only in their references
+and numbers have one shape, parsed once to a template with holes.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .ast import Expr, IndexVar, SourcePos
+from .ast import Binary, BooleanLit, Call, Expr, IndexVar, NumberLit, SourcePos
 from .errors import ParseFailure
 from .parser import Diagnostic, Parser, scan
+
+MAX_COLUMNS, MAX_ROWS = 16384, 1048576  # a sheet's extents: A1:XFD1048576
 
 
 def column_letters(number: int) -> str:
@@ -118,9 +123,20 @@ class _A1Parser(Parser):
     def _address(self, default_sheet: str) -> Address:
         """Consume the current reference token."""
         match = self.tokens[self.pos].match
+        address = _read_address(*match.group("sheet", "quoted", "col", "row"), default_sheet)
+        if address is None:
+            self.fail(f"a cell reference within A1:XFD{MAX_ROWS}")
         self.pos += 1
-        return Address(match["quoted"] or match["sheet"] or default_sheet,
-                       column_number(match["col"]), int(match["row"]))
+        return address
+
+
+def _read_address(sheet, quoted, col, row, default_sheet) -> Address | None:
+    """The address a `ref` token's groups name, or None past the sheet's extents."""
+    if len(col) <= 3 and len(row) <= 7:  # so int() never reads long text
+        address = Address(quoted or sheet or default_sheet, column_number(col), int(row))
+        if address.column <= MAX_COLUMNS and address.row <= MAX_ROWS:
+            return address
+    return None
 
 
 def parse_a1_formula(text: str, default_sheet: str = "Model") -> Expr:
@@ -130,3 +146,74 @@ def parse_a1_formula(text: str, default_sheet: str = "Model") -> Expr:
         raise ParseFailure([Diagnostic(
             "error", "ParseError", "formula must begin with '='", SourcePos(1, 1, 0))])
     return _A1Parser(text[1:], default_sheet).whole_expression()
+
+
+# --- formula shapes ---------------------------------------------------------
+# re.split by _A1_TOKENS lists, per token, the text before it (empty, for the
+# pattern takes whitespace) and then every group, so group g of the token at
+# offset `at` of the split is at at + g.  A ref's groups sheet, quoted, col
+# and row come one after another, in _read_address's order.
+_STRIDE = _A1_TOKENS.groups + 1
+_SYMBOL, _DECIMAL, _REF, _SHEET = (_A1_TOKENS.groupindex[g]
+                                   for g in ("symbol", "decimal", "ref", "sheet"))
+_KEPT = [_A1_TOKENS.groupindex[g] for g in ("symbol", "keyword", "identifier", "illegal")]
+
+
+def formula_shape(body: str) -> tuple[tuple, list]:
+    """(key, split) of a formula's text after '='.  The split reads the
+    tokens as scan does; the key is their kinds and texts with every
+    `decimal` and `ref` a hole, so formulas of one key parse alike but for
+    the leaves at their holes."""
+    parts = _A1_TOKENS.split(body)
+    return (tuple(map(bool, parts[_DECIMAL::_STRIDE])),
+            *[tuple(parts[g::_STRIDE]) for g in _KEPT]), parts
+
+
+@dataclass(frozen=True)
+class Hole(Expr):
+    """A template's NumberLit, CellRef or RangeRef leaf: the value bound at
+    the hole token `slot`, and for a range the next one too."""
+    slot: int
+    ranged: bool
+
+
+def make_template(expr: Expr, parts: list) -> tuple[Expr, tuple[int, ...]]:
+    """A formula parsed to `expr`, whose split is `parts`, with its
+    NumberLit, CellRef and RangeRef leaves made Holes, numbered in token
+    order; and the offsets in `parts` of its hole tokens."""
+    slots = itertools.count()
+
+    def punch(node: Expr) -> Expr:
+        if isinstance(node, Binary):
+            return Binary(node.op, punch(node.left), punch(node.right))
+        if isinstance(node, Call):
+            return Call(node.func, tuple(map(punch, node.args)))
+        if isinstance(node, BooleanLit):
+            return node
+        hole = Hole(next(slots), isinstance(node, RangeRef))
+        if hole.ranged:
+            next(slots)
+        return hole
+
+    return punch(expr), tuple(at for at in range(0, len(parts) - 1, _STRIDE)
+                              if parts[at + _DECIMAL] or parts[at + _REF])
+
+
+def bind_holes(starts: tuple[int, ...], parts: list, default_sheet: str) -> list | None:
+    """The value of each hole token, at `starts` in the split `parts` of a
+    formula of a template's shape: a float or an Address.  None if a
+    number is not finite or a reference is past the sheet's extents,
+    which the parser reports."""
+    bound = []
+    for at in starts:
+        if parts[at + _DECIMAL]:
+            value = float(parts[at + _DECIMAL])
+            value = value if math.isfinite(value) else None
+        else:  # a reference after ':' ends a range, on the sheet of its start
+            after = at and parts[at - _STRIDE + _SYMBOL] == ":"
+            sheet = bound[-1].sheet if after else default_sheet
+            value = _read_address(*parts[at + _SHEET:at + _SHEET + 4], sheet)
+        if value is None:
+            return None
+        bound.append(value)
+    return bound

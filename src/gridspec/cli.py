@@ -100,8 +100,11 @@ def _print_diagnostics(diagnostics):
         print(diagnostic)
 
 
-def _load_and_analyze(spec_path, before_elaborate=None):
-    """Returns (doc, symtab, plan) or an int exit code after printing."""
+def _load_and_analyze(spec_path, caption_table=None):
+    """Returns (doc, symtab, plan, layout) or an int exit code after
+    printing.  The layout is planned from the declarations and stencils
+    alone, before elaboration, so a grid too large for a sheet is
+    reported before any cell is enumerated."""
     try:
         text = Path(spec_path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -112,36 +115,31 @@ def _load_and_analyze(spec_path, before_elaborate=None):
     except ParseFailure as exc:
         _print_diagnostics(exc.diagnostics)
         return EXIT_SPEC_ERROR
-    symtab, plan, diagnostics = analyze(doc, before_elaborate)
+    layouts = []
+    try:
+        symtab, plan, diagnostics = analyze(doc, lambda doc, symtab: layouts.append(
+            plan_layout(doc, symtab, LayoutOptions(caption_table=caption_table))))
+    except LayoutError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SPEC_ERROR
     _print_diagnostics(diagnostics)
     if plan is None:
         return EXIT_SPEC_ERROR
-    return doc, symtab, plan
+    return doc, symtab, plan, layouts[0]
 
 
 def cmd_check(args) -> int:
     result = _load_and_analyze(args.spec)
-    if isinstance(result, int):
-        return result
-    return EXIT_OK
+    return result if isinstance(result, int) else EXIT_OK
 
 
 def _compile_grids(args):
     """Analyze, lay out, evaluate and emit a spec; returns the EmitResult
-    or an int exit code after printing.  The layout is planned from the
-    declarations and stencils alone, before elaboration, so a grid too
-    large for a sheet is reported before any cell is enumerated."""
-    layouts = []
-    try:
-        result = _load_and_analyze(args.spec, lambda doc, symtab: layouts.append(
-            plan_layout(doc, symtab, LayoutOptions(caption_table=args.caption_table))))
-    except LayoutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC_ERROR
+    or an int exit code after printing."""
+    result = _load_and_analyze(args.spec, args.caption_table)
     if isinstance(result, int):
         return result
-    doc, symtab, plan = result
-    layout, = layouts
+    doc, symtab, plan, layout = result
     inputs = {}
     if args.inputs:
         try:

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from operator import mul
 
-from .a1 import Address, column_letters, sheet_prefix
+from .a1 import MAX_COLUMNS, MAX_ROWS, Address, column_letters, sheet_prefix
 from .analyzer import CellId, CellPlan, SymbolTable
 from .ast import (
     BooleanLit,
@@ -57,8 +57,6 @@ from .evaluator import (
 )
 
 MAIN_SHEET = "Model"
-MAX_COLUMNS = 16384
-MAX_ROWS = 1048576
 
 
 def humanize_caption(name: str) -> str:

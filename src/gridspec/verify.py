@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .a1 import Address, CellRef, parse_a1_formula
+from .a1 import Address, Hole, RangeRef, bind_holes, formula_shape, make_template, parse_a1_formula
 from .errors import ParseFailure, UnknownFunction, UnsupportedMatchType
 from .evaluator import (
     BLANK,
@@ -87,11 +87,15 @@ def values_agree(computed: Value, stored: Value | None) -> bool:
 
 
 def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
-    """One-step check of every formula cell against the values document."""
+    """One-step check of every formula cell against the values document.
+    Each formula shape is parsed once (see a1.formula_shape); every other
+    formula of the shape binds the holes of its template from its own text."""
     report = VerifyReport()
     # each cell's text is parsed once, however many formulas read it
     parsed = {sheet: {at: parse_value_text(text) for at, text in cells.items()}
               for sheet, cells in values.items()}
+    templates = {}  # shape key -> (template, hole token offsets), see a1.make_template
+    bound = []  # the values at the holes of the formula being checked
 
     def operand(address: Address) -> Value:
         value = parsed.get(address.sheet, {}).get((address.row, address.column), BLANK)
@@ -99,10 +103,11 @@ def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
             raise _Fault(f"references non-value cell {address}")
         return value
 
-    def leaf(node) -> Value | list[Value]:
-        if isinstance(node, CellRef):
-            return operand(node.address)
-        return [operand(a) for a in node.addresses()]
+    def leaf(hole: Hole) -> Value | list[Value]:
+        value = bound[hole.slot]
+        if hole.ranged:
+            return [operand(a) for a in RangeRef(value, bound[hole.slot + 1]).addresses()]
+        return Number(value) if isinstance(value, float) else operand(value)
 
     for sheet in sorted(formulas):
         for (row, column), text in sorted(formulas[sheet].items()):
@@ -111,8 +116,15 @@ def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
             address = Address(sheet, column, row)
             stored = parsed.get(sheet, {}).get((row, column), BLANK)
             report.checks += 1
+            key, parts = formula_shape(text[1:])
+            template = templates.get(key)
             try:
-                computed = eval_expr(parse_a1_formula(text, default_sheet=sheet), leaf)
+                bound = template and bind_holes(template[1], parts, sheet)
+                if bound is None:  # a new shape, or a literal the parser reports
+                    template = templates[key] = make_template(
+                        parse_a1_formula(text, default_sheet=sheet), parts)
+                    bound = bind_holes(template[1], parts, sheet)
+                computed = eval_expr(template[0], leaf)
             except ParseFailure as exc:
                 first = exc.diagnostics[0]
                 fault = f"does not parse: {first.code} {first.pos} {first.message}"

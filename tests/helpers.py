@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: fixture loading, a random
 well-formed document generator used by the property tests, and reference
-code that the lowering of element references is compared against."""
+code that the lowering of element references and the per-shape verifier
+are compared against."""
 
 from __future__ import annotations
 
@@ -24,8 +25,12 @@ from gridspec.ast import (
     TableDecl,
     VarPattern,
 )
+from gridspec.a1 import Address, CellRef, parse_a1_formula
 from gridspec.cli import load_inputs
+from gridspec.errors import ParseFailure, UnknownFunction, UnsupportedMatchType
+from gridspec.evaluator import BLANK, _Fault, eval_expr
 from gridspec.parser import Diagnostic
+from gridspec.verify import Mismatch, VerifyReport, parse_value_text, values_agree
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -205,3 +210,44 @@ def reference_ref_bounds(equation, refs, subst, cell, symtab):
                     "error", "IndexOutOfBounds",
                     f"rule for {cell} references {ref.table} at {dim}={value}, "
                     f"outside {low}..{high}", equation.pos)
+
+
+# --- verify, one parse per formula -----------------------------------------
+
+def reference_verify_grid(formulas, values) -> VerifyReport:
+    """One-step check of every formula cell, parsing every formula."""
+    report = VerifyReport()
+    parsed = {sheet: {at: parse_value_text(text) for at, text in cells.items()}
+              for sheet, cells in values.items()}
+
+    def operand(address: Address):
+        value = parsed.get(address.sheet, {}).get((address.row, address.column), BLANK)
+        if value is None:
+            raise _Fault(f"references non-value cell {address}")
+        return value
+
+    def leaf(node):
+        if isinstance(node, CellRef):
+            return operand(node.address)
+        return [operand(a) for a in node.addresses()]
+
+    for sheet in sorted(formulas):
+        for (row, column), text in sorted(formulas[sheet].items()):
+            if not text.startswith("="):
+                continue
+            address = Address(sheet, column, row)
+            stored = parsed.get(sheet, {}).get((row, column), BLANK)
+            report.checks += 1
+            try:
+                computed = eval_expr(parse_a1_formula(text, default_sheet=sheet), leaf)
+            except ParseFailure as exc:
+                first = exc.diagnostics[0]
+                fault = f"does not parse: {first.code} {first.pos} {first.message}"
+                report.mismatches.append(Mismatch(address, None, stored, fault))
+                continue
+            except (_Fault, UnknownFunction, UnsupportedMatchType) as exc:
+                report.mismatches.append(Mismatch(address, None, stored, str(exc)))
+                continue
+            if not values_agree(computed, stored):
+                report.mismatches.append(Mismatch(address, computed, stored))
+    return report

@@ -580,3 +580,49 @@ class TestVerifyReadsAnyDirectory:
     def test_mutated_directory(self, compiled, edits):
         with tempfile.TemporaryDirectory() as tmp:
             assert main(["verify", str(mutated(compiled, edits, Path(tmp) / "out"))]) in (0, 1, 2, 3)
+
+
+class TestA1Limits:
+    """A reference past XFD1048576 is a ParseError at that reference, so
+    verify reports it at its cell and checks every other formula."""
+
+    @pytest.mark.parametrize("reference", ["A" + "1" * 5000, "A1048577", "XFE1", "AAAA1"],
+                             ids=["5000-digit row", "row", "column", "4 letters"])
+    def test_mismatch_at_the_cell(self, compiled, tmp_path, capsys, reference):
+        work = mutated(compiled, [], tmp_path / "out")
+        formulas = work / "Model.formulas.csv"
+        rows = formulas.read_text(encoding="utf-8").split("\n")
+        rows[2] = rows[2].replace("=C2", f"={reference}")
+        formulas.write_text("\n".join(rows), encoding="utf-8")
+        assert main(["verify", str(work)]) == 1
+        report = capsys.readouterr().out
+        assert "checked 36 cells, 1 mismatch(es)" in report
+        shown = reference if len(reference) < 10 else reference[:5]
+        assert (f"Model!D3: formula faults (does not parse: ParseError 1:1 expected a cell "
+                f"reference within A1:XFD1048576, found '{shown}") in report
+
+    def test_last_cell_reads(self):
+        from gridspec.a1 import Address, CellRef, parse_a1_formula
+        assert parse_a1_formula("=XFD1048576") == CellRef(Address("Model", 16384, 1048576))
+
+    def test_layout_shares_the_extents(self):
+        from gridspec import a1, layout
+        assert (layout.MAX_COLUMNS, layout.MAX_ROWS) == (a1.MAX_COLUMNS, a1.MAX_ROWS)
+
+
+class TestCheckPlansTheLayout:
+    """`check` reports the layout errors that `compile` and `eval` report."""
+
+    @pytest.mark.parametrize("spec, error", [
+        (TestLayoutOverflow.SPEC, "error: layout exceeds sheet extents at Model!A3:ACOF4\n"),
+        (TestRangeRectangles.SPEC + "table v : a c -> number.\n"
+                                    "v[ i, k ] = sum( x[ i, all, k ] ).\n",
+         "error: range x[ i, all, k ] is not one rectangle: its 'all' indices "
+         "must come last among the dimensions down rows\n"),
+    ])
+    def test_layout_error(self, tmp_path, capsys, spec, error):
+        path = tmp_path / "spec.gsx"
+        path.write_text(spec, encoding="utf-8")
+        for command in (["check"], ["compile", "--out-dir", str(tmp_path / "out")]):
+            assert main([command[0], str(path), *command[1:]]) == 1
+            assert capsys.readouterr().err == error

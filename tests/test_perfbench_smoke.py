@@ -1,0 +1,23 @@
+"""One traced round of the benchmark on each workload: its reference
+checks, repeat checks and tracer hooks must all pass."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["loans_grid", "cashflow_chain", "many_tables"])
+def test_traced_round(workload):
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, done.stderr[-2000:]
+    assert result["failed"] == 0

@@ -1,0 +1,263 @@
+"""Verify parses each formula shape once and binds the references and
+numbers of every other formula of that shape.  Its reports must equal,
+check for check and mismatch for mismatch, those of a verifier that
+parses every formula (helpers.reference_verify_grid)."""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gridspec import analyze, evaluate
+from gridspec.a1 import (
+    _A1_TOKENS,
+    CellRef,
+    RangeRef,
+    bind_holes,
+    formula_shape,
+    make_template,
+    parse_a1_formula,
+)
+from gridspec.ast import NumberLit, walk
+from gridspec.cli import load_inputs
+from gridspec.errors import GridSpecError, ParseFailure
+from gridspec.layout import emit, plan_layout
+from gridspec.parser import scan
+from gridspec.verify import verify_grid
+
+from helpers import evaluate_fixture, random_document, random_inputs, reference_verify_grid
+
+
+def assert_same_report(formulas, values):
+    report, reference = verify_grid(formulas, values), reference_verify_grid(formulas, values)
+    assert report.checks == reference.checks
+    assert [str(m) for m in report.mismatches] == [str(m) for m in reference.mismatches]
+    return report
+
+
+def tokens(body):
+    """The tokens scan reads from a formula body, as (kind, text), with
+    illegal characters in place and every decimal and ref text dropped."""
+    found, _, illegal = scan(body, _A1_TOKENS)
+    ordered = sorted(found[:-1] + illegal, key=lambda token: token.offset)
+    return [(t.kind, None if t.kind in ("decimal", "ref") else t.text) for t in ordered]
+
+
+class TestShapeKey:
+    @pytest.mark.parametrize("body, kinds", [
+        ("xA1", ["identifier"]),
+        ("1A1", ["decimal", "ref"]),
+        ("TRUE1", ["ref"]),
+        ("A1B", ["ref", "identifier"]),
+        ("TRUE", ["keyword"]),
+        ("'q r'!A1:Time!$B$2", ["ref", "symbol", "ref"]),
+        ("1.5.2", ["decimal", "illegal", "decimal"]),
+        ("A0", ["identifier"]),
+    ])
+    def test_split_reads_as_scan_does(self, body, kinds):
+        assert [kind for kind, _ in tokens(body)] == kinds
+
+    @pytest.mark.parametrize("first, second", [
+        ("A1+1", "Time!$B$20 + 2.5"),
+        ("SUM('q r'!A1:B2)", "SUM(C3:Other!D4)"),
+        ("1A1", "2 B3"),
+    ])
+    def test_same_shape(self, first, second):
+        assert formula_shape(first)[0] == formula_shape(second)[0]
+
+    @pytest.mark.parametrize("first, second", [
+        ("A1+1", "1+A1"),
+        ("xA1", "A1"),
+        ("A1B", "A1 C"),
+        ("TRUE", "TRUE1"),
+        ("A1:B2", "A1,B2"),
+        ("1.5", "1.5.2"),
+    ])
+    def test_other_shape(self, first, second):
+        assert formula_shape(first)[0] != formula_shape(second)[0]
+
+    @given(st.lists(st.lists(st.sampled_from(
+        ["A1", "xA1", "1", "1.5", ".", "TRUE", "true", "1", "$", "!", "'q r'", "Time",
+         ":", "+", "(", ")", ",", " ", " ", "@", "B", "0", "_"]), max_size=8)
+        .map("".join), min_size=2, max_size=6))
+    def test_one_key_one_token_stream(self, bodies):
+        """Bodies of one key read the same tokens but for decimal and ref text."""
+        for first, second in itertools.combinations(bodies, 2):
+            if formula_shape(first)[0] == formula_shape(second)[0]:
+                assert tokens(first) == tokens(second)
+
+
+def compiled_fixture(name):
+    doc, symtab, plan, inputs, values = evaluate_fixture(name)
+    return emit(plan_layout(doc, symtab), plan, values, inputs, doc)
+
+
+@pytest.mark.parametrize("name", ["cashflow", "borrowing", "loans"])
+def test_fixture_grids(name):
+    result = compiled_fixture(name)
+    assert assert_same_report(result.formulas, result.values).ok
+    # and with every seventh value cell changed, so that mismatches show
+    for k, at in enumerate(sorted(result.values["Model"])):
+        if k % 7 == 0:
+            result.values["Model"][at] = "1"
+    assert not assert_same_report(result.formulas, result.values).ok
+
+
+def test_random_documents(tmp_path):
+    rng = random.Random(2024)
+    compared = 0
+    for trial in range(300):
+        doc = random_document(rng)
+        inputs_path = tmp_path / f"{trial}.csv"
+        inputs_path.write_text(random_inputs(rng, doc), encoding="utf-8")
+        symtab, plan, _ = analyze(doc)
+        if plan is None:
+            continue
+        try:
+            layout = plan_layout(doc, symtab)
+            inputs = load_inputs(inputs_path, symtab)
+            result = emit(layout, plan, evaluate(plan, inputs), inputs, doc)
+        except GridSpecError:
+            continue
+        assert assert_same_report(result.formulas, result.values).ok
+        cells = sorted(result.values["Model"])
+        for at in rng.sample(cells, min(3, len(cells))):
+            result.values["Model"][at] = rng.choice(["0", "1", "TRUE", "#N/A", "", "x"])
+        assert_same_report(result.formulas, result.values)
+        compared += 1
+    assert compared >= 40
+
+
+# Formula shapes with holes: {r} is a cell reference, {c} a corner of a
+# range and {n} a number.  Each grid fills a shape several times, so most
+# formulas bind a template.  No corner reaches XFD1048576, for verify lists
+# every address of a range.
+SHAPES = ["{r}", "{r}+{n}", "{n}/{r}", "SUM({c}:{c})", "MATCH({n},{c}:{c},0)",
+          "IF({r}>{n},{r},{n})", "{r} * ( {n} - {r} )", "{n}{r}", "x{r}", "{r}B",
+          "{c}:{c}", "SUM({r},{n})", "foo({r})", "{n}.{n}", "{r} <>\t{r}",
+          "IF(TRUE,{n},{r})", "{r}+", "(({r}))", "-{r}"]
+CORNERS = ["A1", "B2", "$A$1", "C$3", "'q r'!A1", "Time!A1", "Time!B2", "D4",
+           "XFE1", "A1048577", "A" + "1" * 5000, "AAAA1", "A9999999", "TRUE1"]
+REFS = CORNERS + ["XFD1048576"]
+NUMBERS = ["0", "1", "2.5", "12", "1" * 400, "0." + "0" * 400 + "1"]
+VALUES = ["1", "0", "2.5", "-3", "TRUE", "FALSE", "#N/A", "", "text", "2009-01-01"]
+HOLES = {"{r}": REFS, "{c}": CORNERS, "{n}": NUMBERS}
+
+
+@st.composite
+def formula_grids(draw):
+    """Formulas of a few shapes over the cells of three sheets."""
+    values = {"Model": {}, "Time": {}, "q r": {}}
+    for sheet, cells in values.items():
+        for row in range(1, 5):
+            for column in range(1, 5):
+                cells[(row, column)] = draw(st.sampled_from(VALUES))
+    formulas = {sheet: {} for sheet in values}
+    row = 10
+    for shape in draw(st.lists(st.sampled_from(SHAPES), min_size=1, max_size=4)):
+        for _ in range(draw(st.integers(1, 4))):
+            text = fill(draw, shape)
+            sheet = draw(st.sampled_from(sorted(formulas)))
+            formulas[sheet][(row, 1)] = "=" + text
+            values[sheet][(row, 1)] = draw(st.sampled_from(VALUES))
+            row += 1
+    return formulas, values
+
+
+def fill(draw, shape):
+    for hole, fillers in HOLES.items():
+        while hole in shape:
+            shape = shape.replace(hole, draw(st.sampled_from(fillers)), 1)
+    return shape
+
+
+def leaves(expr):
+    """The value of each hole token of a parsed formula, as bind_holes gives them."""
+    values = []
+    for node in walk(expr):
+        if isinstance(node, NumberLit):
+            values.append(node.value)
+        elif isinstance(node, CellRef):
+            values.append(node.address)
+        elif isinstance(node, RangeRef):
+            values += [node.first, node.last]
+    return values
+
+
+def check_binding(first, second, sheet):
+    """Binding `second` to the template of `first`, a formula of its
+    shape, gives the leaves the parse of `second` gives, or None exactly
+    where that parse fails."""
+    key, parts = formula_shape(first[1:])
+    try:
+        template, holes = make_template(parse_a1_formula(first, sheet), parts)
+    except ParseFailure:
+        return
+    other_key, other_parts = formula_shape(second[1:])
+    if other_key != key:  # a filler ran into the text next to its hole
+        return
+    bound = bind_holes(holes, other_parts, sheet)
+    try:
+        expected = leaves(parse_a1_formula(second, sheet))
+    except ParseFailure:
+        expected = None
+    assert bound == expected
+
+
+@pytest.mark.parametrize("first, second", [
+    ("=SUM(A1:B2)", "=SUM(Time!A1:B2)"),
+    ("=SUM(A1:B2)", "=SUM('q r'!$A1:Time!B$2)"),
+    ("=A1+1", "=XFD1048576+2.5"),
+    ("=A1+1", "=A1048577+1"),
+    ("=A1+1", "=XFE1+1"),
+    pytest.param("=A1+1", "=A1+" + "9" * 400, id="400-digit number"),
+])
+def test_binding_examples(first, second):
+    assert formula_shape(first[1:])[0] == formula_shape(second[1:])[0]
+    check_binding(first, second, "Model")
+
+
+@given(st.data(), st.sampled_from(SHAPES), st.sampled_from(["Model", "Time"]))
+@settings(max_examples=300)
+def test_binding_reads_what_the_parser_reads(data, shape, sheet):
+    check_binding(*("=" + fill(data.draw, shape) for _ in range(2)), sheet)
+
+
+@given(formula_grids())
+@settings(max_examples=150, deadline=None)
+def test_formula_grids(grid):
+    assert_same_report(*grid)
+
+
+def test_second_formula_of_a_shape_fails():
+    """A formula of a parsed shape that fails to parse or faults is
+    reported as such, and the next formula of the shape binds it again;
+    a shape whose first formula does not parse is parsed again."""
+    values = {"Model": {(1, 1): "2", (1, 2): "0", (1, 3): "text"}}
+    formulas = {"Model": {(4, 1): "=A1048577*2", (5, 1): "=A1/B1", (6, 1): "=A1/A1048577",
+                          (7, 1): "=A1/C1", (8, 1): "=A1/A1", (9, 1): "=1/" + "1" * 400,
+                          (10, 1): "=1/A1", (11, 1): "=A1*2"}}
+    values["Model"].update({at: "1" for at in formulas["Model"]})
+    report = assert_same_report(formulas, values)
+    holds = "document holds Number(1.0)"
+    assert [str(m) for m in report.mismatches] == [
+        "Model!A4: formula faults (does not parse: ParseError 1:1 expected a cell reference "
+        f"within A1:XFD1048576, found 'A1048577'), {holds}",
+        f"Model!A5: formula faults (division by zero), {holds}",
+        "Model!A6: formula faults (does not parse: ParseError 1:4 expected a cell reference "
+        f"within A1:XFD1048576, found 'A1048577'), {holds}",
+        f"Model!A7: formula faults (references non-value cell Model!C1), {holds}",
+        f"Model!A9: formula faults (does not parse: ParseError 1:3 number literal too large), "
+        f"{holds}",
+        f"Model!A10: formula gives Number(0.5), {holds}",
+        f"Model!A11: formula gives Number(4.0), {holds}",
+    ]
+
+
+def test_range_end_takes_the_sheet_of_its_start():
+    values = {"Model": {(1, 1): "1", (1, 2): "2"}, "Time": {(1, 1): "10", (1, 2): "20"}}
+    formulas = {"Model": {(3, 1): "=SUM(A1:B1)", (4, 1): "=SUM(Time!A1:B1)",
+                          (5, 1): "=SUM(A1:$B$1)", (6, 1): "=SUM(Time!$A1:B$1)"}}
+    values["Model"].update({(3, 1): "3", (4, 1): "30", (5, 1): "3", (6, 1): "30"})
+    assert assert_same_report(formulas, values).ok
