@@ -118,14 +118,16 @@ class _A1Parser(Parser):
             return CellRef(first)
         if not self.at("ref"):
             self.fail("a cell reference after ':'")
-        return RangeRef(first, self._address(first.sheet))
+        return RangeRef(first, self._address(first.sheet, ends_range=True))
 
-    def _address(self, default_sheet: str) -> Address:
-        """Consume the current reference token."""
+    def _address(self, default_sheet: str, ends_range: bool = False) -> Address:
+        """Consume the current reference token; a range's end is on `default_sheet`."""
         match = self.tokens[self.pos].match
         address = _read_address(*match.group("sheet", "quoted", "col", "row"), default_sheet)
         if address is None:
             self.fail(f"a cell reference within A1:XFD{MAX_ROWS}")
+        if ends_range and address.sheet != default_sheet:
+            self.fail(f"a range end on the sheet of its start, {default_sheet!r}")
         self.pos += 1
         return address
 
@@ -202,17 +204,19 @@ def make_template(expr: Expr, parts: list) -> tuple[Expr, tuple[int, ...]]:
 def bind_holes(starts: tuple[int, ...], parts: list, default_sheet: str) -> list | None:
     """The value of each hole token, at `starts` in the split `parts` of a
     formula of a template's shape: a float or an Address.  None if a
-    number is not finite or a reference is past the sheet's extents,
-    which the parser reports."""
+    number is not finite, a reference is past the sheet's extents or a
+    range ends on another sheet, which the parser reports."""
     bound = []
     for at in starts:
         if parts[at + _DECIMAL]:
             value = float(parts[at + _DECIMAL])
             value = value if math.isfinite(value) else None
-        else:  # a reference after ':' ends a range, on the sheet of its start
+        else:  # a reference after ':' ends a range, on the sheet of its start only
             after = at and parts[at - _STRIDE + _SYMBOL] == ":"
             sheet = bound[-1].sheet if after else default_sheet
             value = _read_address(*parts[at + _SHEET:at + _SHEET + 4], sheet)
+            if after and value and value.sheet != sheet:
+                value = None
         if value is None:
             return None
         bound.append(value)

@@ -22,6 +22,7 @@ whose last dimension is the caption's.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -95,6 +96,12 @@ class Region:
     def right(self) -> int:
         return self.left + self.width - 1
 
+    def place(self, indices: tuple[int, ...]) -> tuple[int, int]:
+        """(column, row) of the cell at `indices`."""
+        column, row = self.origin
+        return (column + sum(map(mul, indices, self.column_steps)),
+                row + sum(map(mul, indices, self.row_steps)))
+
     def a1_range(self) -> str:
         first = f"{column_letters(self.left)}{self.top}"
         if self.width == 1 and self.height == 1:
@@ -130,9 +137,7 @@ class Layout:
         region = self.regions.get(cell.table)
         if region is None:
             raise UnmappedCell(str(cell))
-        column, row = region.origin
-        return Address(region.sheet, column + sum(map(mul, cell.indices, region.column_steps)),
-                       row + sum(map(mul, cell.indices, region.row_steps)))
+        return Address(region.sheet, *region.place(cell.indices))
 
 
 def _caption_table(name: str | None, symtab: SymbolTable) -> TableDecl | None:
@@ -209,38 +214,62 @@ def plan_layout(doc: SpecDocument, symtab: SymbolTable,
 
 # --- formula rendering -----------------------------------------------------
 
-def _format_ref(address: Address, home_sheet: str) -> str:
-    if address.sheet == home_sheet:
-        return address.a1()
-    return f"{sheet_prefix(address.sheet)}{address.a1()}"
-
-
-def render_formula(cell: CellId, plan: CellPlan, layout: Layout) -> str:
-    """Render a derived cell's rule instance as an A1 formula for the
-    cell's sheet, from the cells it reads (see evaluator.resolve_references)."""
-    equation, subst = plan.rules[cell]
-    reads = resolve_references(plan)[cell]
-    slots = plan.symtab.stencils[id(equation)].slots
-    home = layout.cell_address(cell).sheet
+def _template(equation, symtab: SymbolTable, layout: Layout) -> tuple[str, tuple]:
+    """An equation's formula text split at its holes: the text before the
+    first hole, then each hole with the text after it.  A hole is an index
+    variable's name or, for an element reference, its stencil slot, the
+    sheet prefix it needs on the equation's sheet and its table's region."""
+    stencil = symtab.stencils[id(equation)]
+    home = layout.regions[equation.table].sheet
+    holes = []
 
     def leaf(expr: Expr) -> str:
         if isinstance(expr, NumberLit):
             return format_number(expr.value)
         if isinstance(expr, BooleanLit):
             return "TRUE" if expr.value else "FALSE"
-        if isinstance(expr, IndexVar):
-            return str(subst[expr.name])
         if isinstance(expr, Call):
             return expr.func.upper()
-        cells = reads[slots[id(expr)]]
-        if type(cells) is not tuple:
-            return _format_ref(layout.cell_address(cells), home)
-        # a range lists its cells row-major, and plan_layout admits only
-        # ranges that fill one rectangle, so the first and last are corners
-        first, last = layout.cell_address(cells[0]), layout.cell_address(cells[-1])
-        return f"{_format_ref(first, home)}:{last.a1()}"
+        if isinstance(expr, IndexVar):
+            holes.append(expr.name)
+        else:
+            slot = stencil.slots[id(expr)]
+            region = layout.regions[stencil.refs[slot][0]]
+            holes.append((slot, "" if region.sheet == home else sheet_prefix(region.sheet),
+                          region))
+        return "\0"  # no other text of a formula holds it
 
-    return "=" + format_expr(equation.rhs, leaf, pad="")
+    head, *parts = ("=" + format_expr(equation.rhs, leaf, pad="")).split("\0")
+    return head, tuple(zip(holes, parts))
+
+
+def _fill(template: tuple[str, tuple], subst: dict[str, int], reads: tuple,
+          letters) -> str:
+    """A cell's formula from its equation's template, its index values, the
+    cells it reads (see resolve_references) and column_letters, `letters`."""
+    head, holes = template
+    texts = [head]
+    for hole, text in holes:
+        if type(hole) is str:
+            texts.append(str(subst[hole]))
+        else:
+            slot, prefix, region = hole
+            cells = reads[slot]
+            # a range lists its cells row-major and plan_layout admits only
+            # rectangles, so it is first:last, with the sheet before first only
+            for cell in (cells[0], cells[-1]) if type(cells) is tuple else (cells,):
+                column, row = region.place(cell.indices)
+                texts += (prefix, letters(column), str(row))
+                prefix = ":"
+        texts.append(text)
+    return "".join(texts)
+
+
+def render_formula(cell: CellId, plan: CellPlan, layout: Layout) -> str:
+    """Render a derived cell's rule instance as an A1 formula for its sheet."""
+    equation, subst = plan.rules[cell]
+    return _fill(_template(equation, plan.symtab, layout), subst,
+                 resolve_references(plan)[cell], column_letters)
 
 
 # --- value rendering and emission ------------------------------------------
@@ -307,18 +336,23 @@ def emit(layout: Layout, plan: CellPlan, values: dict[CellId, Value],
                 text = render_value(values.get(CellId(source, (index,)), BLANK))
                 put(sheet, band_top + index - low, column, text, text)
 
-    # table cells
+    # table cells; an equation's template serves the cells of its table only
+    references = resolve_references(plan)
+    letters = functools.cache(column_letters)
     for name, decl in symtab.tables.items():
         currency = decl.result_type == "currency"
+        region = layout.regions[name]
+        templates = {id(equation): _template(equation, symtab, layout)
+                     for equation in symtab.equations_by_table.get(name, ())}
         for cell in symtab.table_cells(name):
-            address = layout.cell_address(cell)
+            column, row = region.place(cell.indices)
             if cell in plan.inputs:
                 text = render_value(inputs.get(cell, BLANK), currency)
-                put(address.sheet, address.row, address.column, text, text)
+                put(region.sheet, row, column, text, text)
             else:
-                formula = render_formula(cell, plan, layout)
-                put(address.sheet, address.row, address.column, formula,
-                    render_value(values[cell], currency))
+                equation, subst = plan.rules[cell]
+                formula = _fill(templates[id(equation)], subst, references[cell], letters)
+                put(region.sheet, row, column, formula, render_value(values[cell], currency))
 
     manifest = build_manifest(layout, symtab, doc)
     return EmitResult(formulas, value_doc, manifest)

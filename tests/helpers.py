@@ -1,7 +1,7 @@
 """Shared helpers for the test suite: fixture loading, a random
 well-formed document generator used by the property tests, and reference
-code that the lowering of element references and the per-shape verifier
-are compared against."""
+code that the lowering of element references, the per-shape verifier and
+the per-equation formula templates are compared against."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from gridspec.analyzer import CellId, eval_index_expr
 from gridspec.ast import (
     AllIndex,
     Binary,
+    BooleanLit,
     BoundsDecl,
     Call,
     ConstantPattern,
@@ -24,11 +25,13 @@ from gridspec.ast import (
     SpecDocument,
     TableDecl,
     VarPattern,
+    format_expr,
+    format_number,
 )
-from gridspec.a1 import Address, CellRef, parse_a1_formula
+from gridspec.a1 import Address, CellRef, parse_a1_formula, sheet_prefix
 from gridspec.cli import load_inputs
 from gridspec.errors import ParseFailure, UnknownFunction, UnsupportedMatchType
-from gridspec.evaluator import BLANK, _Fault, eval_expr
+from gridspec.evaluator import BLANK, _Fault, eval_expr, resolve_references
 from gridspec.parser import Diagnostic
 from gridspec.verify import Mismatch, VerifyReport, parse_value_text, values_agree
 
@@ -251,3 +254,37 @@ def reference_verify_grid(formulas, values) -> VerifyReport:
             if not values_agree(computed, stored):
                 report.mismatches.append(Mismatch(address, computed, stored))
     return report
+
+
+# --- formula rendering, one walk per cell ----------------------------------
+
+def _format_ref(address: Address, home_sheet: str) -> str:
+    if address.sheet == home_sheet:
+        return address.a1()
+    return f"{sheet_prefix(address.sheet)}{address.a1()}"
+
+
+def reference_render_formula(cell, plan, layout) -> str:
+    """Render a derived cell's rule instance as an A1 formula for the
+    cell's sheet, walking its equation once for this cell."""
+    equation, subst = plan.rules[cell]
+    reads = resolve_references(plan)[cell]
+    slots = plan.symtab.stencils[id(equation)].slots
+    home = layout.cell_address(cell).sheet
+
+    def leaf(expr):
+        if isinstance(expr, NumberLit):
+            return format_number(expr.value)
+        if isinstance(expr, BooleanLit):
+            return "TRUE" if expr.value else "FALSE"
+        if isinstance(expr, IndexVar):
+            return str(subst[expr.name])
+        if isinstance(expr, Call):
+            return expr.func.upper()
+        cells = reads[slots[id(expr)]]
+        if type(cells) is not tuple:
+            return _format_ref(layout.cell_address(cells), home)
+        first, last = layout.cell_address(cells[0]), layout.cell_address(cells[-1])
+        return f"{_format_ref(first, home)}:{last.a1()}"
+
+    return "=" + format_expr(equation.rhs, leaf, pad="")

@@ -21,3 +21,20 @@ def test_traced_round(workload):
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, done.stderr[-2000:]
     assert result["failed"] == 0
+
+
+def test_untraced_round():
+    """One untraced round guards the end-to-end path, whose setup and
+    peak-memory runs start processes of their own: it reports every
+    end-to-end metric that BENCHMARK.json declares."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "loans_grid", "--seed", "1",
+         "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, done.stderr[-2000:]
+    assert result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = {metric["name"] for metric in declared["end_to_end"]}
+    assert len(names) == 5 and names <= set(result["metrics"])

@@ -4,6 +4,7 @@ check for check and mismatch for mismatch, those of a verifier that
 parses every formula (helpers.reference_verify_grid)."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from gridspec.a1 import (
     parse_a1_formula,
 )
 from gridspec.ast import NumberLit, walk
-from gridspec.cli import load_inputs
+from gridspec.cli import load_inputs, main
 from gridspec.errors import GridSpecError, ParseFailure
 from gridspec.layout import emit, plan_layout
 from gridspec.parser import scan
@@ -261,3 +262,48 @@ def test_range_end_takes_the_sheet_of_its_start():
                           (5, 1): "=SUM(A1:$B$1)", (6, 1): "=SUM(Time!$A1:B$1)"}}
     values["Model"].update({(3, 1): "3", (4, 1): "30", (5, 1): "3", (6, 1): "30"})
     assert assert_same_report(formulas, values).ok
+
+
+class TestCrossSheetRange:
+    """A range whose end names another sheet than its start does not
+    parse, whether its formula is the first of its shape or binds the
+    template of an earlier formula of that shape."""
+
+    CROSS = "=SUM('q r'!A1:Time!B1)"
+
+    def directory(self, tmp_path, formulas):
+        """An emitted directory whose Model sheet holds `formulas`, pairs of
+        a formula and its value, down column A below cells of three sheets."""
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text(json.dumps({"sheets": ["Model", "Time", "q r"]}),
+                                           encoding="utf-8")
+        for sheet, text in (("Time", "10,20\n"), ("q r", "100,200\n")):
+            for kind in ("formulas", "values"):
+                (out / f"{sheet}.{kind}.csv").write_text(text, encoding="utf-8")
+        for kind, column in (("formulas", 0), ("values", 1)):
+            rows = "".join(f"{pair[column]},\n" for pair in formulas)
+            (out / f"Model.{kind}.csv").write_text(f"1,2\n{rows}", encoding="utf-8")
+        return out
+
+    @pytest.mark.parametrize("formulas", [[(CROSS, 300)], [("=SUM(A1:B1)", 3), (CROSS, 300)]],
+                             ids=["parsed", "bound"])
+    def test_mismatch_at_the_cell(self, tmp_path, capsys, formulas):
+        assert main(["verify", str(self.directory(tmp_path, formulas))]) == 1
+        report = capsys.readouterr().out
+        assert f"checked {len(formulas)} cells, 1 mismatch(es)" in report
+        assert (f"Model!A{len(formulas) + 1}: formula faults (does not parse: ParseError 1:14 "
+                "expected a range end on the sheet of its start, 'q r', found 'Time!B1')"
+                ) in report
+
+    def test_bind_holes_refuses_it(self):
+        template, holes = make_template(parse_a1_formula("=SUM(A1:B1)"),
+                                        formula_shape("SUM(A1:B1)")[1])
+        assert bind_holes(holes, formula_shape(self.CROSS[1:])[1], "Model") is None
+
+    def test_end_naming_the_sheet_of_its_start(self):
+        values = {"Model": {(1, 1): "1"}, "Time": {(1, 1): "10", (1, 2): "20"}}
+        formulas = {"Model": {(2, 1): "=SUM(Time!A1:B1)", (3, 1): "=SUM(Time!A1:Time!B1)",
+                              (4, 1): "=SUM(Time!A1:Time!B1)", (5, 1): "=SUM(A1:Model!A1)"}}
+        values["Model"].update({(2, 1): "30", (3, 1): "30", (4, 1): "30", (5, 1): "1"})
+        assert assert_same_report(formulas, values).ok
