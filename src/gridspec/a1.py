@@ -98,17 +98,16 @@ class _A1Parser(Parser):
     range references take the place of element references."""
 
     def __init__(self, text: str, default_sheet: str):
-        tokens, _, illegal = scan(text, _A1_TOKENS)
+        stream, _, illegal = scan(text, _A1_TOKENS)
         if illegal:
+            word, pos = illegal[0]
             raise ParseFailure([Diagnostic("error", "ParseError",
-                                           f"illegal character {illegal[0].text!r}",
-                                           illegal[0].pos)])
-        super().__init__(tokens)
+                                           f"illegal character {word!r}", pos)])
+        super().__init__(stream)
         self.default_sheet = default_sheet
 
     def atom(self) -> Expr:
-        token = self.current()
-        if token.kind != "ref":
+        if self.kinds[self.pos] != "ref":
             expr = super().atom()
             if isinstance(expr, IndexVar):
                 self.fail("'(' after a function name")
@@ -122,7 +121,7 @@ class _A1Parser(Parser):
 
     def _address(self, default_sheet: str, ends_range: bool = False) -> Address:
         """Consume the current reference token; a range's end is on `default_sheet`."""
-        match = self.tokens[self.pos].match
+        match = self.refs[self.pos]
         address = _read_address(*match.group("sheet", "quoted", "col", "row"), default_sheet)
         if address is None:
             self.fail(f"a cell reference within A1:XFD{MAX_ROWS}")

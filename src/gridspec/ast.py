@@ -159,11 +159,17 @@ def children(expr: Expr) -> tuple[Expr, ...]:
     return ()
 
 
-def walk(expr: Expr):
-    """Every node of an expression, parents before their children."""
-    yield expr
-    for child in children(expr):
-        yield from walk(child)
+def walk(expr: Expr) -> list[Expr]:
+    """Every node of an expression, parents before their children, and
+    children left to right."""
+    nodes, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        below = children(node)
+        if below:
+            stack.extend(below[::-1])
+    return nodes
 
 
 def element_refs(expr: Expr) -> list[ElementRef]:

@@ -33,9 +33,10 @@ EXIT_RUNTIME_ERROR = 3
 
 
 def load_inputs(path, symtab: SymbolTable) -> dict[CellId, Value]:
-    """Read input-cell bindings from a CSV of `table, i1, ..., ik, value` records."""
+    """Read input-cell bindings from a CSV of `table, i1, ..., ik, value`
+    records.  A leading byte-order mark is skipped."""
     bindings: dict[CellId, Value] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         for line, record in enumerate(csv.reader(handle), start=1):
             if not record or all(f.strip() == "" for f in record):
                 continue
@@ -107,7 +108,7 @@ def _load_and_analyze(spec_path, caption_table=None):
     reported before any cell is enumerated."""
     try:
         text = Path(spec_path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {spec_path}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
     try:
@@ -144,7 +145,7 @@ def _compile_grids(args):
     if args.inputs:
         try:
             inputs = load_inputs(args.inputs, symtab)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read {args.inputs}: {exc}", file=sys.stderr)
             return EXIT_IO_ERROR
         except InputError as exc:

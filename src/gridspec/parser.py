@@ -67,26 +67,22 @@ _INDEX_PRECEDENCE = {op: ast.PRECEDENCE[op] for op in ast.ADDITIVE_OPS}
 _COMPARISON = ast.PRECEDENCE["="]  # the loosest binding, for all comparisons
 
 
+def position(lines: list[int], offset: int) -> SourcePos:
+    """The line and column of `offset`, given the offset at which each
+    line of the source starts."""
+    line = bisect.bisect_right(lines, offset)
+    return SourcePos(line, offset - lines[line - 1] + 1, offset)
+
+
 class Token:
-    """A token of either grammar.  Its line and column are worked out
-    from its offset only when `pos` is asked for."""
+    """A token of the specification grammar, as `tokenize` lists it."""
 
-    __slots__ = ("kind", "text", "offset", "lines", "match")
+    __slots__ = ("kind", "text", "pos")
 
-    def __init__(self, kind: str, text: str, offset: int, lines: list[int], match=None):
-        self.kind = kind  # identifier | integer | decimal | keyword | symbol | eoi | ref
+    def __init__(self, kind: str, text: str, pos: SourcePos):
+        self.kind = kind  # identifier | integer | decimal | keyword | symbol | eoi
         self.text = text
-        self.offset = offset
-        self.lines = lines  # the offset at which each line of the source starts
-        self.match = match  # the match a `ref` token was read from
-
-    @property
-    def pos(self) -> SourcePos:
-        line = bisect.bisect_right(self.lines, self.offset)
-        return SourcePos(line, self.offset - self.lines[line - 1] + 1, self.offset)
-
-    def __str__(self):
-        return "end of input" if self.kind == "eoi" else f"'{self.text}'"
+        self.pos = pos
 
 
 @dataclass(frozen=True)
@@ -103,44 +99,51 @@ class Diagnostic:
 
 
 def scan(text: str, pattern: re.Pattern):
-    """Split `text` into (tokens, comments, illegal) by `pattern`:
+    """Split `text` into (stream, comments, illegal) by `pattern`:
     optional whitespace, then one named group per token kind, the last
     an `illegal` group that takes any other non-whitespace character.
-    `comment` and `illegal` tokens go to their own lists, and the token
-    list ends with `eoi`.  Keyword text is lowercased, for A1 reads TRUE
-    and FALSE in any case; a `ref` token keeps its match, whose groups
-    the A1 parser decodes."""
+
+    The stream is (kinds, texts, offsets, lines, refs): per token its
+    kind, text and offset, in three lists that end with an `eoi` token;
+    the offset at which each line of `text` starts; and the match of
+    each `ref` token by its index, whose groups the A1 parser decodes.
+    Keyword text is lowercased, for A1 reads TRUE and FALSE in any case.
+    `comment` and `illegal` tokens are listed apart as (text, SourcePos)."""
     lines = [0]
     end = text.find("\n")
     while end >= 0:
         lines.append(end + 1)
         end = text.find("\n", end + 1)
-    tokens, comments, illegal = [], [], []
+    kinds, texts, offsets, refs, comments, illegal = [], [], [], {}, [], []
     for match in pattern.finditer(text):
         kind = match.lastgroup
         word = match[kind]
+        if kind == "comment" or kind == "illegal":
+            side = comments if kind == "comment" else illegal
+            side.append((word, position(lines, match.start(kind))))
+            continue
         if kind == "keyword":
             word = word.lower()
-        token = Token(kind, word, match.start(kind), lines, match if kind == "ref" else None)
-        if kind == "comment":
-            comments.append(token)
-        elif kind == "illegal":
-            illegal.append(token)
-        else:
-            tokens.append(token)
-    tokens.append(Token("eoi", "", len(text), lines))
-    return tokens, comments, illegal
+        elif kind == "ref":
+            refs[len(kinds)] = match
+        kinds.append(kind)
+        texts.append(word)
+        offsets.append(match.start(kind))
+    kinds.append("eoi")
+    texts.append("")
+    offsets.append(len(text))
+    return (kinds, texts, offsets, lines, refs), comments, illegal
 
 
 def _scan_spec(text: str):
-    """Scan a specification into (tokens, comments, diagnostics).  A
+    """Scan a specification into (stream, comments, diagnostics).  A
     leading byte-order mark is dropped before offsets are counted."""
     if text.startswith("\ufeff"):
         text = text[1:]
-    tokens, comments, illegal = scan(text, _SPEC_TOKENS)
-    return (tokens, [Comment(c.text[2:].strip(), c.pos) for c in comments],
-            [Diagnostic("error", "IllegalCharacter", f"illegal character {t.text!r}", t.pos)
-             for t in illegal])
+    stream, comments, illegal = scan(text, _SPEC_TOKENS)
+    return (stream, [Comment(word[2:].strip(), pos) for word, pos in comments],
+            [Diagnostic("error", "IllegalCharacter", f"illegal character {word!r}", pos)
+             for word, pos in illegal])
 
 
 def tokenize(text: str) -> list[Token]:
@@ -148,10 +151,11 @@ def tokenize(text: str) -> list[Token]:
 
     Raises ParseFailure on characters outside the lexical alphabet.
     """
-    tokens, _, diagnostics = _scan_spec(text)
+    (kinds, texts, offsets, lines, _), _, diagnostics = _scan_spec(text)
     if diagnostics:
         raise ParseFailure(diagnostics)
-    return tokens
+    return [Token(kind, word, position(lines, offset))
+            for kind, word, offset in zip(kinds, texts, offsets)]
 
 
 class _ParseDiagnostic(Exception):
@@ -160,57 +164,61 @@ class _ParseDiagnostic(Exception):
 
 
 class Parser:
-    """Recursive-descent parser over a token stream."""
+    """Recursive-descent parser over a scanned token stream.  A symbol's
+    or keyword's text is never another kind's, so the parser compares the
+    text alone where it looks for one."""
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, stream):
+        self.kinds, self.texts, self.offsets, self.lines, self.refs = stream
         self.pos = 0
         self.depth = 0  # levels of the expression parsed last
         self.open = 0   # parentheses and calls around the current token
 
     # --- token plumbing ---
 
-    def current(self) -> Token:
-        return self.tokens[self.pos]
+    def position(self, at: int | None = None) -> SourcePos:
+        """The position of token `at`, by default the current token."""
+        return position(self.lines, self.offsets[self.pos if at is None else at])
 
-    def advance(self) -> Token:
-        token = self.current()
-        if token.kind != "eoi":
+    def advance(self) -> str:
+        """Consume the current token, unless at the end; return its text."""
+        word = self.texts[self.pos]
+        if self.kinds[self.pos] != "eoi":
             self.pos += 1
-        return token
+        return word
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        token = self.tokens[self.pos]
-        return token.kind == kind and (text is None or token.text == text)
-
-    def accept(self, kind: str, text: str | None = None) -> Token | None:
-        if self.at(kind, text):
-            return self.advance()
-        return None
+        return self.kinds[self.pos] == kind and (text is None or self.texts[self.pos] == text)
 
     def accept_op(self, ops: tuple[str, ...]) -> str | None:
         """Consume the next token if it is one of the symbols `ops`."""
-        token = self.tokens[self.pos]
-        if token.kind == "symbol" and token.text in ops:
+        word = self.texts[self.pos]
+        if word in ops:
             self.pos += 1
-            return token.text
+            return word
         return None
 
-    def expect(self, kind: str, text: str | None = None, expected: str | None = None) -> Token:
-        token = self.accept(kind, text)
-        if token is None:
-            self.fail(expected or (f"'{text}'" if text else kind))
-        return token
+    def expect(self, kind: str, text: str | None = None, expected: str | None = None) -> str:
+        """Consume a token of `kind` (or of text `text`); return its text."""
+        at = self.pos
+        word = self.texts[at]
+        if (word == text) if text is not None else (self.kinds[at] == kind):
+            self.pos = at + 1
+            return word
+        self.fail(expected or (f"'{text}'" if text else kind))
+
+    def error(self, message: str, at: int | None = None) -> _ParseDiagnostic:
+        """A ParseError at token `at`, by default the current token."""
+        return _ParseDiagnostic(Diagnostic("error", "ParseError", message, self.position(at)))
 
     def fail(self, expected: str):
-        token = self.current()
-        raise _ParseDiagnostic(Diagnostic(
-            "error", "ParseError", f"expected {expected}, found {token}", token.pos))
+        found = "end of input" if self.kinds[self.pos] == "eoi" else f"'{self.texts[self.pos]}'"
+        raise self.error(f"expected {expected}, found {found}")
 
     def recover(self):
         """Skip past the next element terminator so parsing can resume."""
         while not self.at("eoi"):
-            if self.advance().text == ".":
+            if self.advance() == ".":
                 return
 
     # --- elements ---
@@ -225,8 +233,9 @@ class Parser:
         self.fail("a bounds, table, or equation element")
 
     def bounds_decl(self) -> BoundsDecl:
-        start = self.expect("keyword", "bounds").pos
-        name = self.expect("identifier", expected="a bounds name").text
+        start = self.position()
+        self.expect("keyword", "bounds")
+        name = self.expect("identifier", expected="a bounds name")
         self.expect("symbol", ":")
         low = self.integer("an integer low bound")
         self.expect("keyword", "to")
@@ -235,43 +244,44 @@ class Parser:
         return BoundsDecl(name, low, high, start)
 
     def table_decl(self) -> TableDecl:
-        start = self.expect("keyword", "table").pos
-        name = self.expect("identifier", expected="a table name").text
+        start = self.pos
+        self.expect("keyword", "table")
+        name = self.expect("identifier", expected="a table name")
         self.expect("symbol", ":")
         dims = []
         while self.at("identifier"):
-            dims.append(self.advance().text)
+            dims.append(self.advance())
         self.expect("symbol", "->", expected="'->' before the result type")
-        type_token = self.current()
-        if type_token.kind != "identifier" or type_token.text not in ast.RESULT_TYPES:
+        result_type = self.texts[self.pos]
+        if result_type not in ast.RESULT_TYPES:
             self.fail("a result type (general, number, currency, date or boolean)")
-        self.advance()
+        self.pos += 1
         self.expect("symbol", ".", expected="'.' ending the table element")
         if len(dims) > ast.MAX_ARITY:
-            raise _ParseDiagnostic(Diagnostic(
-                "error", "ParseError",
-                f"table '{name}' has {len(dims)} dimensions; at most {ast.MAX_ARITY} supported",
-                start))
-        return TableDecl(name, tuple(dims), type_token.text, start)
+            raise self.error(f"table '{name}' has {len(dims)} dimensions; "
+                             f"at most {ast.MAX_ARITY} supported", start)
+        return TableDecl(name, tuple(dims), result_type, self.position(start))
 
     def equation_decl(self) -> EquationDecl:
-        name_token = self.expect("identifier", expected="a table name")
+        start = self.position()
+        name = self.expect("identifier", expected="a table name")
         self.expect("symbol", "[", expected="'[' starting the index patterns")
         patterns = []
-        if not self.at("symbol", "]"):
+        if self.texts[self.pos] != "]":
             patterns.append(self.index_pattern())
-            while self.accept("symbol", ","):
+            while self.texts[self.pos] == ",":
+                self.pos += 1
                 patterns.append(self.index_pattern())
         self.expect("symbol", "]")
         self.expect("symbol", "=", expected="'=' between left- and right-hand sides")
         rhs = self.expression()
         self.expect("symbol", ".", expected="'.' ending the equation")
-        return EquationDecl(name_token.text, tuple(patterns), rhs, name_token.pos)
+        return EquationDecl(name, tuple(patterns), rhs, start)
 
     def index_pattern(self):
-        if self.at("integer"):
+        if self.kinds[self.pos] == "integer":
             return ConstantPattern(self.integer())
-        name = self.expect("identifier", expected="an index pattern").text
+        name = self.expect("identifier", expected="an index pattern")
         comparator = self.accept_op(ast.GUARD_COMPARATORS)
         if comparator:
             return GuardedVarPattern(name, comparator, self.integer("an integer guard bound"))
@@ -279,11 +289,10 @@ class Parser:
 
     def integer(self, expected: str = "an integer") -> int:
         """Consume an integer literal of at most MAX_INTEGER."""
-        token = self.expect("integer", expected=expected)
-        digits = token.text.lstrip("0") or "0"
+        at = self.pos
+        digits = self.expect("integer", expected=expected).lstrip("0") or "0"
         if len(digits) > len(str(MAX_INTEGER)) or int(digits) > MAX_INTEGER:
-            raise _ParseDiagnostic(Diagnostic(
-                "error", "ParseError", "integer literal too large", token.pos))
+            raise self.error("integer literal too large", at)
         return int(digits)
 
     # --- expressions ---
@@ -303,32 +312,32 @@ class Parser:
         left = operand()
         depth = self.depth
         compared = False
+        texts = self.texts
         while True:
-            token = self.tokens[self.pos]
-            strength = precedence.get(token.text, 0) if token.kind == "symbol" else 0
+            at = self.pos
+            op = texts[at]
+            strength = precedence.get(op, 0)
             if strength <= floor or (compared and strength == _COMPARISON):
                 break
             compared = strength == _COMPARISON
-            self.pos += 1
+            self.pos = at + 1
             right = self._operations(operand, precedence, strength)
-            depth = self._level(max(depth, self.depth), token)
-            left = Binary(token.text, left, right)
+            depth = self._level(max(depth, self.depth), at)
+            left = Binary(op, left, right)
         self.depth = depth
         return left
 
-    def _level(self, depth: int, token: Token) -> int:
-        """The depth of a node at `token` over children `depth` deep."""
+    def _level(self, depth: int, at: int) -> int:
+        """The depth of a node at token `at` over children `depth` deep."""
         if depth >= MAX_EXPRESSION_DEPTH:
-            raise _ParseDiagnostic(Diagnostic(
-                "error", "ParseError",
-                f"expression nested more than {MAX_EXPRESSION_DEPTH} levels deep", token.pos))
+            raise self.error(f"expression nested more than {MAX_EXPRESSION_DEPTH} levels deep", at)
         return depth + 1
 
-    def _nested(self, token: Token, func: str | None) -> Expr:
+    def _nested(self, at: int, func: str | None) -> Expr:
         """A parenthesised expression, or the arguments of a call to
-        `func`, opened at `token`.  The nesting is checked on the way in,
-        so that the recursion of this parser is bounded too."""
-        self._level(self.open, token)
+        `func`, opened at token `at`.  The nesting is checked on the way
+        in, so that the recursion of this parser is bounded too."""
+        self._level(self.open, at)
         self.open += 1
         try:
             if func is None:
@@ -338,16 +347,18 @@ class Parser:
                 inside = Call(func, self._list(self.expression, ")"))
         finally:
             self.open -= 1
-        self.depth = self._level(self.depth, token)
+        self.depth = self._level(self.depth, at)
         return inside
 
     def _list(self, item, close: str) -> tuple[Expr, ...]:
         """Comma-separated items up to the symbol `close`."""
         items, depth = [], 0
-        if not self.at("symbol", close):
+        texts = self.texts
+        if texts[self.pos] != close:
             items.append(item())
             depth = self.depth
-            while self.accept("symbol", ","):
+            while texts[self.pos] == ",":
+                self.pos += 1
                 items.append(item())
                 depth = max(depth, self.depth)
         self.expect("symbol", close)
@@ -355,31 +366,35 @@ class Parser:
         return tuple(items)
 
     def atom(self) -> Expr:
-        token = self.current()
-        if token.kind in ("integer", "decimal"):
-            self.pos += 1
-            number = float(token.text)
-            if not math.isfinite(number):
-                raise _ParseDiagnostic(Diagnostic(
-                    "error", "ParseError", "number literal too large", token.pos))
-            return NumberLit(number)
-        if token.kind == "keyword" and token.text in ("true", "false"):
-            self.pos += 1
-            return BooleanLit(token.text == "true")
-        if token.kind == "identifier":
-            self.pos += 1
-            bracket = self.accept_op(("(", "["))
+        at = self.pos
+        kind, word = self.kinds[at], self.texts[at]
+        if kind == "identifier":
+            self.pos = at + 1
+            bracket = self.texts[at + 1]
             if bracket == "(":
-                return self._nested(token, token.text)
+                self.pos = at + 2
+                return self._nested(at, word)
             if bracket == "[":
-                return ElementRef(token.text, self._list(self.index_expression, "]"))
-            return IndexVar(token.text)
-        if self.accept("keyword", "all"):
+                self.pos = at + 2
+                return ElementRef(word, self._list(self.index_expression, "]"))
+            return IndexVar(word)
+        if kind == "integer" or kind == "decimal":
+            self.pos = at + 1
+            number = float(word)
+            if not math.isfinite(number):
+                raise self.error("number literal too large", at)
+            return NumberLit(number)
+        if word == "true" or word == "false":
+            self.pos = at + 1
+            return BooleanLit(word == "true")
+        if word == "all":
             # only legal inside an index position; the analyzer rejects
             # any other placement with MisplacedAll
+            self.pos = at + 1
             return AllIndex()
-        if self.accept("symbol", "("):
-            return self._nested(token, None)
+        if word == "(":
+            self.pos = at + 1
+            return self._nested(at, None)
         self.fail("an expression")
 
     def whole_expression(self) -> Expr:
@@ -394,16 +409,18 @@ class Parser:
 
     def index_expression(self) -> Expr:
         """Index positions allow only `all`, integers, index variables, + and -."""
-        if self.accept("keyword", "all"):
+        if self.texts[self.pos] == "all":
+            self.pos += 1
             self.depth = 0
             return AllIndex()
         return self._operations(self.index_atom, _INDEX_PRECEDENCE)
 
     def index_atom(self) -> Expr:
-        if self.at("integer"):
+        kind = self.kinds[self.pos]
+        if kind == "integer":
             return NumberLit(float(self.integer()))
-        if self.at("identifier"):
-            return IndexVar(self.advance().text)
+        if kind == "identifier":
+            return IndexVar(self.advance())
         self.fail("an index expression (integer or index variable)")
 
 
@@ -414,8 +431,8 @@ def parse_document(text: str) -> SpecDocument:
     next `.`) and raises ParseFailure carrying all of them if any error
     was found.
     """
-    tokens, comments, diagnostics = _scan_spec(text)
-    parser = Parser(tokens)
+    stream, comments, diagnostics = _scan_spec(text)
+    parser = Parser(stream)
     elements = []
     while not parser.at("eoi"):
         try:
@@ -430,4 +447,7 @@ def parse_document(text: str) -> SpecDocument:
 
 def parse_expression(text: str) -> Expr:
     """Parse a standalone expression (the equation right-hand-side grammar)."""
-    return Parser(tokenize(text)).whole_expression()
+    stream, _, diagnostics = _scan_spec(text)
+    if diagnostics:
+        raise ParseFailure(diagnostics)
+    return Parser(stream).whole_expression()

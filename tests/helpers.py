@@ -1,27 +1,38 @@
 """Shared helpers for the test suite: fixture loading, a random
 well-formed document generator used by the property tests, and reference
-code that the lowering of element references, the per-shape verifier and
-the per-equation formula templates are compared against."""
+code that the flat-list spec parser, the lowering of element references,
+the per-shape verifier and the per-equation formula templates are
+compared against."""
 
 from __future__ import annotations
 
+import bisect
+import math
 import random
+import re
 from pathlib import Path
 
 from gridspec import analyze, evaluate, parse_document
 from gridspec.analyzer import CellId, eval_index_expr
 from gridspec.ast import (
+    ADDITIVE_OPS,
+    GUARD_COMPARATORS,
+    MAX_ARITY,
+    PRECEDENCE,
+    RESULT_TYPES,
     AllIndex,
     Binary,
     BooleanLit,
     BoundsDecl,
     Call,
+    Comment,
     ConstantPattern,
     ElementRef,
     EquationDecl,
     GuardedVarPattern,
     IndexVar,
     NumberLit,
+    SourcePos,
     SpecDocument,
     TableDecl,
     VarPattern,
@@ -32,7 +43,7 @@ from gridspec.a1 import Address, CellRef, parse_a1_formula, sheet_prefix
 from gridspec.cli import load_inputs
 from gridspec.errors import ParseFailure, UnknownFunction, UnsupportedMatchType
 from gridspec.evaluator import BLANK, _Fault, eval_expr, resolve_references
-from gridspec.parser import Diagnostic
+from gridspec.parser import MAX_EXPRESSION_DEPTH, MAX_INTEGER, Diagnostic
 from gridspec.verify import Mismatch, VerifyReport, parse_value_text, values_agree
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -288,3 +299,292 @@ def reference_render_formula(cell, plan, layout) -> str:
         return f"{_format_ref(first, home)}:{last.a1()}"
 
     return "=" + format_expr(equation.rhs, leaf, pad="")
+
+
+# --- spec parsing, one Token object per token --------------------------------
+# The scanner and parser as they were before tokens were scanned into flat
+# lists: every token is a _RefToken, whose position is worked out from its
+# offset when asked for.
+
+_REF_SPEC_TOKENS = re.compile(
+    r"[ \t\r\n]*(?:"
+    r"(?P<comment>--[^\n]*)"
+    r"|(?P<symbol>->|<=|>=|<>|[:\[\](),=+\-*/<>.])"
+    r"|(?P<decimal>[0-9]+\.[0-9]+)"
+    r"|(?P<integer>[0-9]+)"
+    r"|(?P<keyword>(?:bounds|table|to|all|true|false)(?![A-Za-z0-9_]))"
+    r"|(?P<identifier>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<illegal>[^ \t\r\n]))")
+_REF_INDEX_PRECEDENCE = {op: PRECEDENCE[op] for op in ADDITIVE_OPS}
+_REF_COMPARISON = PRECEDENCE["="]
+
+
+class _RefToken:
+    __slots__ = ("kind", "text", "offset", "lines")
+
+    def __init__(self, kind, text, offset, lines):
+        self.kind, self.text, self.offset, self.lines = kind, text, offset, lines
+
+    @property
+    def pos(self) -> SourcePos:
+        line = bisect.bisect_right(self.lines, self.offset)
+        return SourcePos(line, self.offset - self.lines[line - 1] + 1, self.offset)
+
+    def __str__(self):
+        return "end of input" if self.kind == "eoi" else f"'{self.text}'"
+
+
+def _reference_scan(text: str):
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    lines = [0]
+    end = text.find("\n")
+    while end >= 0:
+        lines.append(end + 1)
+        end = text.find("\n", end + 1)
+    tokens, comments, illegal = [], [], []
+    for match in _REF_SPEC_TOKENS.finditer(text):
+        kind = match.lastgroup
+        token = _RefToken(kind, match[kind], match.start(kind), lines)
+        if kind == "comment":
+            comments.append(Comment(token.text[2:].strip(), token.pos))
+        elif kind == "illegal":
+            illegal.append(Diagnostic("error", "IllegalCharacter",
+                                      f"illegal character {token.text!r}", token.pos))
+        else:
+            tokens.append(token)
+    tokens.append(_RefToken("eoi", "", len(text), lines))
+    return tokens, comments, illegal
+
+
+class _RefParseDiagnostic(Exception):
+    def __init__(self, diagnostic: Diagnostic):
+        self.diagnostic = diagnostic
+
+
+class _ReferenceParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+        self.depth = 0
+        self.open = 0
+
+    def current(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        token = self.current()
+        if token.kind != "eoi":
+            self.pos += 1
+        return token
+
+    def at(self, kind, text=None):
+        token = self.tokens[self.pos]
+        return token.kind == kind and (text is None or token.text == text)
+
+    def accept(self, kind, text=None):
+        if self.at(kind, text):
+            return self.advance()
+        return None
+
+    def accept_op(self, ops):
+        token = self.tokens[self.pos]
+        if token.kind == "symbol" and token.text in ops:
+            self.pos += 1
+            return token.text
+        return None
+
+    def expect(self, kind, text=None, expected=None):
+        token = self.accept(kind, text)
+        if token is None:
+            self.fail(expected or (f"'{text}'" if text else kind))
+        return token
+
+    def fail(self, expected):
+        token = self.current()
+        raise _RefParseDiagnostic(Diagnostic(
+            "error", "ParseError", f"expected {expected}, found {token}", token.pos))
+
+    def recover(self):
+        while not self.at("eoi"):
+            if self.advance().text == ".":
+                return
+
+    def element(self):
+        if self.at("keyword", "bounds"):
+            return self.bounds_decl()
+        if self.at("keyword", "table"):
+            return self.table_decl()
+        if self.at("identifier"):
+            return self.equation_decl()
+        self.fail("a bounds, table, or equation element")
+
+    def bounds_decl(self):
+        start = self.expect("keyword", "bounds").pos
+        name = self.expect("identifier", expected="a bounds name").text
+        self.expect("symbol", ":")
+        low = self.integer("an integer low bound")
+        self.expect("keyword", "to")
+        high = self.integer("an integer high bound")
+        self.expect("symbol", ".", expected="'.' ending the bounds element")
+        return BoundsDecl(name, low, high, start)
+
+    def table_decl(self):
+        start = self.expect("keyword", "table").pos
+        name = self.expect("identifier", expected="a table name").text
+        self.expect("symbol", ":")
+        dims = []
+        while self.at("identifier"):
+            dims.append(self.advance().text)
+        self.expect("symbol", "->", expected="'->' before the result type")
+        type_token = self.current()
+        if type_token.kind != "identifier" or type_token.text not in RESULT_TYPES:
+            self.fail("a result type (general, number, currency, date or boolean)")
+        self.advance()
+        self.expect("symbol", ".", expected="'.' ending the table element")
+        if len(dims) > MAX_ARITY:
+            raise _RefParseDiagnostic(Diagnostic(
+                "error", "ParseError",
+                f"table '{name}' has {len(dims)} dimensions; at most {MAX_ARITY} supported",
+                start))
+        return TableDecl(name, tuple(dims), type_token.text, start)
+
+    def equation_decl(self):
+        name_token = self.expect("identifier", expected="a table name")
+        self.expect("symbol", "[", expected="'[' starting the index patterns")
+        patterns = []
+        if not self.at("symbol", "]"):
+            patterns.append(self.index_pattern())
+            while self.accept("symbol", ","):
+                patterns.append(self.index_pattern())
+        self.expect("symbol", "]")
+        self.expect("symbol", "=", expected="'=' between left- and right-hand sides")
+        rhs = self.expression()
+        self.expect("symbol", ".", expected="'.' ending the equation")
+        return EquationDecl(name_token.text, tuple(patterns), rhs, name_token.pos)
+
+    def index_pattern(self):
+        if self.at("integer"):
+            return ConstantPattern(self.integer())
+        name = self.expect("identifier", expected="an index pattern").text
+        comparator = self.accept_op(GUARD_COMPARATORS)
+        if comparator:
+            return GuardedVarPattern(name, comparator, self.integer("an integer guard bound"))
+        return VarPattern(name)
+
+    def integer(self, expected="an integer"):
+        token = self.expect("integer", expected=expected)
+        digits = token.text.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_INTEGER)) or int(digits) > MAX_INTEGER:
+            raise _RefParseDiagnostic(Diagnostic(
+                "error", "ParseError", "integer literal too large", token.pos))
+        return int(digits)
+
+    def expression(self):
+        return self._operations(self.atom, PRECEDENCE)
+
+    def _operations(self, operand, precedence, floor=0):
+        self.depth = 0
+        left = operand()
+        depth = self.depth
+        compared = False
+        while True:
+            token = self.tokens[self.pos]
+            strength = precedence.get(token.text, 0) if token.kind == "symbol" else 0
+            if strength <= floor or (compared and strength == _REF_COMPARISON):
+                break
+            compared = strength == _REF_COMPARISON
+            self.pos += 1
+            right = self._operations(operand, precedence, strength)
+            depth = self._level(max(depth, self.depth), token)
+            left = Binary(token.text, left, right)
+        self.depth = depth
+        return left
+
+    def _level(self, depth, token):
+        if depth >= MAX_EXPRESSION_DEPTH:
+            raise _RefParseDiagnostic(Diagnostic(
+                "error", "ParseError",
+                f"expression nested more than {MAX_EXPRESSION_DEPTH} levels deep", token.pos))
+        return depth + 1
+
+    def _nested(self, token, func):
+        self._level(self.open, token)
+        self.open += 1
+        try:
+            if func is None:
+                inside = self.expression()
+                self.expect("symbol", ")")
+            else:
+                inside = Call(func, self._list(self.expression, ")"))
+        finally:
+            self.open -= 1
+        self.depth = self._level(self.depth, token)
+        return inside
+
+    def _list(self, item, close):
+        items, depth = [], 0
+        if not self.at("symbol", close):
+            items.append(item())
+            depth = self.depth
+            while self.accept("symbol", ","):
+                items.append(item())
+                depth = max(depth, self.depth)
+        self.expect("symbol", close)
+        self.depth = depth
+        return tuple(items)
+
+    def atom(self):
+        token = self.current()
+        if token.kind in ("integer", "decimal"):
+            self.pos += 1
+            number = float(token.text)
+            if not math.isfinite(number):
+                raise _RefParseDiagnostic(Diagnostic(
+                    "error", "ParseError", "number literal too large", token.pos))
+            return NumberLit(number)
+        if token.kind == "keyword" and token.text in ("true", "false"):
+            self.pos += 1
+            return BooleanLit(token.text == "true")
+        if token.kind == "identifier":
+            self.pos += 1
+            bracket = self.accept_op(("(", "["))
+            if bracket == "(":
+                return self._nested(token, token.text)
+            if bracket == "[":
+                return ElementRef(token.text, self._list(self.index_expression, "]"))
+            return IndexVar(token.text)
+        if self.accept("keyword", "all"):
+            return AllIndex()
+        if self.accept("symbol", "("):
+            return self._nested(token, None)
+        self.fail("an expression")
+
+    def index_expression(self):
+        if self.accept("keyword", "all"):
+            self.depth = 0
+            return AllIndex()
+        return self._operations(self.index_atom, _REF_INDEX_PRECEDENCE)
+
+    def index_atom(self):
+        if self.at("integer"):
+            return NumberLit(float(self.integer()))
+        if self.at("identifier"):
+            return IndexVar(self.advance().text)
+        self.fail("an index expression (integer or index variable)")
+
+
+def reference_parse_document(text: str) -> SpecDocument:
+    """Parse a document the way parse_document did with a Token per token."""
+    tokens, comments, diagnostics = _reference_scan(text)
+    parser = _ReferenceParser(tokens)
+    elements = []
+    while not parser.at("eoi"):
+        try:
+            elements.append(parser.element())
+        except _RefParseDiagnostic as exc:
+            diagnostics.append(exc.diagnostic)
+            parser.recover()
+    if diagnostics:
+        raise ParseFailure(diagnostics)
+    return SpecDocument(tuple(elements), tuple(comments))

@@ -179,6 +179,36 @@ class TestCompileAndVerify:
                      "--inputs", str(bad), "--out-dir", str(tmp_path / "o")]) == 1
 
 
+class TestTextEncoding:
+    """Specs and inputs CSVs are read as UTF-8: other bytes are an I/O
+    error naming the file, and a leading byte-order mark is skipped."""
+
+    def test_spec_not_utf8(self, tmp_path, capsys):
+        spec = tmp_path / "bad.gsx"
+        spec.write_bytes(b"table x : -> number.\nx[] = 1. -- \xff\n")
+        assert main(["check", str(spec)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {spec}: ")
+
+    @pytest.mark.parametrize("command", ["compile", "eval"])
+    def test_inputs_not_utf8(self, tmp_path, capsys, command):
+        inputs = tmp_path / "bad.csv"
+        inputs.write_bytes(b"initial_cash,100\xff\n")
+        assert main([command, str(FIXTURES / "cashflow.gsx"), "--inputs", str(inputs),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {inputs}: ")
+
+    def test_inputs_byte_order_mark(self, tmp_path, capsys):
+        plain = FIXTURES / "cashflow_inputs.csv"
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for inputs, out in ((plain, "plain"), (marked, "marked")):
+            assert main(["compile", str(FIXTURES / "cashflow.gsx"), "--inputs", str(inputs),
+                         "--out-dir", str(tmp_path / out)]) == 0
+        assert main(["verify", str(tmp_path / "marked")]) == 0
+        for path in (tmp_path / "plain").iterdir():
+            assert (tmp_path / "marked" / path.name).read_bytes() == path.read_bytes()
+
+
 def run_cli(tmp_path, spec, inputs=None):
     """Compile a spec (and optional input records) into tmp_path/out;
     returns the compile exit code and the output directory."""

@@ -20,9 +20,17 @@ from gridspec.ast import (
     pretty_print,
     print_expr,
 )
+from gridspec import parser
 from gridspec.parser import MAX_EXPRESSION_DEPTH
 
-from helpers import DEPTH_SHAPES, fixture_text, nested_expression, nested_spec, random_document
+from helpers import (
+    DEPTH_SHAPES,
+    fixture_text,
+    nested_expression,
+    nested_spec,
+    random_document,
+    reference_parse_document,
+)
 
 
 class TestTokenize:
@@ -407,3 +415,103 @@ class TestIntegerLiterals:
         assert pattern.lhs_patterns[0].value == 0
         assert guarded.lhs_patterns[0] == GuardedVarPattern("t", "<", 10)
         assert reference.rhs == ElementRef("x", (NumberLit(2.0),))
+
+
+# --- parse_document against the parser that made a Token per token ---------
+
+def assert_parses_as_reference(text):
+    """parse_document gives the reference parser's elements and comments,
+    at the same positions, or the same diagnostics."""
+    try:
+        doc = parse_document(text)
+    except ParseFailure as exc:
+        with pytest.raises(ParseFailure) as reference:
+            reference_parse_document(text)
+        assert [str(d) for d in exc.diagnostics] == [str(d) for d in reference.value.diagnostics]
+        assert exc.diagnostics == reference.value.diagnostics  # offsets too
+        return
+    reference = reference_parse_document(text)
+    assert doc == reference
+    assert [e.pos for e in doc.elements] == [e.pos for e in reference.elements]
+    assert [c.pos for c in doc.comments] == [c.pos for c in reference.comments]
+
+
+def commented_tables(rng: random.Random, count: int) -> str:
+    """A long spec in the paper's style: every table has a comment, its
+    declaration and its equations, each drawn from the expression forms."""
+    lines = ["-- periods of the model", "bounds t: 1 to 12.", "bounds k: 1 to 3.",
+             "table base : t -> number. -- an input table"]
+    forms = ("prev[ i ] + {n}", "prev[ i - 1 ] * {d}", "if( prev[ i ] > {n}, {d}, 0 - prev[ i ] )",
+             "sum( prev[ all ] ) / {n}", "( prev[ i ] - {d} ) * ( {n} + i )",
+             "match( prev[ i ], prev[ all ], 0 )", "if( not( isna( prev[ i ] ) ) <> false, {n}, {d} )")
+    for index in range(count):
+        name, prev = f"table_{index}", f"table_{index - 1}" if index else "base"
+        lines.append(f"-- {name}: step {index} of the chain")
+        lines.append(f"table {name} : t -> number.")
+        split = rng.randint(1, 11)
+        for pattern, form in ((f"i <= {split}", "prev[ i ]"), (f"i > {split}", rng.choice(forms))):
+            rhs = form.format(n=rng.randint(1, 999), d=f"{rng.randint(0, 99)}.{rng.randint(0, 99)}")
+            lines.append(f"{name}[ {pattern} ] =\n    {rhs.replace('prev', prev)}."
+                         + rng.choice(("", " -- trailing note")))
+    return "\n".join(lines) + "\n"
+
+
+def single_edits(rng: random.Random, text: str, count: int):
+    """`count` copies of `text`, each with one character inserted,
+    deleted or replaced at random."""
+    alphabet = " \t\n.-:=<>[](),+*/@#_aZ19\ufeff"
+    for _ in range(count):
+        at = rng.randrange(len(text))
+        insert = rng.choice(alphabet)
+        yield rng.choice((text[:at] + insert + text[at:], text[:at] + text[at + 1:],
+                          text[:at] + insert + text[at + 1:]))
+
+
+class TestAgainstReferenceParser:
+    @pytest.mark.parametrize("name", ["cashflow", "borrowing", "loans"])
+    def test_fixtures(self, name):
+        assert_parses_as_reference(fixture_text(name))
+
+    def test_random_documents(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            assert_parses_as_reference(pretty_print(random_document(rng)))
+
+    def test_commented_tables(self):
+        assert_parses_as_reference(commented_tables(random.Random(7), 300))
+
+    @pytest.mark.parametrize("text", [
+        *(nested_spec(shape, depth) for shape in DEPTH_SHAPES
+          for depth in (MAX_EXPRESSION_DEPTH, MAX_EXPRESSION_DEPTH + 1)),
+        "table y : -> number.\ny[] = 1" + "0" * 400 + ".\n",
+        "bounds b: 1 to 9007199254740993.\nbounds c: 0 to 00009007199254740992.\n",
+        "table x : a b c d e f g h i j k l m n o p q r s t u v w x y z -> number.",
+        "\ufeff-- only a comment\r\n",
+    ])
+    def test_limits_and_edges(self, text):
+        assert_parses_as_reference(text)
+
+    @given(FUZZ_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_text(self, text):
+        assert_parses_as_reference(text)
+
+    @pytest.mark.parametrize("name", ["cashflow", "borrowing", "loans"])
+    def test_single_character_edits(self, name):
+        for text in single_edits(random.Random(name), fixture_text(name), 150):
+            assert_parses_as_reference(text)
+
+
+def test_parse_makes_no_token_per_token(monkeypatch):
+    """parse_document scans into flat lists: it may make a Token for an
+    element, a comment or a diagnostic at most, never one per token."""
+    made = []
+
+    class CountedToken(parser.Token):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "Token", CountedToken)
+    doc = parse_document(fixture_text("loans"))
+    assert len(made) <= len(doc.elements) + len(doc.comments)

@@ -23,12 +23,13 @@ def test_traced_round(workload):
     assert result["failed"] == 0
 
 
-def test_untraced_round():
+@pytest.mark.parametrize("workload", ["loans_grid", "many_tables"])
+def test_untraced_round(workload):
     """One untraced round guards the end-to-end path, whose setup and
     peak-memory runs start processes of their own: it reports every
     end-to-end metric that BENCHMARK.json declares."""
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "loans_grid", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]

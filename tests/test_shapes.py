@@ -40,9 +40,10 @@ def assert_same_report(formulas, values):
 def tokens(body):
     """The tokens scan reads from a formula body, as (kind, text), with
     illegal characters in place and every decimal and ref text dropped."""
-    found, _, illegal = scan(body, _A1_TOKENS)
-    ordered = sorted(found[:-1] + illegal, key=lambda token: token.offset)
-    return [(t.kind, None if t.kind in ("decimal", "ref") else t.text) for t in ordered]
+    (kinds, texts, offsets, _, _), _, illegal = scan(body, _A1_TOKENS)
+    found = list(zip(offsets, kinds, texts))[:-1]
+    ordered = sorted(found + [(pos.offset, "illegal", text) for text, pos in illegal])
+    return [(kind, None if kind in ("decimal", "ref") else text) for _, kind, text in ordered]
 
 
 class TestShapeKey:
