@@ -1,15 +1,22 @@
 """Static analysis: name resolution, type checking, and rule elaboration.
 
-Elaboration instantiates every equation against every concrete cell of
-its table by direct enumeration (bounds are small and explicit), so
-coverage and overlap verdicts are exact: every derived cell must be
-matched by exactly one equation.
+Every cell has a dense number: its table's base, with tables in name
+order, plus the row-major offset of its indices, so numbers sort as
+CellIds do.  Elaboration covers each derived table with boxes, one set
+per equation: the values its left-hand patterns give each index
+variable.  A box's cells and the cells they read have numbers affine in
+those values, so coverage and overlap are checked a run of cells at a
+time and bounds once per equation, at the corners of its boxes; a table
+that fails is enumerated cell by cell for exact diagnostics: every
+derived cell must be matched by exactly one equation.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import product
+from operator import mul
 from typing import NamedTuple
 
 from .ast import (
@@ -65,15 +72,29 @@ class RuleInstance(NamedTuple):
     substitution: dict[str, int]
 
 
-class Stencil(NamedTuple):
-    """An equation's element references, lowered once by `resolve`: `refs`
-    holds `(table, indices, axes, ranged)` per reference in walk order,
-    with per dimension the index expression (None for `all`) and the
-    table's shared `(dim, low, high)`, and whether any index is `all`;
-    `slots` maps the id() of each reference node to its place in `refs`."""
+class Extent(NamedTuple):
+    """A table's dense cell numbers, `base` to `base + size - 1`: the cell
+    at `indices` is `origin + sum(indices[d] * strides[d])`.  `axes` holds
+    `(dim, low, high)` per dimension."""
 
+    base: int
+    size: int
+    origin: int
+    strides: tuple[int, ...]
+    axes: tuple[tuple[str, int, int], ...]
+
+
+class Stencil(NamedTuple):
+    """An equation lowered once by `resolve`.  `variables` maps its index
+    variables, in order of first appearance, to the first dimension each
+    binds.  `refs` holds `(table, indices, extent, ranged)` per element
+    reference in walk order: per dimension the index expression (None for
+    `all`), the table's Extent and whether any index is `all`.  `slots`
+    holds the id() of each reference node, in the order of `refs`."""
+
+    variables: dict[str, int]
     refs: tuple
-    slots: dict[int, int]
+    slots: tuple[int, ...]
 
 
 @dataclass
@@ -82,6 +103,7 @@ class SymbolTable:
     tables: dict[str, TableDecl]
     equations_by_table: dict[str, list[EquationDecl]]
     stencils: dict[int, Stencil] = field(repr=False)  # id() of each equation -> its stencil
+    extents: dict[str, Extent] = field(repr=False)    # in name order
 
     def is_input(self, table: str) -> bool:
         return not self.equations_by_table.get(table)
@@ -90,17 +112,79 @@ class SymbolTable:
         """Enumerate every CellId of a table in row-major index order."""
         decl = self.tables[table]
         ranges = [range(self.bounds[d][0], self.bounds[d][1] + 1) for d in decl.dims]
-        for combo in itertools.product(*ranges):
+        for combo in product(*ranges):
             yield CellId(table, combo)
+
+    @cached_property
+    def cells(self) -> list[CellId]:
+        """Every cell, by dense number."""
+        return [cell for name in self.extents for cell in self.table_cells(name)]
+
+    @cached_property
+    def reads(self) -> dict[int, tuple]:
+        """Per equation, by id(), the dense numbers each of its references
+        reads, `(first, steps, offsets)`: `first + sum(value * step)` over
+        its variables' values, plus each offset for a range (None for one
+        cell).  Made when first read, which `check` never does."""
+        same_steps = {}  # equal steps are kept once
+        return {key: tuple([_dense_read(ref, stencil.variables, same_steps)
+                            for ref in stencil.refs])
+                for key, stencil in self.stencils.items()}
+
+
+class Box(NamedTuple):
+    """Cells of a table that one equation covers: every combination of
+    values of its index variables, one range per variable in the order of
+    Stencil.variables.  A cell's dense number is `first + sum(value *
+    step)` over those values."""
+
+    equation: EquationDecl
+    spans: tuple[range, ...]
+    first: int
+    steps: tuple[int, ...]
+
+
+def runs(spans, first: int, steps) -> list[range]:
+    """The values of `first + sum(value * step)` over a box's cells in
+    row-major order: a range per combination of all but the last variable."""
+    if not spans:
+        return [range(first, first + 1)]
+    *outer, inner = spans
+    step = steps[-1]
+    first += inner.start * step
+    starts = ([first + sum(map(mul, values, steps)) for values in product(*outer)]
+              if outer else [first])
+    return [range(start, start + len(inner) * step, step) for start in starts]
 
 
 @dataclass
 class CellPlan:
-    rules: dict[CellId, RuleInstance]
-    inputs: set[CellId]
+    """The region plan: each derived table's boxes and, per dense cell
+    number, the box that covers the cell (None for an input cell).  `rules`
+    and `inputs` are views of it, made when first read."""
+
     symtab: SymbolTable
-    # each rule's resolved element references; see evaluator.resolve_references
-    references: dict | None = field(default=None, repr=False)
+    boxes: dict[str, list[Box]] = field(repr=False)
+    owner: list = field(repr=False)
+
+    @cached_property
+    def rules(self) -> dict[CellId, RuleInstance]:
+        """Each derived cell's rule, tables in declaration order, cells row-major."""
+        rules, cells, stencils = {}, self.symtab.cells, self.symtab.stencils
+        for name in self.boxes:
+            extent = self.symtab.extents[name]
+            numbers = slice(extent.base, extent.base + extent.size)
+            for cell, box in zip(cells[numbers], self.owner[numbers]):
+                if box is not None:
+                    variables = stencils[id(box.equation)].variables
+                    rules[cell] = RuleInstance(box.equation, {
+                        var: cell.indices[d] for var, d in variables.items()})
+        return rules
+
+    @cached_property
+    def inputs(self) -> set[CellId]:
+        return {cell for name in self.symtab.tables if name not in self.boxes
+                for cell in self.symtab.table_cells(name)}
 
 
 def compatible(declared: str, inferred: str) -> bool:
@@ -117,6 +201,7 @@ def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
     tables: dict[str, TableDecl] = {}
     equations: dict[str, list[EquationDecl]] = {}
     stencils: dict[int, Stencil] = {}
+    same_variables = {}  # equal variable maps are kept once: a spec repeats its shapes
 
     for element in doc.elements:
         if isinstance(element, BoundsDecl):
@@ -141,9 +226,17 @@ def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
             tables[element.name] = element
             equations[element.name] = []
 
-    # undeclared bounds are an UnknownBounds error, reported below
-    table_axes = {name: tuple([(dim, *bounds.get(dim, (1, 0))) for dim in decl.dims])
-                  for name, decl in tables.items()}
+    extents, base = {}, 0
+    for name in sorted(tables):
+        # undeclared bounds are an UnknownBounds error, reported below
+        axes = tuple([(dim, *bounds.get(dim, (1, 0))) for dim in tables[name].dims])
+        strides, size, origin = [], 1, base
+        for _, low, high in reversed(axes):
+            strides.insert(0, size)
+            origin -= low * size
+            size *= high - low + 1
+        extents[name] = Extent(base, size, origin, tuple(strides), axes)
+        base += size
     for element in doc.elements:
         if isinstance(element, TableDecl):
             for dim in element.dims:
@@ -167,8 +260,11 @@ def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
                     element.pos))
                 continue
             equations[element.table].append(element)
-            refs = []
-            slots = {}
+            variables = {}
+            for d, pattern in enumerate(element.lhs_patterns):
+                if type(pattern) is not ConstantPattern:
+                    variables.setdefault(pattern.name, d)
+            refs, slots = [], []
             for ref in element_refs(element.rhs):
                 target = tables.get(ref.table)
                 if target is None:
@@ -187,11 +283,44 @@ def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
                     if ranged:
                         indices = tuple([None if type(index) is AllIndex else index
                                          for index in indices])
-                    slots[id(ref)] = len(refs)
-                    refs.append((ref.table, indices, table_axes[ref.table], ranged))
-            stencils[id(element)] = Stencil(tuple(refs), slots)
+                    slots.append(id(ref))
+                    refs.append((ref.table, indices, extents[ref.table], ranged))
+            stencils[id(element)] = Stencil(same_variables.setdefault(
+                tuple(variables.items()), variables), tuple(refs), tuple(slots))
 
-    return SymbolTable(bounds, tables, equations, stencils), diagnostics
+    return SymbolTable(bounds, tables, equations, stencils, extents), diagnostics
+
+
+def _dense_read(ref, variables, same_steps: dict) -> tuple:
+    """(first, steps, offsets) of the cells a lowered reference reads (see
+    SymbolTable.reads), with steps equal to some in `same_steps` taken from
+    there.
+    An index expression only adds and subtracts, so each of its terms adds
+    its stride, with its sign, to the first number or to its variable's
+    step; typecheck reports an unbound variable."""
+    _, indices, extent, ranged = ref
+    first, steps, spans = extent.origin, dict.fromkeys(variables, 0), []
+    for index, stride, (_, low, high) in zip(indices, extent.strides, extent.axes):
+        if index is None:
+            first += stride * low
+            spans.append([stride * k for k in range(high - low + 1)])
+            continue
+        if type(index) is IndexVar and index.name in steps:
+            steps[index.name] += stride
+            continue
+        terms = [(index, stride)]
+        while terms:
+            term, scale = terms.pop()
+            if type(term) is Binary:
+                terms += [(term.left, scale), (term.right, -scale if term.op == "-" else scale)]
+            elif type(term) is IndexVar:
+                if term.name in steps:
+                    steps[term.name] += scale
+            else:
+                first += scale * int(term.value)
+    steps = tuple(steps.values())
+    return (first, same_steps.setdefault(steps, steps),
+            tuple(map(sum, product(*spans))) if ranged else None)
 
 
 def typecheck(doc: SpecDocument, symtab: SymbolTable) -> list[Diagnostic]:
@@ -389,47 +518,136 @@ def eval_index_expr(expr: Expr, subst: dict[str, int]) -> int:
 
 
 def elaborate(doc: SpecDocument, symtab: SymbolTable) -> tuple[CellPlan, list[Diagnostic]]:
-    """Pick exactly one rule per derived cell by concrete enumeration."""
+    """Pick exactly one rule per derived cell: cover each derived table with
+    its equations' boxes, and enumerate a table cell by cell only when its
+    boxes may read out of bounds, cover a cell twice or leave one uncovered."""
     diagnostics: list[Diagnostic] = []
-    rules: dict[CellId, RuleInstance] = {}
-    inputs: set[CellId] = set()
-    stencils = symtab.stencils
-
-    for name in symtab.tables:
-        equations = symtab.equations_by_table[name]
+    owner = [None] * sum(extent.size for extent in symtab.extents.values())
+    boxes: dict[str, list[Box]] = {}
+    for name, equations in symtab.equations_by_table.items():
         if not equations:
-            inputs.update(symtab.table_cells(name))
             continue
-        for cell in symtab.table_cells(name):
-            matches = []
-            for equation in equations:
-                subst = match_patterns(equation.lhs_patterns, cell.indices)
-                if subst is not None:
-                    matches.append((equation, subst))
-            if not matches:
-                diagnostics.append(Diagnostic(
-                    "error", "UncoveredCell",
-                    f"no equation covers cell {cell}", symtab.tables[name].pos))
-                continue
-            if len(matches) > 1:
-                diagnostics.append(Diagnostic(
-                    "error", "OverlappingRules",
-                    f"{len(matches)} equations cover cell {cell}", matches[1][0].pos))
-                continue
-            equation, subst = matches[0]
-            rules[cell] = RuleInstance(equation, subst)
-            for table, indices, axes, _ in stencils[id(equation)].refs:
-                for index, (dim, low, high) in zip(indices, axes):
-                    if index is None:
-                        continue
-                    value = eval_index_expr(index, subst)
-                    if not low <= value <= high:
-                        diagnostics.append(Diagnostic(
-                            "error", "IndexOutOfBounds",
-                            f"rule for {cell} references {table} at {dim}={value}, "
-                            f"outside {low}..{high}", equation.pos))
+        extent = symtab.extents[name]
+        cells = slice(extent.base, extent.base + extent.size)
+        boxes[name] = []
+        if not all(_cover(equation, symtab.stencils[id(equation)], extent, owner, boxes[name])
+                   for equation in equations) or None in owner[cells]:
+            owner[cells] = [None] * extent.size
+            boxes[name] = _cover_cells(name, equations, symtab, owner, diagnostics)
+    return CellPlan(symtab, boxes, owner), diagnostics
 
-    return CellPlan(rules, inputs, symtab), diagnostics
+
+def _cover(equation: EquationDecl, stencil: Stencil, extent: Extent, owner: list,
+           boxes: list) -> bool:
+    """Add the boxes an equation's patterns cover to `boxes`, and point each
+    of their cells to its box in `owner`.  A constant is one point, or no
+    cell outside its dimension.  A variable spans its dimension, and one
+    that repeats, as in a[i,i], spans all of them at once, a diagonal; a
+    guard cuts its span and `<>` splits it in two.  False if the equation
+    may read out of bounds or a box meets a cell already covered."""
+    hull, holes = {}, {}
+    for pattern, (_, low, high) in zip(equation.lhs_patterns, extent.axes):
+        if type(pattern) is ConstantPattern:
+            if not low <= pattern.value <= high:
+                return True
+            continue
+        first, last = hull.get(pattern.name, (low, high))
+        first, last = max(first, low), min(last, high)
+        if type(pattern) is GuardedVarPattern:
+            comparator, bound = pattern.comparator, pattern.bound
+            if comparator == "<>":
+                holes.setdefault(pattern.name, []).append(bound)
+            elif comparator[0] == "<":
+                last = min(last, bound - (comparator == "<"))
+            else:
+                first = max(first, bound + (comparator == ">"))
+        hull[pattern.name] = (first, last)
+    pieces = []
+    for name, (first, last) in hull.items():
+        if name in holes:
+            cuts = [first - 1, *sorted(h for h in holes[name] if first <= h <= last), last + 1]
+            pieces.append([range(a + 1, b) for a, b in zip(cuts, cuts[1:]) if a + 1 < b])
+        else:
+            pieces.append([range(first, last + 1)] if first <= last else [])
+        if not pieces[-1]:
+            return True
+        hull[name] = (pieces[-1][0].start, pieces[-1][-1][-1])
+    # an index is affine, so its extremes over the boxes lie at the hull's corners
+    for _, indices, target, _ in stencil.refs:
+        for index, (_, low, high) in zip(indices, target.axes):
+            if index is not None:
+                least, greatest = _reach(index, hull)
+                if least < low or greatest > high:
+                    return False
+    first, steps = _home(equation, extent)
+    for spans in product(*pieces):
+        box = Box(equation, spans, first, steps)
+        for run in runs(spans, first, steps):
+            cells = slice(run.start, run.stop, run.step)
+            if owner[cells].count(None) < len(run):
+                return False
+            owner[cells] = [box] * len(run)
+        boxes.append(box)
+    return True
+
+
+def _home(equation: EquationDecl, extent: Extent) -> tuple[int, tuple[int, ...]]:
+    """(first, steps) of the dense numbers of the cells an equation covers
+    (see Box): a constant adds its offset, a variable its stride."""
+    first, steps = extent.origin, {}
+    for pattern, stride in zip(equation.lhs_patterns, extent.strides):
+        if type(pattern) is ConstantPattern:
+            first += stride * pattern.value
+        else:
+            steps[pattern.name] = steps.get(pattern.name, 0) + stride
+    return first, tuple(steps.values())
+
+
+def _reach(expr: Expr, hull) -> tuple[int, int]:
+    """The least and greatest value of an index expression while each
+    variable stays within its (first, last) in `hull`: exact unless a
+    variable repeats in the expression, and wider then."""
+    if type(expr) is IndexVar:
+        return hull[expr.name]
+    if type(expr) is NumberLit:
+        return int(expr.value), int(expr.value)
+    (a, b), (c, d) = _reach(expr.left, hull), _reach(expr.right, hull)
+    return (a + c, b + d) if expr.op == "+" else (a - d, b - c)
+
+
+def _cover_cells(name: str, equations, symtab: SymbolTable, owner: list,
+                 diagnostics: list[Diagnostic]) -> list[Box]:
+    """Cover a table cell by cell, each cell that one equation matches with
+    a box of its own, reporting the others and reads out of bounds."""
+    boxes = []
+    for number, cell in enumerate(symtab.table_cells(name), symtab.extents[name].base):
+        matches = [(equation, subst) for equation in equations
+                   if (subst := match_patterns(equation.lhs_patterns, cell.indices)) is not None]
+        if not matches:
+            diagnostics.append(Diagnostic(
+                "error", "UncoveredCell",
+                f"no equation covers cell {cell}", symtab.tables[name].pos))
+            continue
+        if len(matches) > 1:
+            diagnostics.append(Diagnostic(
+                "error", "OverlappingRules",
+                f"{len(matches)} equations cover cell {cell}", matches[1][0].pos))
+            continue
+        equation, subst = matches[0]
+        owner[number] = Box(equation, tuple([range(v, v + 1) for v in subst.values()]),
+                            *_home(equation, symtab.extents[name]))
+        boxes.append(owner[number])
+        for table, indices, extent, _ in symtab.stencils[id(equation)].refs:
+            for index, (dim, low, high) in zip(indices, extent.axes):
+                if index is None:
+                    continue
+                value = eval_index_expr(index, subst)
+                if not low <= value <= high:
+                    diagnostics.append(Diagnostic(
+                        "error", "IndexOutOfBounds",
+                        f"rule for {cell} references {table} at {dim}={value}, "
+                        f"outside {low}..{high}", equation.pos))
+    return boxes
 
 
 def analyze(doc: SpecDocument, before_elaborate=None):

@@ -13,10 +13,12 @@ import datetime
 import heapq
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
-from .analyzer import CellId, CellPlan, eval_index_expr
+from .analyzer import CellId, CellPlan, SymbolTable, eval_index_expr, runs
 from .ast import (
     AGGREGATES,
     BUILTINS,
@@ -305,40 +307,107 @@ def _eval(expr: Expr, leaf, range_ok: bool):
     return value
 
 
-# --- reference resolution and the dependency graph -------------------------
+# --- reads, the evaluation order and the dependency graph ------------------
 
 def expand_ref(ref, subst: dict[str, int]):
     """The cells one lowered element reference (see analyzer.Stencil) reads
     under a substitution: a CellId, or for a range a tuple of CellIds in
     row-major order over its axes, the order aggregate builtins see."""
-    table, indices, axes, ranged = ref
+    table, indices, extent, ranged = ref
     if not ranged:
         return CellId(table, tuple([eval_index_expr(index, subst) for index in indices]))
     spans = [range(low, high + 1) if index is None else (eval_index_expr(index, subst),)
-             for index, (_, low, high) in zip(indices, axes)]
+             for index, (_, low, high) in zip(indices, extent.axes)]
     return tuple([CellId(table, c) for c in product(*spans)])
 
 
+def cell_reads(symtab: SymbolTable, equation, indices: tuple[int, ...]) -> list:
+    """The dense numbers the cell at `indices` reads under its equation: per
+    reference a number, or a list of numbers for a range, in row-major
+    order, the order aggregate builtins see."""
+    values = [indices[d] for d in symtab.stencils[id(equation)].variables.values()]
+    reads = []
+    for first, steps, offsets in symtab.reads[id(equation)]:
+        number = first + sum(map(mul, steps, values))
+        reads.append(number if offsets is None else [number + o for o in offsets])
+    return reads
+
+
+def _read_numbers(plan: CellPlan, number: int) -> list[int]:
+    """Every dense number that cell `number` reads, a range's each."""
+    box = plan.owner[number]
+    if box is None:
+        return []
+    reads = cell_reads(plan.symtab, box.equation, plan.symtab.cells[number].indices)
+    return [n for read in reads for n in (read if type(read) is list else (read,))]
+
+
 def resolve_references(plan: CellPlan) -> dict[CellId, tuple]:
-    """The cells each derived cell reads, resolved once and kept on the plan
-    for the dependency graph, evaluation and formula rendering: one entry
-    per slot of its equation's stencil, a CellId or, for a range, a plain
-    tuple of CellIds (tell them apart by exact type).  Cells are the
-    plan's own CellId objects."""
-    if plan.references is None:
-        stencils = plan.symtab.stencils
-        own = {cell: cell for cell in plan.rules}
-        own.update((cell, cell) for cell in plan.inputs)
-        references = {}
-        for cell, (equation, subst) in plan.rules.items():
-            reads = []
-            for ref in stencils[id(equation)].refs:
-                cells = expand_ref(ref, subst)
-                reads.append(tuple([own[c] for c in cells]) if type(cells) is tuple
-                             else own[cells])
-            references[cell] = tuple(reads)
-        plan.references = references
-    return plan.references
+    """The cells each derived cell reads, in plan.rules order: one entry per
+    slot of its equation's stencil, a CellId or, for a range, a plain tuple
+    of CellIds (tell them apart by exact type).  Made when asked for;
+    evaluation reads dense numbers instead."""
+    stencils = plan.symtab.stencils
+    return {cell: tuple([expand_ref(ref, subst) for ref in stencils[id(equation)].refs])
+            for cell, (equation, subst) in plan.rules.items()}
+
+
+def order_cells(plan: CellPlan) -> list[int]:
+    """The dense numbers of all cells in evaluation order, by Kahn's
+    algorithm over a min-heap: of the cells whose reads are all placed, the
+    smallest number, which is the smallest (table, indices), goes next.
+
+    An edge is a key `read * width + reader`.  A box's keys for one read
+    cell of a reference are affine in its variables' values, so they are
+    listed a run at a time, sorted once, and a placed cell's readers are
+    the keys between two bisections.  A cell that reads another twice has
+    two keys and counts it twice, which places it no differently."""
+    owner, dense = plan.owner, plan.symtab.reads
+    size = len(owner)
+    width = 4 * size + 4  # above any step of a reader's number, so no key step is 0
+    indegree = [0] * size
+    keys = []
+    for boxes in plan.boxes.values():
+        for box in boxes:
+            first, steps = box.first, box.steps
+            reads = [(start + offset, coefficients) for start, coefficients, offsets
+                     in dense[id(box.equation)] for offset in offsets or (0,)]
+            for run in runs(box.spans, first, steps):
+                indegree[run.start:run.stop:run.step] = [len(reads)] * len(run)
+            for start, coefficients in reads:
+                for run in runs(box.spans, start * width + first,
+                                [c * width + step for c, step in zip(coefficients, steps)]):
+                    keys += run
+    keys.sort()
+    ready = [n for n in range(size) if not indegree[n]]  # ascending, so a heap
+    order = []
+    while ready:
+        cell = heapq.heappop(ready)
+        order.append(cell)
+        low = cell * width
+        start = bisect_left(keys, low)
+        for key in keys[start:bisect_left(keys, low + width, start)]:
+            reader = key - low
+            indegree[reader] -= 1
+            if not indegree[reader]:
+                heapq.heappush(ready, reader)
+    if len(order) < size:
+        raise CyclicDependency(_find_cycle(plan, {n for n in range(size) if indegree[n]}))
+    return order
+
+
+def _find_cycle(plan: CellPlan, remaining: set[int]) -> list[CellId]:
+    """Walk unplaced cells, each to the smallest unplaced cell it reads,
+    until one repeats; return the cycle path."""
+    start = min(remaining)
+    seen = {}
+    path = [start]
+    cell = start
+    while cell not in seen:
+        seen[cell] = len(path) - 1
+        cell = min(n for n in _read_numbers(plan, cell) if n in remaining)
+        path.append(cell)
+    return [plan.symtab.cells[n] for n in path[seen[cell]:]]
 
 
 @dataclass
@@ -349,83 +418,47 @@ class DependencyGraph:
 
 
 def build_graph(plan: CellPlan) -> DependencyGraph:
-    """Build the cell dependency graph and a deterministic topological order.
-
-    Kahn's algorithm over a min-heap: of the cells whose dependencies
-    are all placed, the smallest (table, indices) is placed next."""
-    nodes = sorted(set(plan.rules) | plan.inputs)
-    edges = {cell: set() for cell in nodes}
-    for cell, reads in resolve_references(plan).items():
-        deps = edges[cell]
-        for cells in reads:
-            if type(cells) is tuple:
-                deps.update(cells)
-            else:
-                deps.add(cells)
-
-    dependents: dict[CellId, list[CellId]] = {cell: [] for cell in nodes}
-    indegree = {}
-    for cell in nodes:
-        indegree[cell] = len(edges[cell])
-        for dep in edges[cell]:
-            dependents[dep].append(cell)
-
-    ready = [cell for cell in nodes if indegree[cell] == 0]  # sorted, so a heap
-    order: list[CellId] = []
-    while ready:
-        cell = heapq.heappop(ready)
-        order.append(cell)
-        for dependent in dependents[cell]:
-            indegree[dependent] -= 1
-            if indegree[dependent] == 0:
-                heapq.heappush(ready, dependent)
-
-    if len(order) != len(nodes):
-        raise CyclicDependency(_find_cycle(edges, {c for c in nodes if indegree[c] > 0}))
-    return DependencyGraph(nodes, edges, order)
-
-
-def _find_cycle(edges, remaining):
-    """Walk unresolved cells until one repeats; return the cycle path."""
-    start = min(remaining)
-    seen = {}
-    path = [start]
-    cell = start
-    while cell not in seen:
-        seen[cell] = len(path) - 1
-        cell = min(d for d in edges[cell] if d in remaining)
-        path.append(cell)
-    return path[seen[cell]:]
+    """The cell dependency graph and evaluation order as CellIds, made from
+    the region plan when asked for; `evaluate` orders dense numbers with
+    `order_cells` directly."""
+    cells, order = plan.symtab.cells, order_cells(plan)
+    numbers = [n for n, box in enumerate(plan.owner)
+               if box is not None or cells[n].table not in plan.boxes]
+    edges = {cells[n]: {cells[m] for m in _read_numbers(plan, n)} for n in numbers}
+    return DependencyGraph([cells[n] for n in numbers], edges, [cells[n] for n in order])
 
 
 def evaluate(plan: CellPlan, inputs: dict[CellId, Value]) -> dict[CellId, Value]:
-    """Evaluate every cell of the plan; returns the complete value grid."""
+    """Evaluate every cell of the plan; returns the complete value grid, in
+    evaluation order."""
     symtab = plan.symtab
-    graph = build_graph(plan)
-    references = resolve_references(plan)
-    store: dict[CellId, Value] = {}
+    cells, stencils, dense = symtab.cells, symtab.stencils, symtab.reads
+    currency = {name: decl.result_type == "currency" for name, decl in symtab.tables.items()}
+    order = order_cells(plan)
+    store: list[Value] = [BLANK] * len(cells)
 
     def leaf(node):
-        # of the rule instance being evaluated: index variables from its
-        # substitution, element references from the store
+        # of the cell being evaluated: index variables from its indices,
+        # element references from the store
         if isinstance(node, IndexVar):
-            return Number(subst[node.name])
-        cells = reads[slots[id(node)]]
-        if type(cells) is tuple:
-            return [store[c] for c in cells]
-        return store[cells]
+            return Number(indices[stencil.variables[node.name]])
+        first, steps, offsets = reads[stencil.slots.index(id(node))]
+        number = first + sum(map(mul, steps, values))
+        return store[number] if offsets is None else [store[number + o] for o in offsets]
 
-    for cell in graph.topo_order:
-        if cell in plan.inputs:
+    for number in order:
+        cell, box = cells[number], plan.owner[number]
+        if box is None:
             value = inputs.get(cell, BLANK)
         else:
-            equation, subst = plan.rules[cell]
-            reads, slots = references[cell], symtab.stencils[id(equation)].slots
+            equation, indices = box.equation, cell.indices
+            stencil, reads = stencils[id(equation)], dense[id(equation)]
+            values = [indices[d] for d in stencil.variables.values()]
             try:
                 value = eval_expr(equation.rhs, leaf)
             except _Fault as exc:
                 raise RuntimeFault(cell, str(exc)) from None
-        if isinstance(value, Number) and symtab.tables[cell.table].result_type == "currency":
+        if isinstance(value, Number) and currency[cell.table]:
             value = Number(value.value, currency=True)
-        store[cell] = value
-    return store
+        store[number] = value
+    return {cells[n]: store[n] for n in order}

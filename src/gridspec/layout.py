@@ -53,8 +53,8 @@ from .evaluator import (
     NAError,
     Number,
     Value,
+    cell_reads,
     expand_ref,  # not called here; perfbench/tracing.py counts calls through this name
-    resolve_references,
 )
 
 MAIN_SHEET = "Model"
@@ -101,6 +101,13 @@ class Region:
         column, row = self.origin
         return (column + sum(map(mul, indices, self.column_steps)),
                 row + sum(map(mul, indices, self.row_steps)))
+
+    def at(self, offset: int) -> tuple[int, int]:
+        """(column, row) of the table's cell `offset` places after its first
+        in row-major index order, as dense cell numbers run: the first
+        dimension of a block runs across and the others down."""
+        column, row = divmod(offset, self.height)
+        return self.left + column, self.top + row
 
     def a1_range(self) -> str:
         first = f"{column_letters(self.left)}{self.top}"
@@ -216,9 +223,10 @@ def plan_layout(doc: SpecDocument, symtab: SymbolTable,
 
 def _template(equation, symtab: SymbolTable, layout: Layout) -> tuple[str, tuple]:
     """An equation's formula text split at its holes: the text before the
-    first hole, then each hole with the text after it.  A hole is an index
-    variable's name or, for an element reference, its stencil slot, the
-    sheet prefix it needs on the equation's sheet and its table's region."""
+    first hole, then each hole with the text after it.  A hole is the
+    dimension whose index an index variable takes or, for an element
+    reference, its stencil slot, the sheet prefix it needs on the
+    equation's sheet, its table's region and first dense cell number."""
     stencil = symtab.stencils[id(equation)]
     home = layout.regions[equation.table].sheet
     holes = []
@@ -231,34 +239,35 @@ def _template(equation, symtab: SymbolTable, layout: Layout) -> tuple[str, tuple
         if isinstance(expr, Call):
             return expr.func.upper()
         if isinstance(expr, IndexVar):
-            holes.append(expr.name)
+            holes.append(stencil.variables[expr.name])
         else:
-            slot = stencil.slots[id(expr)]
-            region = layout.regions[stencil.refs[slot][0]]
+            slot = stencil.slots.index(id(expr))
+            table, _, extent, _ = stencil.refs[slot]
+            region = layout.regions[table]
             holes.append((slot, "" if region.sheet == home else sheet_prefix(region.sheet),
-                          region))
+                          region, extent.base))
         return "\0"  # no other text of a formula holds it
 
     head, *parts = ("=" + format_expr(equation.rhs, leaf, pad="")).split("\0")
     return head, tuple(zip(holes, parts))
 
 
-def _fill(template: tuple[str, tuple], subst: dict[str, int], reads: tuple,
-          letters) -> str:
-    """A cell's formula from its equation's template, its index values, the
-    cells it reads (see resolve_references) and column_letters, `letters`."""
+def _fill(template: tuple[str, tuple], indices: tuple[int, ...], reads: list, letters) -> str:
+    """A cell's formula from its equation's template, its indices, the
+    dense numbers it reads (see evaluator.cell_reads) and column_letters,
+    `letters`."""
     head, holes = template
     texts = [head]
     for hole, text in holes:
-        if type(hole) is str:
-            texts.append(str(subst[hole]))
+        if type(hole) is int:
+            texts.append(str(indices[hole]))
         else:
-            slot, prefix, region = hole
-            cells = reads[slot]
+            slot, prefix, region, base = hole
+            read = reads[slot]
             # a range lists its cells row-major and plan_layout admits only
             # rectangles, so it is first:last, with the sheet before first only
-            for cell in (cells[0], cells[-1]) if type(cells) is tuple else (cells,):
-                column, row = region.place(cell.indices)
+            for number in (read[0], read[-1]) if type(read) is list else (read,):
+                column, row = region.at(number - base)
                 texts += (prefix, letters(column), str(row))
                 prefix = ":"
         texts.append(text)
@@ -267,9 +276,9 @@ def _fill(template: tuple[str, tuple], subst: dict[str, int], reads: tuple,
 
 def render_formula(cell: CellId, plan: CellPlan, layout: Layout) -> str:
     """Render a derived cell's rule instance as an A1 formula for its sheet."""
-    equation, subst = plan.rules[cell]
-    return _fill(_template(equation, plan.symtab, layout), subst,
-                 resolve_references(plan)[cell], column_letters)
+    equation = plan.rules[cell].equation
+    return _fill(_template(equation, plan.symtab, layout), cell.indices,
+                 cell_reads(plan.symtab, equation, cell.indices), column_letters)
 
 
 # --- value rendering and emission ------------------------------------------
@@ -337,21 +346,23 @@ def emit(layout: Layout, plan: CellPlan, values: dict[CellId, Value],
                 put(sheet, band_top + index - low, column, text, text)
 
     # table cells; an equation's template serves the cells of its table only
-    references = resolve_references(plan)
     letters = functools.cache(column_letters)
+    cells = symtab.cells
     for name, decl in symtab.tables.items():
         currency = decl.result_type == "currency"
         region = layout.regions[name]
+        extent = symtab.extents[name]
         templates = {id(equation): _template(equation, symtab, layout)
                      for equation in symtab.equations_by_table.get(name, ())}
-        for cell in symtab.table_cells(name):
-            column, row = region.place(cell.indices)
-            if cell in plan.inputs:
+        for number in range(extent.base, extent.base + extent.size):
+            cell, box = cells[number], plan.owner[number]
+            column, row = region.at(number - extent.base)
+            if box is None:
                 text = render_value(inputs.get(cell, BLANK), currency)
                 put(region.sheet, row, column, text, text)
             else:
-                equation, subst = plan.rules[cell]
-                formula = _fill(templates[id(equation)], subst, references[cell], letters)
+                reads = cell_reads(symtab, box.equation, cell.indices)
+                formula = _fill(templates[id(box.equation)], cell.indices, reads, letters)
                 put(region.sheet, row, column, formula, render_value(values[cell], currency))
 
     manifest = build_manifest(layout, symtab, doc)

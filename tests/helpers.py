@@ -1,12 +1,14 @@
-"""Shared helpers for the test suite: fixture loading, a random
-well-formed document generator used by the property tests, and reference
-code that the flat-list spec parser, the lowering of element references,
-the per-shape verifier and the per-equation formula templates are
+"""Shared helpers for the test suite: fixture loading, random well-formed
+document generators used by the property tests, and reference code that
+the flat-list spec parser, the lowering of element references, the region
+plan, the per-shape verifier and the per-equation formula templates are
 compared against."""
 
 from __future__ import annotations
 
 import bisect
+import heapq
+import itertools
 import math
 import random
 import re
@@ -36,13 +38,20 @@ from gridspec.ast import (
     SpecDocument,
     TableDecl,
     VarPattern,
+    element_refs,
     format_expr,
     format_number,
 )
 from gridspec.a1 import Address, CellRef, parse_a1_formula, sheet_prefix
 from gridspec.cli import load_inputs
-from gridspec.errors import ParseFailure, UnknownFunction, UnsupportedMatchType
-from gridspec.evaluator import BLANK, _Fault, eval_expr, resolve_references
+from gridspec.errors import (
+    CyclicDependency,
+    ParseFailure,
+    RuntimeFault,
+    UnknownFunction,
+    UnsupportedMatchType,
+)
+from gridspec.evaluator import BLANK, Number, _Fault, eval_expr, resolve_references
 from gridspec.parser import MAX_EXPRESSION_DEPTH, MAX_INTEGER, Diagnostic
 from gridspec.verify import Mismatch, VerifyReport, parse_value_text, values_agree
 
@@ -144,6 +153,192 @@ def random_inputs(rng: random.Random, doc: SpecDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
+# --- random documents that cover every cell --------------------------------
+
+_COVERING_NAMES = ("alpha", "beta", "gamma", "delta", "omega", "kappa", "sigma", "zeta")
+# the sets of dimensions an `all` range may span in a table of each arity:
+# along the dimensions down rows its `all` indices must come last
+_RANGE_DIMS = {1: [{0}], 2: [{0}, {1}, {0, 1}], 3: [{2}, {1, 2}, {0}, {0, 2}, {0, 1, 2}]}
+
+
+def covering_document(rng: random.Random) -> SpecDocument:
+    """A random document whose equations cover every derived cell exactly
+    once and read only cells within bounds, both by construction.
+
+    Tables have 0 to 3 dimensions, names in random order and, now and then,
+    the caption name `time`.  A derived table's equations split it by a
+    constant with a `<>` catch-all, by a guard and its complement, or by
+    its first or last cells set apart, and sometimes around a diagonal
+    a[i,i] with the cells off it row by row.  Right-hand sides read input
+    tables and the tables derived before them at shifted indices kept in
+    bounds by the guards (t-1 under t>low, t+2 under t<high-1), their own
+    earlier cells, and `all` ranges in sum and match, so there is no cycle;
+    a division by a cell may fault."""
+    bounds = []
+    for k in range(rng.randint(1, 3)):
+        low = rng.randint(0, 3)
+        bounds.append((f"b{k}", low, low + rng.randint(0, 4)))
+    elements: list = [BoundsDecl(*b) for b in bounds]
+    names = rng.sample(_COVERING_NAMES, rng.randint(2, 5))
+    if rng.random() < 0.25:
+        names[rng.randrange(len(names))] = "time"
+    tables = []
+    for name in names:
+        arity = 1 if name == "time" else rng.choice((0, 1, 1, 2, 2, 3))
+        dims = tuple(rng.choice(bounds) for _ in range(arity))
+        tables.append((name, dims))
+        elements.append(TableDecl(name, tuple(d[0] for d in dims),
+                                  rng.choice(("number", "currency", "general"))))
+    derived = rng.sample(tables, rng.randint(1, len(tables) - 1))
+    readable = [t for t in tables if t not in derived]
+    for name, dims in derived:
+        for patterns in _covering_patterns(rng, dims):
+            rhs = _covering_rhs(rng, name, dims, patterns, readable)
+            elements.append(EquationDecl(name, patterns, rhs))
+        readable.append((name, dims))
+    return SpecDocument(tuple(elements))
+
+
+def _covering_patterns(rng, dims):
+    """Left-hand patterns of equations that partition a table's cells."""
+    factors = []  # (dimensions, alternative pattern tuples for them)
+    split = list(range(len(dims)))
+    pairs = [(d, e) for d in split for e in split[d + 1:] if dims[d] == dims[e]]
+    if pairs and rng.random() < 0.5:
+        d, e = rng.choice(pairs)
+        _, low, high = dims[d]
+        factors.append(((d, e), [(VarPattern("i"), VarPattern("i"))] + [
+            (ConstantPattern(c), GuardedVarPattern(f"i{e}", "<>", c))
+            for c in range(low, high + 1)]))
+        split = [k for k in split if k not in (d, e)]
+    for d in rng.sample(split, min(len(split), rng.randint(0, 2))):
+        _, low, high = dims[d]
+        var = f"i{d}"
+        scheme = rng.choice(("const", "guard", "first", "last") if high else ("const", "first"))
+        if scheme == "const":
+            c = rng.randint(low, high)
+            options = [ConstantPattern(c), GuardedVarPattern(var, "<>", c)]
+        elif scheme == "guard":
+            m = rng.randint(low, high)
+            cmp = rng.choice(("<", "<="))
+            options = [GuardedVarPattern(var, cmp, m),
+                       GuardedVarPattern(var, {"<": ">=", "<=": ">"}[cmp], m)]
+        elif scheme == "first":
+            options = [ConstantPattern(low), GuardedVarPattern(var, ">", low)]
+        else:
+            options = [GuardedVarPattern(var, "<", high - 1),
+                       GuardedVarPattern(var, ">=", high - 1)]
+        factors.append(((d,), [(p,) for p in options]))
+    covered = {d for dims_of, _ in factors for d in dims_of}
+    factors += [((d,), [(VarPattern(f"i{d}"),)]) for d in range(len(dims)) if d not in covered]
+    equations = []
+    for combo in itertools.product(*[options for _, options in factors]):
+        patterns = [None] * len(dims)
+        for (dims_of, _), chosen in zip(factors, combo):
+            for d, pattern in zip(dims_of, chosen):
+                patterns[d] = pattern
+        equations.append(tuple(patterns))
+    return equations
+
+
+def _covering_rhs(rng, table, dims, patterns, readable):
+    """A right-hand side that reads only cells within bounds."""
+    spans = {}  # variable -> (bounds name, lowest value, highest value)
+    for pattern, (bound, low, high) in zip(patterns, dims):
+        if isinstance(pattern, ConstantPattern):
+            continue
+        _, first, last = spans.get(pattern.name, (bound, low, high))
+        if isinstance(pattern, GuardedVarPattern):
+            value, cmp = pattern.bound, pattern.comparator
+            first = max(first, value + (cmp == ">") if cmp in (">", ">=") else first)
+            last = min(last, value - (cmp == "<") if cmp in ("<", "<=") else last)
+        spans[pattern.name] = (bound, first, last)
+    if any(first > last for _, first, last in spans.values()):
+        return NumberLit(rng.randint(0, 9))  # the equation covers no cell
+
+    def index(bound, low, high):
+        choices = [v for v, (b, _, _) in spans.items() if b == bound]
+        if not choices or rng.random() < 0.2:
+            return NumberLit(rng.randint(low, high))
+        var = rng.choice(choices)
+        _, first, last = spans[var]
+        offset = rng.randint(max(-2, low - first), min(2, high - last))
+        return shift(IndexVar(var), offset)
+
+    def shift(expr, offset):
+        if offset == 0:
+            return expr
+        return Binary("+" if offset > 0 else "-", expr, NumberLit(abs(offset)))
+
+    def ref(target, ranged=False):
+        name, target_dims = target
+        whole = rng.choice(_RANGE_DIMS[len(target_dims)]) if ranged else set()
+        return ElementRef(name, tuple(AllIndex() if k in whole else index(*dim)
+                                      for k, dim in enumerate(target_dims)))
+
+    def earlier():
+        """This table at a cell before the reader's, one variable shifted down."""
+        once = [(d, p.name) for d, p in enumerate(patterns)
+                if not isinstance(p, ConstantPattern)
+                and sum(getattr(q, "name", None) == p.name for q in patterns) == 1
+                and spans[p.name][1] > dims[d][1]]
+        if not once:
+            return None
+        d, var = rng.choice(once)
+        back = rng.randint(1, min(2, spans[var][1] - dims[d][1]))
+        return ElementRef(table, tuple(
+            NumberLit(p.value) if isinstance(p, ConstantPattern)
+            else shift(IndexVar(p.name), -back if k == d else 0)
+            for k, p in enumerate(patterns)))
+
+    def term(depth):
+        kind = rng.choice(("number", "var", "ref", "ref", "self", "self", "sum", "match",
+                           "arith", "arith", "divide", "if"))
+        ranges = [t for t in readable if t[1]]
+        if kind == "var" and spans:
+            return IndexVar(rng.choice(sorted(spans)))
+        if kind == "ref":
+            return ref(rng.choice(readable))
+        if kind == "self" and (found := earlier()) is not None:
+            return found
+        if kind == "sum" and ranges:
+            return Call("sum", (ref(rng.choice(ranges), ranged=True),))
+        if kind == "match" and ranges:
+            return Call("match", (term(depth + 1) if depth < 2 else NumberLit(rng.randint(0, 9)),
+                                  ref(rng.choice(ranges), ranged=True), NumberLit(0)))
+        if depth < 2 and kind == "arith":
+            return Binary(rng.choice("+-*"), term(depth + 1), term(depth + 1))
+        if kind == "divide":
+            if rng.random() < 0.1:  # may divide by zero, or by a blank
+                return Binary("/", NumberLit(100), ref(rng.choice(readable)))
+            return Binary("/", term(depth + 1) if depth < 2 else ref(rng.choice(readable)),
+                          NumberLit(rng.choice((2, 4, 5))))
+        if depth < 2 and kind == "if":
+            test = Binary(">", ref(rng.choice(readable)), NumberLit(rng.randint(0, 50)))
+            return Call("if", (test, term(depth + 1), term(depth + 1)))
+        return NumberLit(rng.randint(0, 9))
+
+    return term(0)
+
+
+def covering_inputs(rng: random.Random, doc: SpecDocument) -> str:
+    """Input CSV records for every table without equations: whole numbers,
+    or cents for currency; about a tenth of the cells blank."""
+    bounds = {e.name: (e.low, e.high) for e in doc.elements if isinstance(e, BoundsDecl)}
+    derived = {e.table for e in doc.elements if isinstance(e, EquationDecl)}
+    lines = []
+    for decl in doc.elements:
+        if not isinstance(decl, TableDecl) or decl.name in derived:
+            continue
+        for cell in itertools.product(*[range(bounds[d][0], bounds[d][1] + 1) for d in decl.dims]):
+            if rng.random() < 0.1:
+                continue
+            value = rng.randint(-500, 5000)
+            text = f"{value / 100:.2f}" if decl.result_type == "currency" else str(value)
+            lines.append(",".join([decl.name, *map(str, cell), text]))
+    return "\n".join(lines) + "\n"
+
+
 # --- expressions at a given depth ------------------------------------------
 
 DEPTH_SHAPES = ("parentheses", "calls", "operators")
@@ -226,6 +421,145 @@ def reference_ref_bounds(equation, refs, subst, cell, symtab):
                     f"outside {low}..{high}", equation.pos)
 
 
+# --- the per-cell plan ----------------------------------------------------
+# elaborate, resolve_references, build_graph and evaluate as they were
+# before the region plan: a rule instance, a substitution dict, the cells
+# read and an edge set for every cell.
+
+def reference_match_patterns(patterns, indices):
+    """Unify LHS patterns with concrete indices; return the substitution."""
+    subst = {}
+    for pattern, value in zip(patterns, indices):
+        if isinstance(pattern, ConstantPattern):
+            if pattern.value != value:
+                return None
+        elif subst.setdefault(pattern.name, value) != value:
+            return None
+        elif isinstance(pattern, GuardedVarPattern) and not {
+                "<": value < pattern.bound, "<=": value <= pattern.bound,
+                ">": value > pattern.bound, ">=": value >= pattern.bound,
+                "<>": value != pattern.bound}[pattern.comparator]:
+            return None
+    return subst
+
+
+def _valid_refs(equation, symtab):
+    """The element references of an equation that name a declared table
+    with the right arity, in walk order: the slots of its stencil."""
+    return [ref for ref in element_refs(equation.rhs)
+            if ref.table in symtab.tables
+            and len(ref.indices) == len(symtab.tables[ref.table].dims)]
+
+
+def reference_elaborate(doc, symtab):
+    """Pick exactly one rule per derived cell by concrete enumeration;
+    returns (rules, inputs, diagnostics), with rules mapping each cell to
+    its (equation, substitution) in table and row-major order."""
+    diagnostics, rules, inputs = [], {}, set()
+    for name in symtab.tables:
+        equations = symtab.equations_by_table[name]
+        if not equations:
+            inputs.update(symtab.table_cells(name))
+            continue
+        for cell in symtab.table_cells(name):
+            matches = []
+            for equation in equations:
+                subst = reference_match_patterns(equation.lhs_patterns, cell.indices)
+                if subst is not None:
+                    matches.append((equation, subst))
+            if not matches:
+                diagnostics.append(Diagnostic(
+                    "error", "UncoveredCell",
+                    f"no equation covers cell {cell}", symtab.tables[name].pos))
+                continue
+            if len(matches) > 1:
+                diagnostics.append(Diagnostic(
+                    "error", "OverlappingRules",
+                    f"{len(matches)} equations cover cell {cell}", matches[1][0].pos))
+                continue
+            equation, subst = matches[0]
+            rules[cell] = (equation, subst)
+            diagnostics.extend(reference_ref_bounds(
+                equation, _valid_refs(equation, symtab), subst, cell, symtab))
+    return rules, inputs, diagnostics
+
+
+def reference_resolve_references(rules, symtab):
+    """The cells each derived cell reads: per slot a CellId or, for a
+    range, a tuple of CellIds in row-major order."""
+    references = {}
+    for cell, (equation, subst) in rules.items():
+        reads = []
+        for ref in _valid_refs(equation, symtab):
+            cells = reference_expand_ref(ref, subst, symtab)
+            ranged = any(isinstance(index, AllIndex) for index in ref.indices)
+            reads.append(tuple(cells) if ranged else cells[0])
+        references[cell] = tuple(reads)
+    return references
+
+
+def reference_build_graph(rules, inputs, references):
+    """(nodes, edges, topo_order) by Kahn's algorithm over a min-heap of
+    cells; raises CyclicDependency with the path _find_cycle found."""
+    nodes = sorted(set(rules) | inputs)
+    edges = {cell: set() for cell in nodes}
+    for cell, reads in references.items():
+        for cells in reads:
+            edges[cell].update(cells if type(cells) is tuple else (cells,))
+    dependents = {cell: [] for cell in nodes}
+    indegree = {}
+    for cell in nodes:
+        indegree[cell] = len(edges[cell])
+        for dep in edges[cell]:
+            dependents[dep].append(cell)
+    ready = [cell for cell in nodes if indegree[cell] == 0]
+    order = []
+    while ready:
+        cell = heapq.heappop(ready)
+        order.append(cell)
+        for dependent in dependents[cell]:
+            indegree[dependent] -= 1
+            if indegree[dependent] == 0:
+                heapq.heappush(ready, dependent)
+    if len(order) != len(nodes):
+        remaining = {c for c in nodes if indegree[c] > 0}
+        start = cell = min(remaining)
+        seen, path = {}, [start]
+        while cell not in seen:
+            seen[cell] = len(path) - 1
+            cell = min(d for d in edges[cell] if d in remaining)
+            path.append(cell)
+        raise CyclicDependency(path[seen[cell]:])
+    return nodes, edges, order
+
+
+def reference_evaluate(symtab, rules, inputs, references, order, bindings):
+    """Evaluate every cell in `order`; returns the value dict in that order."""
+    store = {}
+    for cell in order:
+        if cell in inputs:
+            value = bindings.get(cell, BLANK)
+        else:
+            equation, subst = rules[cell]
+            slots = {id(ref): k for k, ref in enumerate(_valid_refs(equation, symtab))}
+            reads = references[cell]
+
+            def leaf(node):
+                if isinstance(node, IndexVar):
+                    return Number(subst[node.name])
+                cells = reads[slots[id(node)]]
+                return [store[c] for c in cells] if type(cells) is tuple else store[cells]
+
+            try:
+                value = eval_expr(equation.rhs, leaf)
+            except _Fault as exc:
+                raise RuntimeFault(cell, str(exc)) from None
+        if isinstance(value, Number) and symtab.tables[cell.table].result_type == "currency":
+            value = Number(value.value, currency=True)
+        store[cell] = value
+    return store
+
+
 # --- verify, one parse per formula -----------------------------------------
 
 def reference_verify_grid(formulas, values) -> VerifyReport:
@@ -280,7 +614,7 @@ def reference_render_formula(cell, plan, layout) -> str:
     cell's sheet, walking its equation once for this cell."""
     equation, subst = plan.rules[cell]
     reads = resolve_references(plan)[cell]
-    slots = plan.symtab.stencils[id(equation)].slots
+    slots = {id(ref): k for k, ref in enumerate(_valid_refs(equation, plan.symtab))}
     home = layout.cell_address(cell).sheet
 
     def leaf(expr):

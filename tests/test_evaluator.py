@@ -19,7 +19,7 @@ from gridspec.evaluator import (
     value_equal,
 )
 
-from helpers import analyze_fixture, evaluate_fixture, random_document
+from helpers import analyze_fixture, covering_document, evaluate_fixture, random_document
 
 
 def number_at(values, table, *indices):
@@ -177,6 +177,14 @@ class TestEvaluationOrder:
             assert graph.topo_order == reference_topo_order(graph)
             checked += 1
         assert checked >= 40
+
+    def test_covering_document_order_is_the_reference_order(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            _, plan, diagnostics = analyze(covering_document(rng))
+            assert plan is not None, diagnostics
+            graph = build_graph(plan)
+            assert graph.topo_order == reference_topo_order(graph)
 
     def test_cell_read_twice_is_one_dependency(self):
         plan = analyze_source(

@@ -226,6 +226,9 @@ def check_geometry(symtab, layout, manifest):
             assert region.top <= address.row <= region.bottom, (name, address)
         spots = [(address.row, address.column) for address in addresses]
         assert spots == sorted(spots), name
+        # a cell's dense number places it too: its offset in row-major index order
+        for offset, cell in enumerate(symtab.table_cells(name)):
+            assert region.at(offset) == region.place(cell.indices), (name, cell)
     for (name, region), (other_name, other) in itertools.combinations(regions.items(), 2):
         assert (region.sheet != other.sheet or region.right < other.left
                 or other.right < region.left or region.bottom < other.top

@@ -1,6 +1,8 @@
 """Each equation's element references are lowered once; the cells every
 rule instance reads, and the IndexOutOfBounds diagnostics, must equal
-those of the per-cell reference expansion in helpers."""
+those of the per-cell reference expansion in helpers, on the fixtures,
+the random draws, documents that cover every cell and all of these with
+their references shifted."""
 
 import random
 
@@ -19,6 +21,7 @@ from gridspec.ast import (
 from gridspec.evaluator import resolve_references
 
 from helpers import (
+    covering_document,
     fixture_text,
     random_document,
     reference_expand_ref,
@@ -54,7 +57,10 @@ def documents():
     rng = random.Random(20091187)
     docs = [parse_document(fixture_text(name)) for name in ("cashflow", "borrowing", "loans")]
     docs += [random_document(rng) for _ in range(300)]
-    return docs + [shifted_document(doc, rng) for doc in docs]
+    docs += [shifted_document(doc, rng) for doc in docs]
+    rng = random.Random(611)
+    covering = [covering_document(rng) for _ in range(200)]
+    return docs + covering + [shifted_document(doc, rng) for doc in covering]
 
 
 def test_lowering_matches_reference_expansion():

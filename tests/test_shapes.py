@@ -27,7 +27,14 @@ from gridspec.layout import emit, plan_layout
 from gridspec.parser import scan
 from gridspec.verify import verify_grid
 
-from helpers import evaluate_fixture, random_document, random_inputs, reference_verify_grid
+from helpers import (
+    covering_document,
+    covering_inputs,
+    evaluate_fixture,
+    random_document,
+    random_inputs,
+    reference_verify_grid,
+)
 
 
 def assert_same_report(formulas, values):
@@ -129,6 +136,31 @@ def test_random_documents(tmp_path):
         assert_same_report(result.formulas, result.values)
         compared += 1
     assert compared >= 40
+
+
+def test_covering_documents(tmp_path):
+    rng = random.Random(3607)
+    compared = 0
+    for trial in range(200):
+        doc = covering_document(rng)
+        inputs_path = tmp_path / f"{trial}.csv"
+        inputs_path.write_text(covering_inputs(rng, doc), encoding="utf-8")
+        symtab, plan, diagnostics = analyze(doc)
+        assert plan is not None, diagnostics
+        layout = plan_layout(doc, symtab)
+        inputs = load_inputs(inputs_path, symtab)
+        try:
+            values = evaluate(plan, inputs)
+        except GridSpecError:  # a division by zero
+            continue
+        result = emit(layout, plan, values, inputs, doc)
+        assert assert_same_report(result.formulas, result.values).ok
+        for sheet, cells in result.values.items():
+            for at in rng.sample(sorted(cells), min(2, len(cells))):
+                cells[at] = rng.choice(["0", "1", "TRUE", "#N/A", "", "x"])
+        assert_same_report(result.formulas, result.values)
+        compared += 1
+    assert compared >= 190
 
 
 # Formula shapes with holes: {r} is a cell reference, {c} a corner of a

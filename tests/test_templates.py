@@ -14,7 +14,14 @@ from gridspec.errors import GridSpecError, LayoutError
 from gridspec.evaluator import BLANK
 from gridspec.layout import LayoutOptions, emit, plan_layout
 
-from helpers import evaluate_fixture, random_document, random_inputs, reference_render_formula
+from helpers import (
+    covering_document,
+    covering_inputs,
+    evaluate_fixture,
+    random_document,
+    random_inputs,
+    reference_render_formula,
+)
 
 
 def assert_reference_formulas(doc, plan, values, inputs, options=None):
@@ -61,6 +68,22 @@ def test_random_documents(tmp_path):
             continue
         compared += 1
     assert compared >= 40
+
+
+def test_covering_documents(tmp_path):
+    rng = random.Random(4049)
+    for trial in range(200):
+        doc = covering_document(rng)
+        inputs_path = tmp_path / f"{trial}.csv"
+        inputs_path.write_text(covering_inputs(rng, doc), encoding="utf-8")
+        symtab, plan, diagnostics = analyze(doc)
+        assert plan is not None, diagnostics
+        inputs = load_inputs(inputs_path, symtab)
+        try:
+            values = evaluate(plan, inputs)
+        except GridSpecError:  # a formula is written whatever its value
+            values = dict.fromkeys(plan.rules, BLANK)
+        assert assert_reference_formulas(doc, plan, values, inputs)
 
 
 CAPTION_SPEC = """\
