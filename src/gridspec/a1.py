@@ -4,7 +4,8 @@ Formulas are parsed by the specification expression grammar, with cell
 and range references in place of element references, which is what lets
 the grid verifier re-evaluate emitted formulas one step with the
 evaluator's own eval_expr.  Formulas that differ only in their references
-and numbers have one shape, parsed once to a template with holes.
+and numbers have one shape, parsed once to a template with holes, whose
+anchored pattern reads the holes of every other formula of the shape.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ def column_letters(number: int) -> str:
 
 def column_number(letters: str) -> int:
     number = 0
-    for ch in letters:
-        number = number * 26 + (ord(ch.upper()) - ord("A") + 1)
+    for ch in letters.upper():
+        number = number * 26 + ord(ch) - 64  # A is 65
     return number
 
 
@@ -81,13 +82,16 @@ class RangeRef(Expr):
 # (tried before keywords, so TRUE1 is a cell) whose sheet is an identifier
 # or a quoted name (see sheet_prefix), TRUE and FALSE are keywords
 # in any case, whitespace is any Unicode whitespace, and a number is
-# always a `decimal`.
+# always a `decimal`.  A shape's pattern (see make_template) reuses the
+# `decimal` and `ref` alternatives.
+_DECIMAL_TEXT = r"[0-9]+(?:\.[0-9]+)?"
+_REF_TEXT = (r"(?:(?:(?P<sheet>[A-Za-z_][A-Za-z0-9_]*)|'(?P<quoted>[^']+)')!)?"
+             r"\$?(?P<col>[A-Z]+)\$?(?P<row>[1-9][0-9]*)")
 _A1_TOKENS = re.compile(
     r"\s*(?:"
     r"(?P<symbol><=|>=|<>|[():,=+\-*/<>])"
-    r"|(?P<decimal>[0-9]+(?:\.[0-9]+)?)"
-    r"|(?P<ref>(?:(?:(?P<sheet>[A-Za-z_][A-Za-z0-9_]*)|'(?P<quoted>[^']+)')!)?"
-    r"\$?(?P<col>[A-Z]+)\$?(?P<row>[1-9][0-9]*))"
+    rf"|(?P<decimal>{_DECIMAL_TEXT})"
+    rf"|(?P<ref>{_REF_TEXT})"
     r"|(?P<keyword>(?ai:true|false)(?![A-Za-z0-9_]))"
     r"|(?P<identifier>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<illegal>\S))")
@@ -155,8 +159,9 @@ def parse_a1_formula(text: str, default_sheet: str = "Model") -> Expr:
 # offset `at` of the split is at at + g.  A ref's groups sheet, quoted, col
 # and row come one after another, in _read_address's order.
 _STRIDE = _A1_TOKENS.groups + 1
-_SYMBOL, _DECIMAL, _REF, _SHEET = (_A1_TOKENS.groupindex[g]
-                                   for g in ("symbol", "decimal", "ref", "sheet"))
+_SYMBOL, _DECIMAL, _REF, _SHEET, _KEYWORD, _IDENTIFIER = (
+    _A1_TOKENS.groupindex[g]
+    for g in ("symbol", "decimal", "ref", "sheet", "keyword", "identifier"))
 _KEPT = [_A1_TOKENS.groupindex[g] for g in ("symbol", "keyword", "identifier", "illegal")]
 
 
@@ -178,10 +183,41 @@ class Hole(Expr):
     ranged: bool
 
 
-def make_template(expr: Expr, parts: list) -> tuple[Expr, tuple[int, ...]]:
+# The kind of each hole: a number, a reference, or a reference after ':',
+# which ends a range on the sheet of its start.
+_NUMBER, _ADDRESS, _RANGE_END = range(3)
+# A literal token's pattern ends where scan would end it: `<` and `>` are
+# not the start of `<=`, `<>` or `>=`, and a word runs into no letter,
+# digit, `_`, `$` or `!`, which would make it (part of) another token.
+_WORD_END = r"(?![A-Za-z0-9_$!])"
+_SYMBOL_END = {"<": "(?![=>])", ">": "(?!=)"}
+_NUMBER_HOLE = f"(?>({_DECIMAL_TEXT}))"
+_REF_HOLE = "(?>" + re.sub(r"\(\?P<\w+>", "(", _REF_TEXT) + ")"
+
+
+class Shape(NamedTuple):
+    """What a template reads from its formula's split (see make_template).
+    `starts` holds the offsets in the split of its hole tokens and `kinds`
+    the kind of each hole.  `pattern` matches, from offset 1 on, exactly
+    the formulas whose split has the template's key, with each hole's
+    groups as bind_groups takes them."""
+    starts: tuple[int, ...]
+    kinds: tuple[int, ...]
+    pattern: re.Pattern
+
+    def read(self, formula: str, default_sheet: str) -> list | None:
+        """The hole values of `formula`, '=' and all, if it has this
+        shape; None if it has another, or if bind_groups refuses it."""
+        match = self.pattern.fullmatch(formula, 1)
+        return match and bind_groups(self.kinds, match.groups(), default_sheet)
+
+
+def make_template(expr: Expr, parts: list) -> tuple[Expr, Shape]:
     """A formula parsed to `expr`, whose split is `parts`, with its
     NumberLit, CellRef and RangeRef leaves made Holes, numbered in token
-    order; and the offsets in `parts` of its hole tokens."""
+    order; and its Shape, whose pattern is the tokens of `parts` with every
+    literal token escaped, `\\s*` around each token and an atomic group
+    (greedy as scan is) at each hole."""
     slots = itertools.count()
 
     def punch(node: Expr) -> Expr:
@@ -196,26 +232,53 @@ def make_template(expr: Expr, parts: list) -> tuple[Expr, tuple[int, ...]]:
             next(slots)
         return hole
 
-    return punch(expr), tuple(at for at in range(0, len(parts) - 1, _STRIDE)
-                              if parts[at + _DECIMAL] or parts[at + _REF])
+    starts, kinds, tokens = [], [], []
+    for at in range(0, len(parts) - 1, _STRIDE):
+        if parts[at + _DECIMAL] or parts[at + _REF]:
+            kind = (_NUMBER if parts[at + _DECIMAL] else
+                    _RANGE_END if at and parts[at - _STRIDE + _SYMBOL] == ":" else _ADDRESS)
+            starts.append(at)
+            kinds.append(kind)
+            tokens.append(_NUMBER_HOLE if kind == _NUMBER else _REF_HOLE)
+        elif text := parts[at + _SYMBOL]:
+            tokens.append(re.escape(text) + _SYMBOL_END.get(text, ""))
+        else:  # a keyword or an identifier: a parsed formula has no illegal token
+            text = parts[at + _KEYWORD] or parts[at + _IDENTIFIER]
+            tokens.append(re.escape(text) + _WORD_END)
+    pattern = re.compile(r"\s*" + r"\s*".join(tokens) + r"\s*")
+    return punch(expr), Shape(tuple(starts), tuple(kinds), pattern)
 
 
-def bind_holes(starts: tuple[int, ...], parts: list, default_sheet: str) -> list | None:
-    """The value of each hole token, at `starts` in the split `parts` of a
-    formula of a template's shape: a float or an Address.  None if a
-    number is not finite, a reference is past the sheet's extents or a
-    range ends on another sheet, which the parser reports."""
-    bound = []
-    for at in starts:
+def bind_holes(shape: Shape, parts: list, default_sheet: str) -> list | None:
+    """The hole values of a formula of `shape` from its split `parts`."""
+    groups = []
+    for at in shape.starts:
         if parts[at + _DECIMAL]:
-            value = float(parts[at + _DECIMAL])
+            groups.append(parts[at + _DECIMAL])
+        else:
+            groups += parts[at + _SHEET:at + _SHEET + 4]
+    return bind_groups(shape.kinds, groups, default_sheet)
+
+
+def bind_groups(kinds: tuple[int, ...], groups, default_sheet: str) -> list | None:
+    """The value of each hole of `kinds`, a float or an Address, from the
+    holes' groups in order: a number's text, or a reference's sheet,
+    quoted sheet, column letters and row.  None if a number is not finite,
+    a reference is past the sheet's extents or a range ends on another
+    sheet, which the parser reports."""
+    bound = []
+    at = 0
+    for kind in kinds:
+        if kind == _NUMBER:
+            value = float(groups[at])
             value = value if math.isfinite(value) else None
-        else:  # a reference after ':' ends a range, on the sheet of its start only
-            after = at and parts[at - _STRIDE + _SYMBOL] == ":"
-            sheet = bound[-1].sheet if after else default_sheet
-            value = _read_address(*parts[at + _SHEET:at + _SHEET + 4], sheet)
-            if after and value and value.sheet != sheet:
+            at += 1
+        else:  # a range ends on the sheet of its start only
+            sheet = bound[-1].sheet if kind == _RANGE_END else default_sheet
+            value = _read_address(*groups[at:at + 4], sheet)
+            if kind == _RANGE_END and value and value.sheet != sheet:
                 value = None
+            at += 4
         if value is None:
             return None
         bound.append(value)

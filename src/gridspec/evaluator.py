@@ -15,7 +15,7 @@ import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
 from operator import mul
 
 from .analyzer import CellId, CellPlan, SymbolTable, eval_index_expr, runs
@@ -140,6 +140,18 @@ def value_equal(a: Value, b: Value) -> bool:
     return False
 
 
+class SparseRange(list):
+    """The values of those cells of a range that a values document holds,
+    in row-major order, with the 1-based position of each in the range.
+    The other cells are blank: sum skips them and match finds none."""
+
+    __slots__ = ("positions",)
+
+    def __init__(self, values, positions):
+        super().__init__(values)
+        self.positions = positions
+
+
 def _as_number(value: Value) -> float:
     if isinstance(value, Number):
         return value.value
@@ -225,7 +237,8 @@ def apply_builtin(name: str, args: list) -> Value:
             rng = [rng]
         if is_na(needle):
             return NA
-        for position, item in enumerate(rng, start=1):
+        positions = rng.positions if isinstance(rng, SparseRange) else count(1)
+        for position, item in zip(positions, rng):
             if value_equal(needle, item):
                 return Number(position)
         return NA

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .a1 import Address, Hole, RangeRef, bind_holes, formula_shape, make_template, parse_a1_formula
+from .a1 import Address, Hole, bind_holes, formula_shape, make_template, parse_a1_formula
 from .errors import ParseFailure, UnknownFunction, UnsupportedMatchType
 from .evaluator import (
     BLANK,
@@ -24,6 +25,7 @@ from .evaluator import (
     Boolean,
     DateValue,
     Number,
+    SparseRange,
     Value,
     _Fault,
     eval_expr,
@@ -88,53 +90,98 @@ def values_agree(computed: Value, stored: Value | None) -> bool:
 
 def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
     """One-step check of every formula cell against the values document.
-    Each formula shape is parsed once (see a1.formula_shape); every other
-    formula of the shape binds the holes of its template from its own text."""
+    Each formula shape is parsed once, to a template whose Shape has an
+    anchored pattern (see a1.make_template).  A formula is read by the
+    pattern of the formula above it in its column, else by that of the
+    formula checked before it, and the groups of a match bind the
+    template's holes.  Only a formula that both miss is split into tokens
+    (a1.formula_shape), to find or parse the template of its shape.  A
+    range reads the cells the values document holds in it, so its cost
+    never grows with its area past the cells present."""
     report = VerifyReport()
     # each cell's text is parsed once, however many formulas read it
     parsed = {sheet: {at: parse_value_text(text) for at, text in cells.items()}
               for sheet, cells in values.items()}
-    templates = {}  # shape key -> (template, hole token offsets), see a1.make_template
+    ordered = {}  # sheet -> its cells' (row, column) in row-major order, for sparse ranges
+    templates = {}  # shape key -> (template, Shape), see a1.make_template
+    above = {}  # column -> the template of the last formula read in it, on this sheet
+    before = None  # the template of the last formula read
     bound = []  # the values at the holes of the formula being checked
 
-    def operand(address: Address) -> Value:
-        value = parsed.get(address.sheet, {}).get((address.row, address.column), BLANK)
+    def read(text: str, sheet: str, column: int):
+        """The template of a formula and the values at its holes.  Raises
+        ParseFailure for a formula that does not parse."""
+        nonlocal before
+        tried = None
+        for template in (above.get(column), before):
+            if template is not None and template is not tried:
+                found = template[1].read(text, sheet)
+                if found is not None:
+                    break
+                tried = template
+        else:
+            key, parts = formula_shape(text[1:])
+            template = templates.get(key)
+            found = template and bind_holes(template[1], parts, sheet)
+            if found is None:  # a new shape, or a literal the parser reports
+                template = templates[key] = make_template(
+                    parse_a1_formula(text, default_sheet=sheet), parts)
+                found = bind_holes(template[1], parts, sheet)
+        above[column] = before = template
+        return template, found
+
+    def operand(sheet: str, at: tuple[int, int]) -> Value:
+        value = parsed.get(sheet, {}).get(at, BLANK)
         if value is None:
-            raise _Fault(f"references non-value cell {address}")
+            raise _Fault(f"references non-value cell {Address(sheet, at[1], at[0])}")
         return value
+
+    def cells_in(first: Address, last: Address) -> list[Value]:
+        """A range's values: each cell's when it has no more cells than its
+        sheet holds, else a SparseRange of the cells the sheet holds in it."""
+        sheet, columns = first.sheet, range(first.column, last.column + 1)
+        rows = range(first.row, last.row + 1)
+        present = parsed.get(sheet, {})
+        if len(rows) * len(columns) <= len(present):
+            return [operand(sheet, (row, column)) for row in rows for column in columns]
+        keys = ordered.get(sheet) or ordered.setdefault(sheet, sorted(present))
+        band = keys[bisect_left(keys, (first.row, first.column)):
+                    bisect_left(keys, (last.row + 1,))]
+        inside = [at for at in band if at[1] in columns]
+        return SparseRange([operand(sheet, at) for at in inside],
+                           [(row - first.row) * len(columns) + column - first.column + 1
+                            for row, column in inside])
 
     def leaf(hole: Hole) -> Value | list[Value]:
         value = bound[hole.slot]
         if hole.ranged:
-            return [operand(a) for a in RangeRef(value, bound[hole.slot + 1]).addresses()]
-        return Number(value) if isinstance(value, float) else operand(value)
+            return cells_in(value, bound[hole.slot + 1])
+        if isinstance(value, float):
+            return Number(value)
+        return operand(value.sheet, (value.row, value.column))
 
     for sheet in sorted(formulas):
+        above.clear()
+        stored_on_sheet = parsed.get(sheet, {})
         for (row, column), text in sorted(formulas[sheet].items()):
             if not text.startswith("="):
                 continue
-            address = Address(sheet, column, row)
-            stored = parsed.get(sheet, {}).get((row, column), BLANK)
+            stored = stored_on_sheet.get((row, column), BLANK)
             report.checks += 1
-            key, parts = formula_shape(text[1:])
-            template = templates.get(key)
             try:
-                bound = template and bind_holes(template[1], parts, sheet)
-                if bound is None:  # a new shape, or a literal the parser reports
-                    template = templates[key] = make_template(
-                        parse_a1_formula(text, default_sheet=sheet), parts)
-                    bound = bind_holes(template[1], parts, sheet)
+                template, bound = read(text, sheet, column)
                 computed = eval_expr(template[0], leaf)
             except ParseFailure as exc:
                 first = exc.diagnostics[0]
                 fault = f"does not parse: {first.code} {first.pos} {first.message}"
-                report.mismatches.append(Mismatch(address, None, stored, fault))
-                continue
+                mismatch = Mismatch(Address(sheet, column, row), None, stored, fault)
             except (_Fault, UnknownFunction, UnsupportedMatchType) as exc:
-                report.mismatches.append(Mismatch(address, None, stored, str(exc)))
-                continue
-            if not values_agree(computed, stored):
-                report.mismatches.append(Mismatch(address, computed, stored))
+                mismatch = Mismatch(Address(sheet, column, row), None, stored, str(exc))
+            else:
+                if values_agree(computed, stored):
+                    continue
+                mismatch = Mismatch(Address(sheet, column, row), computed, stored)
+            report.mismatches.append(mismatch)
     return report
 
 

@@ -1,16 +1,19 @@
 """Verify parses each formula shape once and binds the references and
-numbers of every other formula of that shape.  Its reports must equal,
-check for check and mismatch for mismatch, those of a verifier that
-parses every formula (helpers.reference_verify_grid)."""
+numbers of every other formula of that shape, read by the shape's
+anchored pattern.  Its reports must equal, check for check and mismatch
+for mismatch, those of a verifier that parses every formula and lists
+every address of a range (helpers.reference_verify_grid)."""
 
+import collections
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridspec import analyze, evaluate
+from gridspec import analyze, evaluate, verify
 from gridspec.a1 import (
     _A1_TOKENS,
     CellRef,
@@ -23,11 +26,12 @@ from gridspec.a1 import (
 from gridspec.ast import NumberLit, walk
 from gridspec.cli import load_inputs, main
 from gridspec.errors import GridSpecError, ParseFailure
-from gridspec.layout import emit, plan_layout
+from gridspec.layout import csv_to_grid, emit, grid_to_csv, plan_layout
 from gridspec.parser import scan
 from gridspec.verify import verify_grid
 
 from helpers import (
+    FIXTURES,
     covering_document,
     covering_inputs,
     evaluate_fixture,
@@ -165,14 +169,16 @@ def test_covering_documents(tmp_path):
 
 # Formula shapes with holes: {r} is a cell reference, {c} a corner of a
 # range and {n} a number.  Each grid fills a shape several times, so most
-# formulas bind a template.  No corner reaches XFD1048576, for verify lists
-# every address of a range.
+# formulas bind a template.  No corner reaches XFD1048576, for the
+# reference verifier lists every address of a range; D1000 makes ranges
+# larger than the cells present, which verify reads sparsely.
 SHAPES = ["{r}", "{r}+{n}", "{n}/{r}", "SUM({c}:{c})", "MATCH({n},{c}:{c},0)",
           "IF({r}>{n},{r},{n})", "{r} * ( {n} - {r} )", "{n}{r}", "x{r}", "{r}B",
           "{c}:{c}", "SUM({r},{n})", "foo({r})", "{n}.{n}", "{r} <>\t{r}",
           "IF(TRUE,{n},{r})", "{r}+", "(({r}))", "-{r}"]
 CORNERS = ["A1", "B2", "$A$1", "C$3", "'q r'!A1", "Time!A1", "Time!B2", "D4",
-           "XFE1", "A1048577", "A" + "1" * 5000, "AAAA1", "A9999999", "TRUE1"]
+           "XFE1", "A1048577", "A" + "1" * 5000, "AAAA1", "A9999999", "TRUE1",
+           "D1000", "TRUE!A1", "_x!B2"]
 REFS = CORNERS + ["XFD1048576"]
 NUMBERS = ["0", "1", "2.5", "12", "1" * 400, "0." + "0" * 400 + "1"]
 VALUES = ["1", "0", "2.5", "-3", "TRUE", "FALSE", "#N/A", "", "text", "2009-01-01"]
@@ -340,3 +346,200 @@ class TestCrossSheetRange:
                               (4, 1): "=SUM(Time!A1:Time!B1)", (5, 1): "=SUM(A1:Model!A1)"}}
         values["Model"].update({(2, 1): "30", (3, 1): "30", (4, 1): "30", (5, 1): "1"})
         assert assert_same_report(formulas, values).ok
+
+
+# --- the anchored pattern of a shape ----------------------------------------
+# Shapes that parse, with keywords, functions, ranges and every comparison,
+# and the edits that bend a filled text: other cases, `$`, sheets (a keyword
+# among them), tokens that run into a hole, `<` and `>` next to `=` and `>`,
+# Unicode whitespace, and the long literals of NUMBERS and CORNERS.
+PARSED = ["{r}+{n}", "SUM({c}:{c})", "MATCH({n},{c}:{c},0)", "IF({r}>{n},{r},{n})",
+          "IF(TRUE,{n},{r})", "{r} <>\t{r}", "AND({r}<{n},FALSE)", "{r}>={n}",
+          "NOT({r}<= {n})", "OR(true,{r}={n})", "(({r}))", "{n}/{r}-{n}*{r}"]
+INSERTS = ["$", " ", "\u2003", "\u00a0", "\n", "1", "9" * 400, ".", ".5", "B", "B2", "A1",
+           "=", ">", "<", "> ", "< ", "TRUE", "true", "!", "Time!", "TRUE!", "'q r'!", "_",
+           "x", "SUM", "("]
+PADS = ["", " ", "\t\n", "\u2003", "\u3000\u00a0"]
+
+
+def bend(draw, text):
+    """`text` with a few characters inserted, deleted or put in the other
+    case, between pads of whitespace."""
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "case"]))
+        if edit == "insert":
+            text = text[:at] + draw(st.sampled_from(INSERTS)) + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + text[at:at + 1].swapcase() + text[at + 1:]
+    return draw(st.sampled_from(PADS)) + text + draw(st.sampled_from(PADS))
+
+
+@given(st.data(), st.sampled_from(PARSED), st.sampled_from(["Model", "Time"]))
+@settings(max_examples=400, deadline=None)
+def test_pattern_reads_what_the_split_reads(data, shape, sheet):
+    """A formula that a shape's pattern matches has the shape's key, and
+    the pattern binds the values its split binds and its parse reads;
+    verify reports it as the reference verifier does."""
+    first = "=" + fill(data.draw, shape)
+    key, parts = formula_shape(first[1:])
+    try:
+        _, holes = make_template(parse_a1_formula(first, sheet), parts)
+    except ParseFailure:  # a filler past the sheet's extents
+        return
+    second = "=" + bend(data.draw, fill(data.draw, shape))
+    if holes.pattern.fullmatch(second, 1) is None:
+        return
+    other_key, other_parts = formula_shape(second[1:])
+    assert other_key == key
+    assert holes.read(second, sheet) == bind_holes(holes, other_parts, sheet)
+    check_binding(first, second, sheet)
+    values = {name: {(row, column): data.draw(st.sampled_from(VALUES))
+                     for row in range(1, 5) for column in range(1, 5)}
+              for name in ("Model", "Time", "q r")}
+    formulas = {sheet: {(10, 1): first, (11, 1): second}}
+    values[sheet].update({(10, 1): "1", (11, 1): data.draw(st.sampled_from(VALUES))})
+    assert_same_report(formulas, values)
+
+
+@pytest.mark.parametrize("first, second, hits", [
+    ("=A1+1", "= $A$1 +\u20032.5\u3000", True),
+    ("=A1+1", "=Time!B2+1", True),
+    ("=A1+1", "=TRUE!B2+1", True),
+    ("=A1+1", "=TRUE1+1", True),  # a cell in column TRUE, past XFD, which binds refuse
+    ("=A1+1", "=A1B2+1", False),
+    ("=A1+1", "=A1+1.5.2", False),
+    ("=A1+1", "=a1+1", False),
+    ("=SUM(A1:B2)", "=SUMA1(A1:B2)", False),
+    ("=SUM(A1:B2)", "=sum(A1:B2)", False),
+    ("=SUM(A1:B2)", "=SUM ('q r'!A1 : B2)", True),
+    ("=IF(TRUE,1,A1)", "=IF(TRUE1,1,A1)", False),
+    ("=IF(TRUE,1,A1)", "=IF(True,1,A1)", False),
+    ("=IF(TRUE,1,A1)", "=IF(TRUE$1,1,A1)", False),
+    ("=A1<1", "=A1<=1", False),
+    ("=A1<1", "=A1< =1", False),
+    ("=A1<1", "=A1<>1", False),
+    ("=A1>1", "=A1>=1", False),
+    ("=A1>1", "=A1 >\t1", True),
+    ("=A1<=1", "=A1 <= 1", True),
+    ("=A1=1", "=A1==1", False),
+])
+def test_pattern_examples(first, second, hits):
+    key, parts = formula_shape(first[1:])
+    _, holes = make_template(parse_a1_formula(first), parts)
+    assert (holes.pattern.fullmatch(second, 1) is not None) == hits
+    if hits:
+        assert formula_shape(second[1:])[0] == key
+        check_binding(first, second, "Model")
+
+
+def test_fast_path_splits_once_per_column(tmp_path, monkeypatch):
+    """Verifying the compiled loans fixture splits a formula into tokens
+    at most once per formula column, and parses one formula per shape:
+    every other formula is read by the pattern of a formula before it."""
+    out = tmp_path / "out"
+    assert main(["compile", str(FIXTURES / "loans.gsx"), "--inputs",
+                 str(FIXTURES / "loans_inputs.csv"), "--out-dir", str(out)]) == 0
+    columns, shapes, count = set(), set(), 0
+    for sheet in json.loads((out / "manifest.json").read_text(encoding="utf-8"))["sheets"]:
+        grid = csv_to_grid((out / f"{sheet}.formulas.csv").read_text(encoding="utf-8"))
+        for (_, column), text in grid.items():
+            if text.startswith("="):
+                columns.add((sheet, column))
+                shapes.add(formula_shape(text[1:])[0])
+                count += 1
+    calls = collections.Counter()
+
+    def counted(function):
+        def call(*args, **kwargs):
+            calls[function.__name__] += 1
+            return function(*args, **kwargs)
+        return call
+
+    for name in ("formula_shape", "parse_a1_formula"):
+        monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
+    assert main(["verify", str(out)]) == 0
+    assert len(columns) < count
+    assert calls["formula_shape"] <= len(columns)
+    assert calls["parse_a1_formula"] == len(shapes)
+
+
+class TestRangeCost:
+    """A range costs the cells the values document holds in it, never its
+    area: a sum and a match over a range of millions of blank cells, or
+    over a whole sheet, verify in well under 0.1 s, to what the reference
+    verifier computes over the rows that hold cells."""
+
+    @staticmethod
+    def reference(formula, cells):
+        """The number reference_verify_grid computes for `formula` on a
+        sheet of its own, beside sheet Model, which holds `cells`."""
+        report = reference_verify_grid({"Check": {(1, 1): formula}},
+                                       {"Model": cells, "Check": {(1, 1): "x"}})
+        return f"{report.mismatches[0].expected.value:g}"
+
+    @staticmethod
+    def verify_seconds(out):
+        """The shortest of three `gridspec verify` runs on `out`, which must pass."""
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert main(["verify", str(out)]) == 0
+            seconds.append(time.perf_counter() - start)
+        return min(seconds)
+
+    @staticmethod
+    def write(out, sheet, kind, grid):
+        (out / f"{sheet}.{kind}.csv").write_text(grid_to_csv(grid), encoding="utf-8",
+                                                 newline="")
+
+    def test_blank_rows_of_the_cashflow_fixture(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["compile", str(FIXTURES / "cashflow.gsx"), "--inputs",
+                     str(FIXTURES / "cashflow_inputs.csv"), "--out-dir", str(out)]) == 0
+        formulas = csv_to_grid((out / "Model.formulas.csv").read_text(encoding="utf-8"))
+        values = csv_to_grid((out / "Model.values.csv").read_text(encoding="utf-8"))
+        placed = {(1000, 27): "3", (1001, 28): "7", (1002, 52): "4.5", (1002, 53): "7"}
+        values.update(placed)
+        cells = [at for at, text in sorted(formulas.items()) if text.startswith("=")][-2:]
+        for at, name in zip(cells, ["SUM(AA1000:AZ100000)", "MATCH(7,AA1000:AZ100000,0)"]):
+            formulas[at] = f"={name}"
+            small = name.replace("AA1000:AZ100000", "Model!AA1000:AZ1002")
+            values[at] = self.reference(f"={small}", placed)
+        assert [values[at] for at in cells] == ["14.5", "28"]
+        self.write(out, "Model", "formulas", formulas)
+        self.write(out, "Model", "values", values)
+        assert self.verify_seconds(out) < 0.1
+        assert " 0 mismatch(es)" in capsys.readouterr().out
+
+    def test_whole_sheet(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text(json.dumps({"sheets": ["Check", "Model"]}),
+                                           encoding="utf-8")
+        placed = {(1, 2): "3", (2, 3): "7", (2, 16384): "TRUE", (3, 16384): "4"}
+        formulas = {(1, 1): "=SUM(Model!A1:XFD1048576)", (2, 1): "=MATCH(7,Model!A1:XFD1048576,0)",
+                    (3, 1): "=MATCH(TRUE,Model!A1:XFD1048576,0)"}
+        values = {at: self.reference(text.replace("1048576", "3"), placed)
+                  for at, text in formulas.items()}
+        assert values == {(1, 1): "14", (2, 1): "16387", (3, 1): "32768"}
+        self.write(out, "Check", "formulas", formulas)
+        self.write(out, "Check", "values", values)
+        self.write(out, "Model", "formulas", placed)
+        self.write(out, "Model", "values", placed)
+        assert self.verify_seconds(out) < 0.1
+        assert "checked 3 cells, 0 mismatch(es)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cells, reason", [
+    ({(5, 3): "text", (2, 2): "#N/A"}, "references non-value cell Model!C5"),
+    ({(900, 1): "2009-01-01", (2, 2): "1"}, "expected a number, got DateValue"),
+])
+def test_sparse_range_faults_at_the_first_cell(cells, reason):
+    """A fault in a range read sparsely names the cell the reference names."""
+    formulas = {"Check": {(1, 1): "=SUM(Model!A1:Z1000)", (2, 1): "=MATCH(1,Model!A2:D1000,0)"}}
+    values = {"Model": cells, "Check": {(1, 1): "0", (2, 1): "0"}}
+    report = assert_same_report(formulas, values)
+    assert reason in str(report.mismatches[0])
