@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .a1 import Address, Hole, bind_holes, formula_shape, make_template, parse_a1_formula
@@ -88,6 +88,17 @@ def values_agree(computed: Value, stored: Value | None) -> bool:
     return type(computed) is type(stored) and computed == stored
 
 
+def _by_row(cells) -> tuple[list[int], dict[int, list[int]]]:
+    """The rows that hold cells, ascending, and each such row's columns,
+    ascending."""
+    columns = {}
+    for row, column in cells:
+        columns.setdefault(row, []).append(column)
+    for held in columns.values():
+        held.sort()
+    return sorted(columns), columns
+
+
 def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
     """One-step check of every formula cell against the values document.
     Each formula shape is parsed once, to a template whose Shape has an
@@ -96,13 +107,14 @@ def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
     formula checked before it, and the groups of a match bind the
     template's holes.  Only a formula that both miss is split into tokens
     (a1.formula_shape), to find or parse the template of its shape.  A
-    range reads the cells the values document holds in it, so its cost
-    never grows with its area past the cells present."""
+    range costs one lookup per row of its sheet that holds a cell among
+    the range's rows, plus the cells held inside it: bounded by the cells
+    the sheet holds, never by its area."""
     report = VerifyReport()
     # each cell's text is parsed once, however many formulas read it
     parsed = {sheet: {at: parse_value_text(text) for at, text in cells.items()}
               for sheet, cells in values.items()}
-    ordered = {}  # sheet -> its cells' (row, column) in row-major order, for sparse ranges
+    by_row = {}  # sheet -> its cells by row, see _by_row; made for a sheet's first range
     templates = {}  # shape key -> (template, Shape), see a1.make_template
     above = {}  # column -> the template of the last formula read in it, on this sheet
     before = None  # the template of the last formula read
@@ -136,21 +148,23 @@ def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
             raise _Fault(f"references non-value cell {Address(sheet, at[1], at[0])}")
         return value
 
-    def cells_in(first: Address, last: Address) -> list[Value]:
-        """A range's values: each cell's when it has no more cells than its
-        sheet holds, else a SparseRange of the cells the sheet holds in it."""
-        sheet, columns = first.sheet, range(first.column, last.column + 1)
-        rows = range(first.row, last.row + 1)
-        present = parsed.get(sheet, {})
-        if len(rows) * len(columns) <= len(present):
-            return [operand(sheet, (row, column)) for row in rows for column in columns]
-        keys = ordered.get(sheet) or ordered.setdefault(sheet, sorted(present))
-        band = keys[bisect_left(keys, (first.row, first.column)):
-                    bisect_left(keys, (last.row + 1,))]
-        inside = [at for at in band if at[1] in columns]
-        return SparseRange([operand(sheet, at) for at in inside],
-                           [(row - first.row) * len(columns) + column - first.column + 1
-                            for row, column in inside])
+    def cells_in(first: Address, last: Address) -> SparseRange:
+        """The values of the cells the values document holds in a range, in
+        row-major order, each with its position in the range.  Only the
+        sheet's rows that hold a cell within the range's rows are visited."""
+        sheet = first.sheet
+        if sheet not in by_row:
+            by_row[sheet] = _by_row(parsed.get(sheet, {}))
+        rows, columns = by_row[sheet]
+        width = last.column - first.column + 1
+        values, positions = [], []
+        for row in rows[bisect_left(rows, first.row):bisect_right(rows, last.row)]:
+            held = columns[row]
+            offset = (row - first.row) * width - first.column + 1
+            for column in held[bisect_left(held, first.column):bisect_right(held, last.column)]:
+                values.append(operand(sheet, (row, column)))
+                positions.append(offset + column)
+        return SparseRange(values, positions)
 
     def leaf(hole: Hole) -> Value | list[Value]:
         value = bound[hole.slot]
