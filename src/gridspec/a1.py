@@ -121,7 +121,7 @@ class _A1Parser(Parser):
             return CellRef(first)
         if not self.at("ref"):
             self.fail("a cell reference after ':'")
-        return RangeRef(first, self._address(first.sheet, ends_range=True))
+        return RangeRef(*_corners(first, self._address(first.sheet, ends_range=True)))
 
     def _address(self, default_sheet: str, ends_range: bool = False) -> Address:
         """Consume the current reference token; a range's end is on `default_sheet`."""
@@ -144,6 +144,15 @@ def _read_address(sheet, quoted, col, row, default_sheet) -> Address | None:
     return None
 
 
+def _corners(first: Address, last: Address) -> tuple[Address, Address]:
+    """A range's top-left and bottom-right corners, as a spreadsheet reads
+    the rectangle between two ends in any order; both are on `first`'s sheet."""
+    if first.column <= last.column and first.row <= last.row:
+        return first, last
+    return (Address(first.sheet, min(first.column, last.column), min(first.row, last.row)),
+            Address(first.sheet, max(first.column, last.column), max(first.row, last.row)))
+
+
 def parse_a1_formula(text: str, default_sheet: str = "Model") -> Expr:
     """Parse a formula beginning with '=' into an expression whose leaves
     are CellRef and RangeRef addresses."""
@@ -156,12 +165,10 @@ def parse_a1_formula(text: str, default_sheet: str = "Model") -> Expr:
 # --- formula shapes ---------------------------------------------------------
 # re.split by _A1_TOKENS lists, per token, the text before it (empty, for the
 # pattern takes whitespace) and then every group, so group g of the token at
-# offset `at` of the split is at at + g.  A ref's groups sheet, quoted, col
-# and row come one after another, in _read_address's order.
+# offset `at` of the split is at at + g.
 _STRIDE = _A1_TOKENS.groups + 1
-_SYMBOL, _DECIMAL, _REF, _SHEET, _KEYWORD, _IDENTIFIER = (
-    _A1_TOKENS.groupindex[g]
-    for g in ("symbol", "decimal", "ref", "sheet", "keyword", "identifier"))
+_SYMBOL, _DECIMAL, _REF, _KEYWORD, _IDENTIFIER = (
+    _A1_TOKENS.groupindex[g] for g in ("symbol", "decimal", "ref", "keyword", "identifier"))
 _KEPT = [_A1_TOKENS.groupindex[g] for g in ("symbol", "keyword", "identifier", "illegal")]
 
 
@@ -196,20 +203,41 @@ _REF_HOLE = "(?>" + re.sub(r"\(\?P<\w+>", "(", _REF_TEXT) + ")"
 
 
 class Shape(NamedTuple):
-    """What a template reads from its formula's split (see make_template).
-    `starts` holds the offsets in the split of its hole tokens and `kinds`
-    the kind of each hole.  `pattern` matches, from offset 1 on, exactly
-    the formulas whose split has the template's key, with each hole's
-    groups as bind_groups takes them."""
-    starts: tuple[int, ...]
+    """What a template reads from a formula of its shape (see
+    make_template), verify's one binder.  `kinds` holds the kind of each
+    hole.  `pattern` matches, from offset 1 on, exactly the formulas whose
+    split has the template's key, with each hole's groups: a number's
+    text, or a reference's sheet, quoted sheet, column letters and row."""
     kinds: tuple[int, ...]
     pattern: re.Pattern
 
     def read(self, formula: str, default_sheet: str) -> list | None:
-        """The hole values of `formula`, '=' and all, if it has this
-        shape; None if it has another, or if bind_groups refuses it."""
+        """The value of each hole of `formula`, '=' and all: a float or an
+        Address, a range's corners in order (see _corners).  None if the
+        formula has another shape or a literal the parser reports: a
+        number that is not finite, a reference past the sheet's extents or
+        a range that ends on another sheet."""
         match = self.pattern.fullmatch(formula, 1)
-        return match and bind_groups(self.kinds, match.groups(), default_sheet)
+        if match is None:
+            return None
+        groups, bound, at = match.groups(), [], 0
+        for kind in self.kinds:
+            if kind == _NUMBER:
+                value = float(groups[at])
+                value = value if math.isfinite(value) else None
+                at += 1
+            else:  # a range ends on the sheet of its start only
+                sheet = bound[-1].sheet if kind == _RANGE_END else default_sheet
+                value = _read_address(*groups[at:at + 4], sheet)
+                at += 4
+                if kind == _RANGE_END and value:
+                    if value.sheet != sheet:
+                        return None
+                    bound[-1], value = _corners(bound[-1], value)
+            if value is None:
+                return None
+            bound.append(value)
+        return bound
 
 
 def make_template(expr: Expr, parts: list) -> tuple[Expr, Shape]:
@@ -232,12 +260,11 @@ def make_template(expr: Expr, parts: list) -> tuple[Expr, Shape]:
             next(slots)
         return hole
 
-    starts, kinds, tokens = [], [], []
+    kinds, tokens = [], []
     for at in range(0, len(parts) - 1, _STRIDE):
         if parts[at + _DECIMAL] or parts[at + _REF]:
             kind = (_NUMBER if parts[at + _DECIMAL] else
                     _RANGE_END if at and parts[at - _STRIDE + _SYMBOL] == ":" else _ADDRESS)
-            starts.append(at)
             kinds.append(kind)
             tokens.append(_NUMBER_HOLE if kind == _NUMBER else _REF_HOLE)
         elif text := parts[at + _SYMBOL]:
@@ -246,40 +273,4 @@ def make_template(expr: Expr, parts: list) -> tuple[Expr, Shape]:
             text = parts[at + _KEYWORD] or parts[at + _IDENTIFIER]
             tokens.append(re.escape(text) + _WORD_END)
     pattern = re.compile(r"\s*" + r"\s*".join(tokens) + r"\s*")
-    return punch(expr), Shape(tuple(starts), tuple(kinds), pattern)
-
-
-def bind_holes(shape: Shape, parts: list, default_sheet: str) -> list | None:
-    """The hole values of a formula of `shape` from its split `parts`."""
-    groups = []
-    for at in shape.starts:
-        if parts[at + _DECIMAL]:
-            groups.append(parts[at + _DECIMAL])
-        else:
-            groups += parts[at + _SHEET:at + _SHEET + 4]
-    return bind_groups(shape.kinds, groups, default_sheet)
-
-
-def bind_groups(kinds: tuple[int, ...], groups, default_sheet: str) -> list | None:
-    """The value of each hole of `kinds`, a float or an Address, from the
-    holes' groups in order: a number's text, or a reference's sheet,
-    quoted sheet, column letters and row.  None if a number is not finite,
-    a reference is past the sheet's extents or a range ends on another
-    sheet, which the parser reports."""
-    bound = []
-    at = 0
-    for kind in kinds:
-        if kind == _NUMBER:
-            value = float(groups[at])
-            value = value if math.isfinite(value) else None
-            at += 1
-        else:  # a range ends on the sheet of its start only
-            sheet = bound[-1].sheet if kind == _RANGE_END else default_sheet
-            value = _read_address(*groups[at:at + 4], sheet)
-            if kind == _RANGE_END and value and value.sheet != sheet:
-                value = None
-            at += 4
-        if value is None:
-            return None
-        bound.append(value)
-    return bound
+    return punch(expr), Shape(tuple(kinds), pattern)

@@ -172,8 +172,9 @@ def cmd_eval(args) -> int:
                     grid_to_csv(cells), encoding="utf-8", newline="")
         elif args.out:
             from .layout import MAIN_SHEET
-            sheet = MAIN_SHEET if MAIN_SHEET in emitted.values else next(iter(emitted.values))
-            Path(args.out).write_text(grid_to_csv(emitted.values[sheet]),
+            values = emitted.values  # no sheet, for a spec without tables: an empty CSV
+            sheet = MAIN_SHEET if MAIN_SHEET in values else next(iter(values), None)
+            Path(args.out).write_text(grid_to_csv(values.get(sheet, {})),
                                       encoding="utf-8", newline="")
         else:
             print("error: eval needs --out or --out-dir", file=sys.stderr)

@@ -334,25 +334,19 @@ def expand_ref(ref, subst: dict[str, int]):
     return tuple([CellId(table, c) for c in product(*spans)])
 
 
-def cell_reads(symtab: SymbolTable, equation, indices: tuple[int, ...]) -> list:
-    """The dense numbers the cell at `indices` reads under its equation: per
-    reference a number, or a list of numbers for a range, in row-major
-    order, the order aggregate builtins see."""
-    values = [indices[d] for d in symtab.stencils[id(equation)].variables.values()]
-    reads = []
-    for first, steps, offsets in symtab.reads[id(equation)]:
-        number = first + sum(map(mul, steps, values))
-        reads.append(number if offsets is None else [number + o for o in offsets])
-    return reads
-
-
 def _read_numbers(plan: CellPlan, number: int) -> list[int]:
-    """Every dense number that cell `number` reads, a range's each."""
+    """Every dense number that cell `number` reads, a range's each, in
+    row-major order (see SymbolTable.reads)."""
     box = plan.owner[number]
     if box is None:
         return []
-    reads = cell_reads(plan.symtab, box.equation, plan.symtab.cells[number].indices)
-    return [n for read in reads for n in (read if type(read) is list else (read,))]
+    symtab, indices = plan.symtab, plan.symtab.cells[number].indices
+    values = [indices[d] for d in symtab.stencils[id(box.equation)].variables.values()]
+    numbers = []
+    for first, steps, offsets in symtab.reads[id(box.equation)]:
+        first += sum(map(mul, steps, values))
+        numbers += [first + offset for offset in offsets or (0,)]
+    return numbers
 
 
 def resolve_references(plan: CellPlan) -> dict[CellId, tuple]:

@@ -53,7 +53,6 @@ from .evaluator import (
     NAError,
     Number,
     Value,
-    cell_reads,
     expand_ref,  # not called here; perfbench/tracing.py counts calls through this name
 )
 
@@ -221,13 +220,16 @@ def plan_layout(doc: SpecDocument, symtab: SymbolTable,
 
 # --- formula rendering -----------------------------------------------------
 
-def _template(equation, symtab: SymbolTable, layout: Layout) -> tuple[str, tuple]:
-    """An equation's formula text split at its holes: the text before the
-    first hole, then each hole with the text after it.  A hole is the
-    dimension whose index an index variable takes or, for an element
-    reference, its stencil slot, the sheet prefix it needs on the
-    equation's sheet, its table's region and first dense cell number."""
+def _template(equation, symtab: SymbolTable, layout: Layout) -> tuple:
+    """An equation's formula text split at its holes: the dimensions its
+    index variables bind, the text before the first hole, then each hole
+    with the text after it.  A hole is the dimension whose index an index
+    variable takes or, for an element reference, the sheet prefix it needs
+    on the equation's sheet, its table's region and its stencil's dense
+    read (SymbolTable.reads): `first` less the table's base, the steps, and
+    for a range the offset of its last cell (None for one cell)."""
     stencil = symtab.stencils[id(equation)]
+    reads = symtab.reads[id(equation)]
     home = layout.regions[equation.table].sheet
     holes = []
 
@@ -243,31 +245,34 @@ def _template(equation, symtab: SymbolTable, layout: Layout) -> tuple[str, tuple
         else:
             slot = stencil.slots.index(id(expr))
             table, _, extent, _ = stencil.refs[slot]
+            first, steps, offsets = reads[slot]
             region = layout.regions[table]
-            holes.append((slot, "" if region.sheet == home else sheet_prefix(region.sheet),
-                          region, extent.base))
+            holes.append(("" if region.sheet == home else sheet_prefix(region.sheet), region,
+                          first - extent.base, steps, offsets and offsets[-1]))
         return "\0"  # no other text of a formula holds it
 
     head, *parts = ("=" + format_expr(equation.rhs, leaf, pad="")).split("\0")
-    return head, tuple(zip(holes, parts))
+    return tuple(stencil.variables.values()), head, tuple(zip(holes, parts))
 
 
-def _fill(template: tuple[str, tuple], indices: tuple[int, ...], reads: list, letters) -> str:
-    """A cell's formula from its equation's template, its indices, the
-    dense numbers it reads (see evaluator.cell_reads) and column_letters,
-    `letters`."""
-    head, holes = template
+def _fill(template: tuple, indices: tuple[int, ...], letters) -> str:
+    """A cell's formula from its equation's template, its indices and
+    column_letters, `letters`.  A reference reads the cell `first + sum(step
+    * value)` over the cell's index-variable values, and a range that cell
+    and the one its last offset further on, placed by Region.at."""
+    dims, head, holes = template
+    values = [indices[d] for d in dims]
     texts = [head]
     for hole, text in holes:
         if type(hole) is int:
             texts.append(str(indices[hole]))
         else:
-            slot, prefix, region, base = hole
-            read = reads[slot]
+            prefix, region, first, steps, last = hole
+            first += sum(map(mul, steps, values))
             # a range lists its cells row-major and plan_layout admits only
             # rectangles, so it is first:last, with the sheet before first only
-            for number in (read[0], read[-1]) if type(read) is list else (read,):
-                column, row = region.at(number - base)
+            for number in (first,) if last is None else (first, first + last):
+                column, row = region.at(number)
                 texts += (prefix, letters(column), str(row))
                 prefix = ":"
         texts.append(text)
@@ -275,10 +280,11 @@ def _fill(template: tuple[str, tuple], indices: tuple[int, ...], reads: list, le
 
 
 def render_formula(cell: CellId, plan: CellPlan, layout: Layout) -> str:
-    """Render a derived cell's rule instance as an A1 formula for its sheet."""
-    equation = plan.rules[cell].equation
-    return _fill(_template(equation, plan.symtab, layout), cell.indices,
-                 cell_reads(plan.symtab, equation, cell.indices), column_letters)
+    """Render a derived cell's equation as an A1 formula for its sheet; the
+    equation is that of the box which covers the cell's dense number."""
+    extent = plan.symtab.extents[cell.table]
+    box = plan.owner[extent.origin + sum(map(mul, cell.indices, extent.strides))]
+    return _fill(_template(box.equation, plan.symtab, layout), cell.indices, column_letters)
 
 
 # --- value rendering and emission ------------------------------------------
@@ -361,8 +367,7 @@ def emit(layout: Layout, plan: CellPlan, values: dict[CellId, Value],
                 text = render_value(inputs.get(cell, BLANK), currency)
                 put(region.sheet, row, column, text, text)
             else:
-                reads = cell_reads(symtab, box.equation, cell.indices)
-                formula = _fill(templates[id(box.equation)], cell.indices, reads, letters)
+                formula = _fill(templates[id(box.equation)], cell.indices, letters)
                 put(region.sheet, row, column, formula, render_value(values[cell], currency))
 
     manifest = build_manifest(layout, symtab, doc)

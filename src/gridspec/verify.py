@@ -17,7 +17,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .a1 import Address, Hole, bind_holes, formula_shape, make_template, parse_a1_formula
+from .a1 import Address, Hole, formula_shape, make_template, parse_a1_formula
 from .errors import ParseFailure, UnknownFunction, UnsupportedMatchType
 from .evaluator import (
     BLANK,
@@ -102,14 +102,15 @@ def _by_row(cells) -> tuple[list[int], dict[int, list[int]]]:
 def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
     """One-step check of every formula cell against the values document.
     Each formula shape is parsed once, to a template whose Shape has an
-    anchored pattern (see a1.make_template).  A formula is read by the
-    pattern of the formula above it in its column, else by that of the
-    formula checked before it, and the groups of a match bind the
-    template's holes.  Only a formula that both miss is split into tokens
-    (a1.formula_shape), to find or parse the template of its shape.  A
-    range costs one lookup per row of its sheet that holds a cell among
-    the range's rows, plus the cells held inside it: bounded by the cells
-    the sheet holds, never by its area."""
+    anchored pattern (see a1.make_template), and every formula is bound
+    by a Shape's pattern alone: that of the formula above it in its
+    column, else of the formula checked before it, else of the template
+    its shape's key finds.  Only a formula that the first two miss is
+    split into tokens (a1.formula_shape), to find that key, and only a
+    formula that the key's template refuses or that has a new key is
+    parsed.  A range costs one lookup per row of its sheet that holds a
+    cell among the range's rows, plus the cells held inside it: bounded by
+    the cells the sheet holds, never by its area."""
     report = VerifyReport()
     # each cell's text is parsed once, however many formulas read it
     parsed = {sheet: {at: parse_value_text(text) for at, text in cells.items()}
@@ -134,11 +135,11 @@ def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
         else:
             key, parts = formula_shape(text[1:])
             template = templates.get(key)
-            found = template and bind_holes(template[1], parts, sheet)
+            found = template and template[1].read(text, sheet)
             if found is None:  # a new shape, or a literal the parser reports
                 template = templates[key] = make_template(
                     parse_a1_formula(text, default_sheet=sheet), parts)
-                found = bind_holes(template[1], parts, sheet)
+                found = template[1].read(text, sheet)
         above[column] = before = template
         return template, found
 

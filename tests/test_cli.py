@@ -143,6 +143,18 @@ class TestEvalCommand:
     def test_missing_output_target(self):
         assert main(["eval", str(FIXTURES / "cashflow.gsx")]) == 2
 
+    def test_spec_without_tables(self, tmp_path, capsys):
+        """A spec with no table writes an empty values CSV, as compile
+        writes a directory without sheets."""
+        spec = tmp_path / "bare.gsx"
+        spec.write_text("bounds t: 1 to 2.\n", encoding="utf-8")
+        out = tmp_path / "values.csv"
+        assert main(["eval", str(spec), "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == ""
+        assert main(["compile", str(spec), "--out-dir", str(tmp_path / "out")]) == 0
+        assert main(["verify", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestCompileAndVerify:
     @pytest.mark.parametrize("name", ["cashflow", "borrowing", "loans"])

@@ -27,9 +27,11 @@ from gridspec.ast import (
 from gridspec.cli import load_inputs, main
 from gridspec.errors import CyclicDependency, RuntimeFault
 from gridspec.evaluator import Number, build_graph, evaluate, resolve_references
+from gridspec.layout import plan_layout, render_formula
 
 from helpers import (
     FIXTURES,
+    analyze_fixture,
     covering_document,
     covering_inputs,
     fixture_text,
@@ -212,7 +214,8 @@ def test_cycle_reports(spec, tmp_path, capsys):
 
 def test_compile_makes_no_rule_per_cell(monkeypatch, tmp_path):
     """Compiling the loans fixture builds no RuleInstance, expands no
-    reference and matches no cell against patterns: it works per equation."""
+    reference and matches no cell against patterns: it works per equation.
+    Nor does rendering one cell's formula, which reads the cell's box."""
     counts = Counter()
 
     def count(module, name):
@@ -229,4 +232,8 @@ def test_compile_makes_no_rule_per_cell(monkeypatch, tmp_path):
     assert main(["compile", str(FIXTURES / "loans.gsx"),
                  "--inputs", str(FIXTURES / "loans_inputs.csv"),
                  "--out-dir", str(tmp_path / "out")]) == 0
+    assert counts == Counter(), counts
+    doc, symtab, plan = analyze_fixture("loans")
+    cell = symtab.cells[max(n for n, box in enumerate(plan.owner) if box is not None)]
+    assert render_formula(cell, plan, plan_layout(doc, symtab)).startswith("=")
     assert counts == Counter(), counts

@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 from gridspec import analyze, evaluate, verify
 from gridspec.a1 import (
     _A1_TOKENS,
+    Address,
     CellRef,
     RangeRef,
-    bind_holes,
     column_letters,
     formula_shape,
     make_template,
@@ -214,7 +214,7 @@ def fill(draw, shape):
 
 
 def leaves(expr):
-    """The value of each hole token of a parsed formula, as bind_holes gives them."""
+    """The value of each hole token of a parsed formula, as Shape.read gives them."""
     values = []
     for node in walk(expr):
         if isinstance(node, NumberLit):
@@ -227,18 +227,18 @@ def leaves(expr):
 
 
 def check_binding(first, second, sheet):
-    """Binding `second` to the template of `first`, a formula of its
-    shape, gives the leaves the parse of `second` gives, or None exactly
-    where that parse fails."""
+    """Reading `second` by the Shape of `first`, a formula whose split has
+    the same key, gives the leaves the parse of `second` gives, or None
+    exactly where that parse fails: the pattern misses no formula of its
+    key."""
     key, parts = formula_shape(first[1:])
     try:
         template, holes = make_template(parse_a1_formula(first, sheet), parts)
     except ParseFailure:
         return
-    other_key, other_parts = formula_shape(second[1:])
-    if other_key != key:  # a filler ran into the text next to its hole
+    if formula_shape(second[1:])[0] != key:  # a filler ran into the text next to its hole
         return
-    bound = bind_holes(holes, other_parts, sheet)
+    bound = holes.read(second, sheet)
     try:
         expected = leaves(parse_a1_formula(second, sheet))
     except ParseFailure:
@@ -336,10 +336,11 @@ class TestCrossSheetRange:
                 "expected a range end on the sheet of its start, 'q r', found 'Time!B1')"
                 ) in report
 
-    def test_bind_holes_refuses_it(self):
+    def test_pattern_refuses_it(self):
         template, holes = make_template(parse_a1_formula("=SUM(A1:B1)"),
                                         formula_shape("SUM(A1:B1)")[1])
-        assert bind_holes(holes, formula_shape(self.CROSS[1:])[1], "Model") is None
+        assert holes.pattern.fullmatch(self.CROSS, 1) is not None
+        assert holes.read(self.CROSS, "Model") is None
 
     def test_end_naming_the_sheet_of_its_start(self):
         values = {"Model": {(1, 1): "1"}, "Time": {(1, 1): "10", (1, 2): "20"}}
@@ -347,6 +348,38 @@ class TestCrossSheetRange:
                               (4, 1): "=SUM(Time!A1:Time!B1)", (5, 1): "=SUM(A1:Model!A1)"}}
         values["Model"].update({(2, 1): "30", (3, 1): "30", (4, 1): "30", (5, 1): "1"})
         assert assert_same_report(formulas, values).ok
+
+
+class TestReversedRange:
+    """A range whose end lies above or left of its start reads the
+    rectangle between its corners, as a spreadsheet does, whether its
+    formula is parsed or bound by the pattern of the formula above it."""
+
+    VALUES = {(1, 1): "1", (1, 2): "2", (2, 1): "4", (2, 2): "8"}
+
+    @pytest.mark.parametrize("reversed_formula, formula, value", [
+        ("=SUM(B1:A1)", "=SUM(A1:B1)", "3"),
+        ("=MATCH(2,B1:A1,0)", "=MATCH(2,A1:B1,0)", "2"),
+        ("=SUM(B2:A1)", "=SUM(A1:B2)", "15"),
+        ("=SUM(A2:B1)", "=SUM(A1:B2)", "15"),
+        ("=SUM(Time!B1:A1)", "=SUM(Time!A1:B1)", "30"),
+        ("=MATCH(8,B2:A1,0)", "=MATCH(8,A1:B2,0)", "4"),
+    ])
+    @pytest.mark.parametrize("bound", [False, True], ids=["parsed", "bound"])
+    def test_reads_the_rectangle(self, reversed_formula, formula, value, bound):
+        formulas = {(5, 1): reversed_formula}
+        if bound:  # the same range with its corners in order, above it
+            formulas[(4, 1)] = formula
+        values = {"Model": self.VALUES | dict.fromkeys(formulas, value),
+                  "Time": {(1, 1): "10", (1, 2): "20"}}
+        assert assert_same_report({"Model": formulas}, values).ok
+
+    def test_both_paths_give_the_corners_in_order(self):
+        formula = "=SUM(Time!B2:A1)"
+        corners = [Address("Time", 1, 1), Address("Time", 2, 2)]
+        assert leaves(parse_a1_formula(formula)) == corners
+        _, holes = make_template(parse_a1_formula("=SUM(A1:B2)"), formula_shape("SUM(A1:B2)")[1])
+        assert holes.read(formula, "Model") == corners
 
 
 # --- the anchored pattern of a shape ----------------------------------------
@@ -382,8 +415,8 @@ def bend(draw, text):
 @settings(max_examples=400, deadline=None)
 def test_pattern_reads_what_the_split_reads(data, shape, sheet):
     """A formula that a shape's pattern matches has the shape's key, and
-    the pattern binds the values its split binds and its parse reads;
-    verify reports it as the reference verifier does."""
+    the pattern binds the values its parse reads; verify reports it as
+    the reference verifier does."""
     first = "=" + fill(data.draw, shape)
     key, parts = formula_shape(first[1:])
     try:
@@ -393,9 +426,7 @@ def test_pattern_reads_what_the_split_reads(data, shape, sheet):
     second = "=" + bend(data.draw, fill(data.draw, shape))
     if holes.pattern.fullmatch(second, 1) is None:
         return
-    other_key, other_parts = formula_shape(second[1:])
-    assert other_key == key
-    assert holes.read(second, sheet) == bind_holes(holes, other_parts, sheet)
+    assert formula_shape(second[1:])[0] == key
     check_binding(first, second, sheet)
     values = {name: {(row, column): data.draw(st.sampled_from(VALUES))
                      for row in range(1, 5) for column in range(1, 5)}
