@@ -37,7 +37,6 @@ from .ast import (
     TableDecl,
     VarPattern,
     element_refs,
-    walk,
 )
 from .parser import Diagnostic
 
@@ -87,12 +86,15 @@ class Extent(NamedTuple):
 class Stencil(NamedTuple):
     """An equation lowered once by `resolve`.  `variables` maps its index
     variables, in order of first appearance, to the first dimension each
-    binds.  `refs` holds `(table, indices, extent, ranged)` per element
-    reference in walk order: per dimension the index expression (None for
-    `all`), the table's Extent and whether any index is `all`.  `slots`
-    holds the id() of each reference node, in the order of `refs`."""
+    binds.  Each index is an affine form `(constant, ((n, coefficient),
+    ...))` over the variables numbered in that order, terms that cancel
+    left out.  `home` holds the form of each left-hand pattern, and `refs`
+    `(table, indices, extent, ranged)` per element reference in walk
+    order: the forms (None for `all`), the table's Extent and whether any
+    index is `all`.  `slots` holds the id() of each reference node."""
 
     variables: dict[str, int]
+    home: tuple
     refs: tuple
     slots: tuple[int, ...]
 
@@ -126,10 +128,14 @@ class SymbolTable:
         reads, `(first, steps, offsets)`: `first + sum(value * step)` over
         its variables' values, plus each offset for a range (None for one
         cell).  Made when first read, which `check` never does."""
-        same_steps = {}  # equal steps are kept once
-        return {key: tuple([_dense_read(ref, stencil.variables, same_steps)
-                            for ref in stencil.refs])
-                for key, stencil in self.stencils.items()}
+        reads, same_steps = {}, {}  # equal steps are kept once
+        for key, stencil in self.stencils.items():
+            width, read = len(stencil.variables), []
+            for _, indices, extent, _ in stencil.refs:
+                first, steps, offsets = _dense_read(indices, extent, width)
+                read.append((first, same_steps.setdefault(steps, steps), offsets))
+            reads[key] = tuple(read)
+        return reads
 
 
 class Box(NamedTuple):
@@ -201,7 +207,8 @@ def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
     tables: dict[str, TableDecl] = {}
     equations: dict[str, list[EquationDecl]] = {}
     stencils: dict[int, Stencil] = {}
-    same_variables = {}  # equal variable maps are kept once: a spec repeats its shapes
+    # equal variable maps and equal lowered indices are kept once: a spec repeats its shapes
+    same_variables, same_indices = {}, {}
 
     for element in doc.elements:
         if isinstance(element, BoundsDecl):
@@ -264,6 +271,11 @@ def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
             for d, pattern in enumerate(element.lhs_patterns):
                 if type(pattern) is not ConstantPattern:
                     variables.setdefault(pattern.name, d)
+            variables = same_variables.setdefault(tuple(variables.items()), variables)
+            positions = {name: n for n, name in enumerate(variables)}
+            home = tuple([(p.value, ()) if type(p) is ConstantPattern
+                          else (0, ((positions[p.name], 1),)) for p in element.lhs_patterns])
+            home = same_indices.setdefault(home, home)
             refs, slots = [], []
             for ref in element_refs(element.rhs):
                 target = tables.get(ref.table)
@@ -278,60 +290,68 @@ def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
                         f"expression(s) but the table has {len(target.dims)} dimension(s)",
                         element.pos))
                 else:
-                    indices = ref.indices
-                    ranged = AllIndex in map(type, indices)
-                    if ranged:
-                        indices = tuple([None if type(index) is AllIndex else index
-                                         for index in indices])
+                    indices = tuple([None if type(index) is AllIndex else _lower(index, positions)
+                                     for index in ref.indices])
+                    indices = same_indices.setdefault(indices, indices)
                     slots.append(id(ref))
-                    refs.append((ref.table, indices, extents[ref.table], ranged))
-            stencils[id(element)] = Stencil(same_variables.setdefault(
-                tuple(variables.items()), variables), tuple(refs), tuple(slots))
+                    refs.append((ref.table, indices, extents[ref.table], None in indices))
+            stencils[id(element)] = Stencil(variables, home, tuple(refs), tuple(slots))
 
     return SymbolTable(bounds, tables, equations, stencils, extents), diagnostics
 
 
-def _dense_read(ref, variables, same_steps: dict) -> tuple:
-    """(first, steps, offsets) of the cells a lowered reference reads (see
-    SymbolTable.reads), with steps equal to some in `same_steps` taken from
-    there.
-    An index expression only adds and subtracts, so each of its terms adds
-    its stride, with its sign, to the first number or to its variable's
-    step; typecheck reports an unbound variable."""
-    _, indices, extent, ranged = ref
-    first, steps, spans = extent.origin, dict.fromkeys(variables, 0), []
+def _lower(index: Expr, positions: dict[str, int]) -> tuple:
+    """The affine form (see Stencil) of an index expression whose variables
+    are numbered by `positions`.  An index only adds and subtracts, so each
+    term adds its sign to its variable's coefficient or its value to the
+    constant; typecheck reports a variable not in `positions`."""
+    if type(index) is IndexVar and index.name in positions:
+        return 0, ((positions[index.name], 1),)
+    if type(index) is NumberLit:
+        return int(index.value), ()
+    constant, coefficients, terms = 0, {}, [(index, 1)]
+    while terms:
+        term, sign = terms.pop()
+        if type(term) is Binary:
+            terms += [(term.left, sign), (term.right, -sign if term.op == "-" else sign)]
+        elif type(term) is IndexVar:
+            coefficients[term.name] = coefficients.get(term.name, 0) + sign
+        else:
+            constant += sign * int(term.value)
+    return constant, tuple(sorted([(positions[name], c) for name, c in coefficients.items()
+                                   if c and name in positions]))
+
+
+def index_value(form: tuple, values) -> int:
+    """An affine form's value for its variables' values, in Stencil.variables order."""
+    return form[0] + sum([c * values[n] for n, c in form[1]])
+
+
+def _dense_read(indices, extent: Extent, width: int) -> tuple:
+    """(first, steps, offsets) of the cells that per-dimension forms, None
+    for `all`, read in a table (see SymbolTable.reads): a form adds its
+    constant times its dimension's stride to `first`, and each coefficient
+    times the stride to its variable's step."""
+    first, steps, spans = extent.origin, [0] * width, []
     for index, stride, (_, low, high) in zip(indices, extent.strides, extent.axes):
         if index is None:
             first += stride * low
             spans.append([stride * k for k in range(high - low + 1)])
-            continue
-        if type(index) is IndexVar and index.name in steps:
-            steps[index.name] += stride
-            continue
-        terms = [(index, stride)]
-        while terms:
-            term, scale = terms.pop()
-            if type(term) is Binary:
-                terms += [(term.left, scale), (term.right, -scale if term.op == "-" else scale)]
-            elif type(term) is IndexVar:
-                if term.name in steps:
-                    steps[term.name] += scale
-            else:
-                first += scale * int(term.value)
-    steps = tuple(steps.values())
-    return (first, same_steps.setdefault(steps, steps),
-            tuple(map(sum, product(*spans))) if ranged else None)
+        else:
+            first += stride * index[0]
+            for n, coefficient in index[1]:
+                steps[n] += stride * coefficient
+    return first, tuple(steps), tuple(map(sum, product(*spans))) if spans else None
 
 
 def typecheck(doc: SpecDocument, symtab: SymbolTable) -> list[Diagnostic]:
     """Check every equation right-hand side against its table's result type."""
     diagnostics: list[Diagnostic] = []
     for element in doc.elements:
-        if not isinstance(element, EquationDecl) or element.table not in symtab.tables:
+        stencil = symtab.stencils.get(id(element))  # None unless a resolved equation
+        if stencil is None:
             continue
-        bound_vars = {p.name for p in element.lhs_patterns
-                      if isinstance(p, (VarPattern, GuardedVarPattern))}
-        checker = _TypeChecker(symtab, bound_vars, element, diagnostics)
+        checker = _TypeChecker(symtab, stencil.variables, element, diagnostics)
         inferred = checker.infer(element.rhs, all_ok=False)
         declared = symtab.tables[element.table].result_type
         if inferred is not None and not compatible(declared, inferred):
@@ -386,15 +406,9 @@ class _TypeChecker:
                     self.error("MisplacedAll",
                                f"'all' index into '{ref.table}' outside a sum or match argument")
                     return None
-            else:
-                self.check_index_expr(index)
+            else:  # an index only adds and subtracts: this reports unbound variables alone
+                self.infer(index, all_ok=False)
         return decl.result_type
-
-    def check_index_expr(self, expr: Expr):
-        for node in walk(expr):
-            if isinstance(node, IndexVar) and node.name not in self.bound_vars:
-                self.error("UnboundIndexVariable",
-                           f"index variable '{node.name}' is not bound on the left-hand side")
 
     def infer_binary(self, expr: Binary) -> str | None:
         left = self.infer(expr.left, all_ok=False)
@@ -505,18 +519,6 @@ def match_patterns(patterns, indices) -> dict[str, int] | None:
     return subst
 
 
-def eval_index_expr(expr: Expr, subst: dict[str, int]) -> int:
-    if isinstance(expr, NumberLit):
-        return int(expr.value)
-    if isinstance(expr, IndexVar):
-        return subst[expr.name]
-    if isinstance(expr, Binary):
-        left = eval_index_expr(expr.left, subst)
-        right = eval_index_expr(expr.right, subst)
-        return left + right if expr.op == "+" else left - right
-    raise TypeError(f"not an index expression: {expr!r}")
-
-
 def elaborate(doc: SpecDocument, symtab: SymbolTable) -> tuple[CellPlan, list[Diagnostic]]:
     """Pick exactly one rule per derived cell: cover each derived table with
     its equations' boxes, and enumerate a table cell by cell only when its
@@ -572,14 +574,22 @@ def _cover(equation: EquationDecl, stencil: Stencil, extent: Extent, owner: list
         if not pieces[-1]:
             return True
         hull[name] = (pieces[-1][0].start, pieces[-1][-1][-1])
-    # an index is affine, so its extremes over the boxes lie at the hull's corners
+    # an index is affine, so its extremes over the boxes lie at the hull's
+    # corners; the hull lists the variables in the order of Stencil.variables
+    corners = list(hull.values())
     for _, indices, target, _ in stencil.refs:
         for index, (_, low, high) in zip(indices, target.axes):
             if index is not None:
-                least, greatest = _reach(index, hull)
+                least = greatest = index[0]
+                for n, coefficient in index[1]:
+                    first, last = corners[n]
+                    if coefficient < 0:
+                        first, last = last, first
+                    least += coefficient * first
+                    greatest += coefficient * last
                 if least < low or greatest > high:
                     return False
-    first, steps = _home(equation, extent)
+    first, steps, _ = _dense_read(stencil.home, extent, len(corners))
     for spans in product(*pieces):
         box = Box(equation, spans, first, steps)
         for run in runs(spans, first, steps):
@@ -591,36 +601,12 @@ def _cover(equation: EquationDecl, stencil: Stencil, extent: Extent, owner: list
     return True
 
 
-def _home(equation: EquationDecl, extent: Extent) -> tuple[int, tuple[int, ...]]:
-    """(first, steps) of the dense numbers of the cells an equation covers
-    (see Box): a constant adds its offset, a variable its stride."""
-    first, steps = extent.origin, {}
-    for pattern, stride in zip(equation.lhs_patterns, extent.strides):
-        if type(pattern) is ConstantPattern:
-            first += stride * pattern.value
-        else:
-            steps[pattern.name] = steps.get(pattern.name, 0) + stride
-    return first, tuple(steps.values())
-
-
-def _reach(expr: Expr, hull) -> tuple[int, int]:
-    """The least and greatest value of an index expression while each
-    variable stays within its (first, last) in `hull`: exact unless a
-    variable repeats in the expression, and wider then."""
-    if type(expr) is IndexVar:
-        return hull[expr.name]
-    if type(expr) is NumberLit:
-        return int(expr.value), int(expr.value)
-    (a, b), (c, d) = _reach(expr.left, hull), _reach(expr.right, hull)
-    return (a + c, b + d) if expr.op == "+" else (a - d, b - c)
-
-
 def _cover_cells(name: str, equations, symtab: SymbolTable, owner: list,
                  diagnostics: list[Diagnostic]) -> list[Box]:
     """Cover a table cell by cell, each cell that one equation matches with
     a box of its own, reporting the others and reads out of bounds."""
-    boxes = []
-    for number, cell in enumerate(symtab.table_cells(name), symtab.extents[name].base):
+    boxes, extent = [], symtab.extents[name]
+    for number, cell in enumerate(symtab.table_cells(name), extent.base):
         matches = [(equation, subst) for equation in equations
                    if (subst := match_patterns(equation.lhs_patterns, cell.indices)) is not None]
         if not matches:
@@ -634,14 +620,15 @@ def _cover_cells(name: str, equations, symtab: SymbolTable, owner: list,
                 f"{len(matches)} equations cover cell {cell}", matches[1][0].pos))
             continue
         equation, subst = matches[0]
-        owner[number] = Box(equation, tuple([range(v, v + 1) for v in subst.values()]),
-                            *_home(equation, symtab.extents[name]))
+        stencil, values = symtab.stencils[id(equation)], tuple(subst.values())
+        first, steps, _ = _dense_read(stencil.home, extent, len(values))
+        owner[number] = Box(equation, tuple([range(v, v + 1) for v in values]), first, steps)
         boxes.append(owner[number])
-        for table, indices, extent, _ in symtab.stencils[id(equation)].refs:
-            for index, (dim, low, high) in zip(indices, extent.axes):
+        for table, indices, target, _ in stencil.refs:
+            for index, (dim, low, high) in zip(indices, target.axes):
                 if index is None:
                     continue
-                value = eval_index_expr(index, subst)
+                value = index_value(index, values)
                 if not low <= value <= high:
                     diagnostics.append(Diagnostic(
                         "error", "IndexOutOfBounds",

@@ -148,33 +148,25 @@ class SpecDocument:
 
 # --- traversal -------------------------------------------------------------
 
-def children(expr: Expr) -> tuple[Expr, ...]:
-    """The direct subexpressions of a node: operands, arguments, indices."""
-    if isinstance(expr, Binary):
-        return (expr.left, expr.right)
-    if isinstance(expr, Call):
-        return expr.args
-    if isinstance(expr, ElementRef):
-        return expr.indices
-    return ()
-
-
 def walk(expr: Expr) -> list[Expr]:
-    """Every node of an expression, parents before their children, and
-    children left to right."""
+    """Every node of an expression, parents before their children (operands,
+    arguments, indices), and children left to right."""
     nodes, stack = [], [expr]
     while stack:
         node = stack.pop()
         nodes.append(node)
-        below = children(node)
-        if below:
-            stack.extend(below[::-1])
+        if type(node) is Binary:
+            stack += (node.right, node.left)
+        elif type(node) is Call:
+            stack += node.args[::-1]
+        elif type(node) is ElementRef:
+            stack += node.indices[::-1]
     return nodes
 
 
 def element_refs(expr: Expr) -> list[ElementRef]:
     """The element references in an expression, in walk order."""
-    return [node for node in walk(expr) if isinstance(node, ElementRef)]
+    return [node for node in walk(expr) if type(node) is ElementRef]
 
 
 # --- builtins --------------------------------------------------------------

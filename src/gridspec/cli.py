@@ -145,7 +145,7 @@ def _compile_grids(args):
     if args.inputs:
         try:
             inputs = load_inputs(args.inputs, symtab)
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
             print(f"error: cannot read {args.inputs}: {exc}", file=sys.stderr)
             return EXIT_IO_ERROR
         except InputError as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import count, product
 from operator import mul
 
-from .analyzer import CellId, CellPlan, SymbolTable, eval_index_expr, runs
+from .analyzer import CellId, CellPlan, SymbolTable, index_value, runs
 from .ast import (
     AGGREGATES,
     BUILTINS,
@@ -324,12 +324,14 @@ def _eval(expr: Expr, leaf, range_ok: bool):
 
 def expand_ref(ref, subst: dict[str, int]):
     """The cells one lowered element reference (see analyzer.Stencil) reads
-    under a substitution: a CellId, or for a range a tuple of CellIds in
-    row-major order over its axes, the order aggregate builtins see."""
+    under a substitution in the order of Stencil.variables, as plan.rules
+    gives it: a CellId, or for a range a tuple of CellIds in row-major
+    order over its axes, the order aggregate builtins see."""
     table, indices, extent, ranged = ref
+    values = tuple(subst.values())
     if not ranged:
-        return CellId(table, tuple([eval_index_expr(index, subst) for index in indices]))
-    spans = [range(low, high + 1) if index is None else (eval_index_expr(index, subst),)
+        return CellId(table, tuple([index_value(index, values) for index in indices]))
+    spans = [range(low, high + 1) if index is None else (index_value(index, values),)
              for index, (_, low, high) in zip(indices, extent.axes)]
     return tuple([CellId(table, c) for c in product(*spans)])
 

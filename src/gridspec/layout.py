@@ -35,11 +35,13 @@ from .ast import (
     BooleanLit,
     Call,
     Comment,
+    EquationDecl,
     Expr,
     IndexVar,
     NumberLit,
     SpecDocument,
     TableDecl,
+    element_refs,
     format_expr,
     format_number,
     print_expr,
@@ -207,13 +209,14 @@ def plan_layout(doc: SpecDocument, symtab: SymbolTable,
     # a range is written as the rectangle from its first cell to its last,
     # so along the dimensions that run down rows its `all` indices come last
     for stencil in symtab.stencils.values():
-        for table, indices, _, ranged in stencil.refs:
+        for slot, (table, indices, _, ranged) in zip(stencil.slots, stencil.refs):
             if not ranged:
                 continue
             down = [i is None for i, step in zip(indices, regions[table].row_steps) if step]
             if down != sorted(down):
-                text = ", ".join("all" if i is None else print_expr(i) for i in indices)
-                raise LayoutError(f"range {table}[ {text} ] is not one rectangle: its 'all' "
+                ref = next(ref for e in doc.elements if isinstance(e, EquationDecl)
+                           for ref in element_refs(e.rhs) if id(ref) == slot)
+                raise LayoutError(f"range {print_expr(ref)} is not one rectangle: its 'all' "
                                   "indices must come last among the dimensions down rows")
     return Layout(sheets, regions, caption_column, caption_rows)
 

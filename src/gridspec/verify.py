@@ -4,10 +4,12 @@ Every formula cell is re-evaluated one step: the formula is parsed, the
 values document supplies the value at each referenced address, the
 result is computed by the evaluator's own eval_expr and compared to the
 cell's own entry in the values document.  A formula that does not
-parse, calls an unknown function, reads a cell that holds no value, or
-whose operands make it fault is a mismatch that names the reason.
-Numbers compare within relative tolerance 1e-9; booleans, dates, and NA
-compare exactly.
+parse, calls an unknown function, reads a cell that holds no value or a
+sheet the directory does not hold, or whose operands make it fault is a
+mismatch that names the reason.  Numbers compare within relative
+tolerance 1e-9; booleans, dates, and NA compare exactly.  Every other
+cell of the formulas document must hold the same text in the values
+document; a cell only the values document holds is not checked.
 """
 
 from __future__ import annotations
@@ -58,11 +60,14 @@ def parse_value_text(text: str) -> Value | None:
 @dataclass
 class Mismatch:
     address: Address
-    expected: Value | None  # what one-step evaluation of the formula produces
-    actual: Value | None  # what the values document holds
+    expected: Value | str | None  # one-step value of the formula, or a constant's text
+    actual: Value | str | None  # what the values document holds
     fault: str = ""  # why one-step evaluation failed, when expected is None
 
     def __str__(self):
+        if isinstance(self.expected, str):
+            return (f"{self.address}: formulas document holds {self.expected!r}, "
+                    f"values document holds {self.actual!r}")
         gives = f"faults ({self.fault})" if self.fault else f"gives {self.expected!r}"
         return f"{self.address}: formula {gives}, document holds {self.actual!r}"
 
@@ -99,6 +104,13 @@ def _by_row(cells) -> tuple[list[int], dict[int, list[int]]]:
     return sorted(columns), columns
 
 
+class _Sheets(dict):
+    """Parsed cells by sheet; reading a sheet not held faults, naming it."""
+
+    def __missing__(self, sheet: str):
+        raise _Fault(f"references sheet {sheet!r}, which the directory does not hold")
+
+
 def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
     """One-step check of every formula cell against the values document.
     Each formula shape is parsed once, to a template whose Shape has an
@@ -113,8 +125,8 @@ def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
     the cells the sheet holds, never by its area."""
     report = VerifyReport()
     # each cell's text is parsed once, however many formulas read it
-    parsed = {sheet: {at: parse_value_text(text) for at, text in cells.items()}
-              for sheet, cells in values.items()}
+    parsed = _Sheets({sheet: {at: parse_value_text(text) for at, text in cells.items()}
+                      for sheet, cells in values.items()})
     by_row = {}  # sheet -> its cells by row, see _by_row; made for a sheet's first range
     templates = {}  # shape key -> (template, Shape), see a1.make_template
     above = {}  # column -> the template of the last formula read in it, on this sheet
@@ -144,7 +156,7 @@ def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
         return template, found
 
     def operand(sheet: str, at: tuple[int, int]) -> Value:
-        value = parsed.get(sheet, {}).get(at, BLANK)
+        value = parsed[sheet].get(at, BLANK)
         if value is None:
             raise _Fault(f"references non-value cell {Address(sheet, at[1], at[0])}")
         return value
@@ -155,7 +167,7 @@ def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
         sheet's rows that hold a cell within the range's rows are visited."""
         sheet = first.sheet
         if sheet not in by_row:
-            by_row[sheet] = _by_row(parsed.get(sheet, {}))
+            by_row[sheet] = _by_row(parsed[sheet])
         rows, columns = by_row[sheet]
         width = last.column - first.column + 1
         values, positions = [], []
@@ -177,9 +189,11 @@ def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
 
     for sheet in sorted(formulas):
         above.clear()
-        stored_on_sheet = parsed.get(sheet, {})
+        stored_on_sheet, texts = parsed.get(sheet, {}), values.get(sheet, {})
         for (row, column), text in sorted(formulas[sheet].items()):
             if not text.startswith("="):
+                if (held := texts.get((row, column), "")) != text:
+                    report.mismatches.append(Mismatch(Address(sheet, column, row), text, held))
                 continue
             stored = stored_on_sheet.get((row, column), BLANK)
             report.checks += 1

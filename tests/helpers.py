@@ -15,7 +15,7 @@ import re
 from pathlib import Path
 
 from gridspec import analyze, evaluate, parse_document
-from gridspec.analyzer import CellId, eval_index_expr
+from gridspec.analyzer import CellId
 from gridspec.ast import (
     ADDITIVE_OPS,
     GUARD_COMPARATORS,
@@ -384,6 +384,17 @@ def random_shape_spec(rng: random.Random) -> str:
 
 # --- reference expansion of element references -----------------------------
 
+def reference_index_value(expr, subst) -> int:
+    """The value of an index expression under a substitution, by walking it."""
+    if isinstance(expr, NumberLit):
+        return int(expr.value)
+    if isinstance(expr, IndexVar):
+        return subst[expr.name]
+    left = reference_index_value(expr.left, subst)
+    right = reference_index_value(expr.right, subst)
+    return left + right if expr.op == "+" else left - right
+
+
 def reference_expand_ref(ref: ElementRef, subst, symtab) -> list[CellId]:
     """Resolve a reference to concrete cells; `all` spans its dimension.
 
@@ -396,7 +407,7 @@ def reference_expand_ref(ref: ElementRef, subst, symtab) -> list[CellId]:
             low, high = symtab.bounds[dim]
             axes.append(range(low, high + 1))
         else:
-            axes.append((eval_index_expr(index, subst),))
+            axes.append((reference_index_value(index, subst),))
     cells = [CellId(ref.table, ())]
     for axis in axes:
         cells = [CellId(ref.table, c.indices + (i,)) for c in cells for i in axis]
@@ -413,7 +424,7 @@ def reference_ref_bounds(equation, refs, subst, cell, symtab):
             if isinstance(index, AllIndex):
                 continue
             low, high = symtab.bounds[dim]
-            value = eval_index_expr(index, subst)
+            value = reference_index_value(index, subst)
             if not low <= value <= high:
                 yield Diagnostic(
                     "error", "IndexOutOfBounds",
@@ -563,13 +574,17 @@ def reference_evaluate(symtab, rules, inputs, references, order, bindings):
 # --- verify, one parse per formula -----------------------------------------
 
 def reference_verify_grid(formulas, values) -> VerifyReport:
-    """One-step check of every formula cell, parsing every formula."""
+    """One-step check of every formula cell, parsing every formula, and of
+    every other cell's text against the values document."""
     report = VerifyReport()
     parsed = {sheet: {at: parse_value_text(text) for at, text in cells.items()}
               for sheet, cells in values.items()}
 
     def operand(address: Address):
-        value = parsed.get(address.sheet, {}).get((address.row, address.column), BLANK)
+        if address.sheet not in parsed:
+            raise _Fault(f"references sheet {address.sheet!r}, "
+                         "which the directory does not hold")
+        value = parsed[address.sheet].get((address.row, address.column), BLANK)
         if value is None:
             raise _Fault(f"references non-value cell {address}")
         return value
@@ -581,9 +596,12 @@ def reference_verify_grid(formulas, values) -> VerifyReport:
 
     for sheet in sorted(formulas):
         for (row, column), text in sorted(formulas[sheet].items()):
-            if not text.startswith("="):
-                continue
             address = Address(sheet, column, row)
+            if not text.startswith("="):
+                held = values.get(sheet, {}).get((row, column), "")
+                if held != text:
+                    report.mismatches.append(Mismatch(address, text, held))
+                continue
             stored = parsed.get(sheet, {}).get((row, column), BLANK)
             report.checks += 1
             try:

@@ -209,6 +209,15 @@ class TestTextEncoding:
                      "--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot read {inputs}: ")
 
+    @pytest.mark.parametrize("command", ["compile", "eval"])
+    def test_inputs_field_over_the_csv_limit(self, tmp_path, capsys, command):
+        inputs = tmp_path / "long.csv"
+        inputs.write_text("initial_cash," + "1" * 200_000 + "\n", encoding="utf-8")
+        assert main([command, str(FIXTURES / "cashflow.gsx"), "--inputs", str(inputs),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {inputs}: ") and "field limit" in err
+
     def test_inputs_byte_order_mark(self, tmp_path, capsys):
         plain = FIXTURES / "cashflow_inputs.csv"
         marked = tmp_path / "marked.csv"
@@ -314,6 +323,10 @@ class TestVerifyFaults:
         rows = values_path.read_text(encoding="utf-8").splitlines()
         assert rows[1] == "1,2,0.5"
         values_path.write_text("\n".join([rows[0], "1,0,0.5"]) + "\n", encoding="utf-8")
+        # the input changes in both documents, so only the formula disagrees
+        formulas_path = out / "Model.formulas.csv"
+        formulas_path.write_text(formulas_path.read_text(encoding="utf-8").replace(
+            "1,2,=", "1,0,="), encoding="utf-8")
         assert main(["verify", str(out)]) == 1
         report = capsys.readouterr().out
         assert "1 mismatch(es)" in report
@@ -622,6 +635,41 @@ class TestVerifyReadsAnyDirectory:
     def test_mutated_directory(self, compiled, edits):
         with tempfile.TemporaryDirectory() as tmp:
             assert main(["verify", str(mutated(compiled, edits, Path(tmp) / "out"))]) in (0, 1, 2, 3)
+
+
+class TestVerifyReadsBothDocuments:
+    """A cell that is not a formula holds the same text in both documents,
+    and a formula that reads a sheet the directory does not hold faults."""
+
+    def test_constant_edited_in_the_formulas_document(self, compiled, tmp_path, capsys):
+        work = mutated(compiled, [], tmp_path / "out")
+        path = work / "Model.formulas.csv"
+        path.write_text(path.read_text(encoding="utf-8").replace("100.00", "250.00"),
+                        encoding="utf-8")
+        assert main(["verify", str(work)]) == 1
+        assert capsys.readouterr().out == (
+            "checked 36 cells, 1 mismatch(es)\n"
+            "  Model!C2: formulas document holds '250.00', values document holds '100.00'\n")
+
+    def test_cell_only_in_the_values_document_is_not_checked(self, compiled, tmp_path, capsys):
+        work = mutated(compiled, [], tmp_path / "out")
+        with open(work / "Model.values.csv", "a", encoding="utf-8", newline="") as handle:
+            handle.write(",,,,,extra\n")
+        assert main(["verify", str(work)]) == 0
+        assert capsys.readouterr().out == "checked 36 cells, 0 mismatch(es)\n"
+
+    def test_sheet_the_directory_does_not_hold(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text('{"sheets": ["Model"]}', encoding="utf-8")
+        (tmp_path / "Model.formulas.csv").write_text(
+            "=Nowhere!A1+1\n=SUM(Nowhere!A1:B9)\n", encoding="utf-8")
+        (tmp_path / "Model.values.csv").write_text("1\n0\n", encoding="utf-8")
+        assert main(["verify", str(tmp_path)]) == 1
+        assert capsys.readouterr().out == (
+            "checked 2 cells, 2 mismatch(es)\n"
+            "  Model!A1: formula faults (references sheet 'Nowhere', which the directory "
+            "does not hold), document holds Number(1.0)\n"
+            "  Model!A2: formula faults (references sheet 'Nowhere', which the directory "
+            "does not hold), document holds Number(0.0)\n")
 
 
 class TestA1Limits:

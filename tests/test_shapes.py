@@ -172,14 +172,15 @@ def test_covering_documents(tmp_path):
 # range and {n} a number.  Each grid fills a shape several times, so most
 # formulas bind a template.  No corner reaches XFD1048576, for the
 # reference verifier lists every address of a range; D1000 makes ranges
-# of mostly blank cells, which verify skips.
+# of mostly blank cells, which verify skips, and Nowhere is a sheet the
+# grids do not hold.
 SHAPES = ["{r}", "{r}+{n}", "{n}/{r}", "SUM({c}:{c})", "MATCH({n},{c}:{c},0)",
           "IF({r}>{n},{r},{n})", "{r} * ( {n} - {r} )", "{n}{r}", "x{r}", "{r}B",
           "{c}:{c}", "SUM({r},{n})", "foo({r})", "{n}.{n}", "{r} <>\t{r}",
           "IF(TRUE,{n},{r})", "{r}+", "(({r}))", "-{r}"]
 CORNERS = ["A1", "B2", "$A$1", "C$3", "'q r'!A1", "Time!A1", "Time!B2", "D4",
            "XFE1", "A1048577", "A" + "1" * 5000, "AAAA1", "A9999999", "TRUE1",
-           "D1000", "TRUE!A1", "_x!B2"]
+           "D1000", "TRUE!A1", "_x!B2", "Nowhere!C3"]
 REFS = CORNERS + ["XFD1048576"]
 NUMBERS = ["0", "1", "2.5", "12", "1" * 400, "0." + "0" * 400 + "1"]
 VALUES = ["1", "0", "2.5", "-3", "TRUE", "FALSE", "#N/A", "", "text", "2009-01-01"]
@@ -188,8 +189,9 @@ HOLES = {"{r}": REFS, "{c}": CORNERS, "{n}": NUMBERS}
 
 @st.composite
 def formula_grids(draw):
-    """Formulas of a few shapes over the cells of three sheets."""
-    values = {"Model": {}, "Time": {}, "q r": {}}
+    """Formulas of a few shapes over the cells of five sheets; a reference
+    may also name a sheet the grids do not hold."""
+    values = {"Model": {}, "Time": {}, "q r": {}, "TRUE": {}, "_x": {}}
     for sheet, cells in values.items():
         for row in range(1, 5):
             for column in range(1, 5):

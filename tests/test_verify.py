@@ -124,11 +124,14 @@ class TestVerifyGrid:
 
     def test_corrupted_upstream_input_cascades(self):
         _, result = compile_fixture("cashflow")
-        # perturbing an input literal invalidates every formula reading it,
-        # but only in the values document the formulas are checked against
+        # perturbing an input literal in the values document invalidates
+        # every formula reading it, and the literal itself no longer
+        # matches its text in the formulas document
         result.values["Model"][(2, 3)] = "101.00"
         report = verify_grid(result.formulas, result.values)
-        assert [m.address.a1() for m in report.mismatches] == ["D3"]
+        assert [m.address.a1() for m in report.mismatches] == ["C2", "D3"]
+        assert str(report.mismatches[0]) == (
+            "Model!C2: formulas document holds '100.00', values document holds '101.00'")
 
     def test_corrupted_na_detected(self):
         _, result = compile_fixture("loans")
