@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .ast import Binary, BooleanLit, Call, Expr, IndexVar, NumberLit, SourcePos
+from .ast import BooleanLit, Expr, Hole, IndexVar, SourcePos, punch
 from .errors import ParseFailure
 from .parser import Diagnostic, Parser, scan
 
@@ -182,14 +182,6 @@ def formula_shape(body: str) -> tuple[tuple, list]:
             *[tuple(parts[g::_STRIDE]) for g in _KEPT]), parts
 
 
-@dataclass(frozen=True)
-class Hole(Expr):
-    """A template's NumberLit, CellRef or RangeRef leaf: the value bound at
-    the hole token `slot`, and for a range the next one too."""
-    slot: int
-    ranged: bool
-
-
 # The kind of each hole: a number, a reference, or a reference after ':',
 # which ends a range on the sheet of its start.
 _NUMBER, _ADDRESS, _RANGE_END = range(3)
@@ -242,17 +234,13 @@ class Shape(NamedTuple):
 
 def make_template(expr: Expr, parts: list) -> tuple[Expr, Shape]:
     """A formula parsed to `expr`, whose split is `parts`, with its
-    NumberLit, CellRef and RangeRef leaves made Holes, numbered in token
-    order; and its Shape, whose pattern is the tokens of `parts` with every
-    literal token escaped, `\\s*` around each token and an atomic group
-    (greedy as scan is) at each hole."""
+    NumberLit, CellRef and RangeRef leaves made Holes by ast.punch, in
+    token order; and its Shape, whose pattern is the tokens of `parts` with
+    every literal token escaped, `\\s*` around each token and an atomic
+    group (greedy as scan is) at each hole."""
     slots = itertools.count()
 
-    def punch(node: Expr) -> Expr:
-        if isinstance(node, Binary):
-            return Binary(node.op, punch(node.left), punch(node.right))
-        if isinstance(node, Call):
-            return Call(node.func, tuple(map(punch, node.args)))
+    def leaf(node: Expr) -> Expr:
         if isinstance(node, BooleanLit):
             return node
         hole = Hole(next(slots), isinstance(node, RangeRef))
@@ -273,4 +261,4 @@ def make_template(expr: Expr, parts: list) -> tuple[Expr, Shape]:
             text = parts[at + _KEYWORD] or parts[at + _IDENTIFIER]
             tokens.append(re.escape(text) + _WORD_END)
     pattern = re.compile(r"\s*" + r"\s*".join(tokens) + r"\s*")
-    return punch(expr), Shape(tuple(kinds), pattern)
+    return punch(expr, leaf), Shape(tuple(kinds), pattern)

@@ -14,7 +14,7 @@ derived cell must be matched by exactly one equation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from operator import mul
 from typing import NamedTuple
@@ -31,16 +31,22 @@ from .ast import (
     EquationDecl,
     Expr,
     GuardedVarPattern,
+    Hole,
     IndexVar,
     NumberLit,
     SpecDocument,
     TableDecl,
     VarPattern,
-    element_refs,
+    punch,
 )
 from .parser import Diagnostic
 
 _NUMERIC_FAMILY = frozenset({"number", "currency", "general"})
+
+# The most cells a model may hold: a compile peaks at about 0.75 KB per
+# cell over 15 MB, so under 1 GB.  resolve refuses more before making
+# anything per cell.
+MAX_CELLS = 1_000_000
 
 _GUARDS = {
     "<": lambda a, b: a < b,
@@ -89,14 +95,15 @@ class Stencil(NamedTuple):
     binds.  Each index is an affine form `(constant, ((n, coefficient),
     ...))` over the variables numbered in that order, terms that cancel
     left out.  `home` holds the form of each left-hand pattern, and `refs`
-    `(table, indices, extent, ranged)` per element reference in walk
-    order: the forms (None for `all`), the table's Extent and whether any
-    index is `all`.  `slots` holds the id() of each reference node."""
+    `(ref, indices, extent, ranged)` per element reference, left to right:
+    the ElementRef, the forms (None for `all`), its table's Extent and
+    whether any index is `all`.  `template` is the right-hand side with
+    the reference `refs[n]` made `Hole(n, ranged)` (see ast.punch)."""
 
     variables: dict[str, int]
     home: tuple
     refs: tuple
-    slots: tuple[int, ...]
+    template: Expr
 
 
 @dataclass
@@ -207,8 +214,8 @@ def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
     tables: dict[str, TableDecl] = {}
     equations: dict[str, list[EquationDecl]] = {}
     stencils: dict[int, Stencil] = {}
-    # equal variable maps and equal lowered indices are kept once: a spec repeats its shapes
-    same_variables, same_indices = {}, {}
+    # equal variable maps, lowered indices and Holes are kept once: a spec repeats its shapes
+    same_variables, same_indices, same_hole = {}, {}, cache(Hole)
 
     for element in doc.elements:
         if isinstance(element, BoundsDecl):
@@ -244,6 +251,10 @@ def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
             size *= high - low + 1
         extents[name] = Extent(base, size, origin, tuple(strides), axes)
         base += size
+    if base > MAX_CELLS:  # reported at the largest table
+        largest = max(tables.values(), key=lambda decl: extents[decl.name].size)
+        diagnostics.append(Diagnostic("error", "TooManyCells", f"the tables hold {base:,} "
+                                      f"cells, over the limit of {MAX_CELLS:,}", largest.pos))
     for element in doc.elements:
         if isinstance(element, TableDecl):
             for dim in element.dims:
@@ -276,8 +287,11 @@ def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
             home = tuple([(p.value, ()) if type(p) is ConstantPattern
                           else (0, ((positions[p.name], 1),)) for p in element.lhs_patterns])
             home = same_indices.setdefault(home, home)
-            refs, slots = [], []
-            for ref in element_refs(element.rhs):
+            refs = []
+
+            def hole(ref: Expr) -> Expr:  # a reference's Hole, after lowering it onto refs
+                if type(ref) is not ElementRef:
+                    return ref
                 target = tables.get(ref.table)
                 if target is None:
                     diagnostics.append(Diagnostic(
@@ -293,9 +307,12 @@ def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
                     indices = tuple([None if type(index) is AllIndex else _lower(index, positions)
                                      for index in ref.indices])
                     indices = same_indices.setdefault(indices, indices)
-                    slots.append(id(ref))
-                    refs.append((ref.table, indices, extents[ref.table], None in indices))
-            stencils[id(element)] = Stencil(variables, home, tuple(refs), tuple(slots))
+                    refs.append((ref, indices, extents[ref.table], None in indices))
+                    return same_hole(len(refs) - 1, None in indices)
+                return ref
+
+            template = punch(element.rhs, hole)
+            stencils[id(element)] = Stencil(variables, home, tuple(refs), template)
 
     return SymbolTable(bounds, tables, equations, stencils, extents), diagnostics
 
@@ -624,7 +641,7 @@ def _cover_cells(name: str, equations, symtab: SymbolTable, owner: list,
         first, steps, _ = _dense_read(stencil.home, extent, len(values))
         owner[number] = Box(equation, tuple([range(v, v + 1) for v in values]), first, steps)
         boxes.append(owner[number])
-        for table, indices, target, _ in stencil.refs:
+        for ref, indices, target, _ in stencil.refs:
             for index, (dim, low, high) in zip(indices, target.axes):
                 if index is None:
                     continue
@@ -632,7 +649,7 @@ def _cover_cells(name: str, equations, symtab: SymbolTable, owner: list,
                 if not low <= value <= high:
                     diagnostics.append(Diagnostic(
                         "error", "IndexOutOfBounds",
-                        f"rule for {cell} references {table} at {dim}={value}, "
+                        f"rule for {cell} references {ref.table} at {dim}={value}, "
                         f"outside {low}..{high}", equation.pos))
     return boxes
 

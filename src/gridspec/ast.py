@@ -146,27 +146,25 @@ class SpecDocument:
     comments: tuple[Comment, ...] = ()
 
 
-# --- traversal -------------------------------------------------------------
+# --- templates -------------------------------------------------------------
 
-def walk(expr: Expr) -> list[Expr]:
-    """Every node of an expression, parents before their children (operands,
-    arguments, indices), and children left to right."""
-    nodes, stack = [], [expr]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        if type(node) is Binary:
-            stack += (node.right, node.left)
-        elif type(node) is Call:
-            stack += node.args[::-1]
-        elif type(node) is ElementRef:
-            stack += node.indices[::-1]
-    return nodes
+@dataclass(frozen=True)
+class Hole(Expr):
+    """A template's leaf, the value bound at `slot`: the reference
+    Stencil.refs[slot], a range if `ranged`; or a formula's number or
+    reference token (a1.make_template), a range taking two slots."""
+    slot: int
+    ranged: bool
 
 
-def element_refs(expr: Expr) -> list[ElementRef]:
-    """The element references in an expression, in walk order."""
-    return [node for node in walk(expr) if type(node) is ElementRef]
+def punch(expr: Expr, leaf) -> Expr:
+    """The template of an expression: its operators and calls rebuilt, with
+    `leaf(node)` in place of every other node, left to right."""
+    if type(expr) is Binary:
+        return Binary(expr.op, punch(expr.left, leaf), punch(expr.right, leaf))
+    if type(expr) is Call:
+        return Call(expr.func, tuple([punch(arg, leaf) for arg in expr.args]))
+    return leaf(expr)
 
 
 # --- builtins --------------------------------------------------------------

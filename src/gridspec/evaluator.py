@@ -327,13 +327,13 @@ def expand_ref(ref, subst: dict[str, int]):
     under a substitution in the order of Stencil.variables, as plan.rules
     gives it: a CellId, or for a range a tuple of CellIds in row-major
     order over its axes, the order aggregate builtins see."""
-    table, indices, extent, ranged = ref
+    node, indices, extent, ranged = ref
     values = tuple(subst.values())
     if not ranged:
-        return CellId(table, tuple([index_value(index, values) for index in indices]))
+        return CellId(node.table, tuple([index_value(index, values) for index in indices]))
     spans = [range(low, high + 1) if index is None else (index_value(index, values),)
              for index, (_, low, high) in zip(indices, extent.axes)]
-    return tuple([CellId(table, c) for c in product(*spans)])
+    return tuple([CellId(node.table, c) for c in product(*spans)])
 
 
 def _read_numbers(plan: CellPlan, number: int) -> list[int]:
@@ -448,10 +448,10 @@ def evaluate(plan: CellPlan, inputs: dict[CellId, Value]) -> dict[CellId, Value]
 
     def leaf(node):
         # of the cell being evaluated: index variables from its indices,
-        # element references from the store
-        if isinstance(node, IndexVar):
+        # a reference's Hole from the store
+        if type(node) is IndexVar:
             return Number(indices[stencil.variables[node.name]])
-        first, steps, offsets = reads[stencil.slots.index(id(node))]
+        first, steps, offsets = reads[node.slot]
         number = first + sum(map(mul, steps, values))
         return store[number] if offsets is None else [store[number + o] for o in offsets]
 
@@ -464,7 +464,7 @@ def evaluate(plan: CellPlan, inputs: dict[CellId, Value]) -> dict[CellId, Value]
             stencil, reads = stencils[id(equation)], dense[id(equation)]
             values = [indices[d] for d in stencil.variables.values()]
             try:
-                value = eval_expr(equation.rhs, leaf)
+                value = eval_expr(stencil.template, leaf)
             except _Fault as exc:
                 raise RuntimeFault(cell, str(exc)) from None
         if isinstance(value, Number) and currency[cell.table]:

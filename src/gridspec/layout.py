@@ -35,13 +35,11 @@ from .ast import (
     BooleanLit,
     Call,
     Comment,
-    EquationDecl,
     Expr,
     IndexVar,
     NumberLit,
     SpecDocument,
     TableDecl,
-    element_refs,
     format_expr,
     format_number,
     print_expr,
@@ -209,13 +207,11 @@ def plan_layout(doc: SpecDocument, symtab: SymbolTable,
     # a range is written as the rectangle from its first cell to its last,
     # so along the dimensions that run down rows its `all` indices come last
     for stencil in symtab.stencils.values():
-        for slot, (table, indices, _, ranged) in zip(stencil.slots, stencil.refs):
+        for ref, indices, _, ranged in stencil.refs:
             if not ranged:
                 continue
-            down = [i is None for i, step in zip(indices, regions[table].row_steps) if step]
+            down = [i is None for i, step in zip(indices, regions[ref.table].row_steps) if step]
             if down != sorted(down):
-                ref = next(ref for e in doc.elements if isinstance(e, EquationDecl)
-                           for ref in element_refs(e.rhs) if id(ref) == slot)
                 raise LayoutError(f"range {print_expr(ref)} is not one rectangle: its 'all' "
                                   "indices must come last among the dimensions down rows")
     return Layout(sheets, regions, caption_column, caption_rows)
@@ -224,13 +220,13 @@ def plan_layout(doc: SpecDocument, symtab: SymbolTable,
 # --- formula rendering -----------------------------------------------------
 
 def _template(equation, symtab: SymbolTable, layout: Layout) -> tuple:
-    """An equation's formula text split at its holes: the dimensions its
-    index variables bind, the text before the first hole, then each hole
-    with the text after it.  A hole is the dimension whose index an index
-    variable takes or, for an element reference, the sheet prefix it needs
-    on the equation's sheet, its table's region and its stencil's dense
-    read (SymbolTable.reads): `first` less the table's base, the steps, and
-    for a range the offset of its last cell (None for one cell)."""
+    """Stencil.template's formula text split at its holes: the dimensions
+    its index variables bind, the text before the first hole, then each
+    hole with the text after it.  A hole is the dimension whose index an
+    index variable takes or, for a Hole, the sheet prefix its reference
+    needs on the equation's sheet, its table's region and its dense read
+    (SymbolTable.reads): `first` less the table's base, the steps, and for
+    a range the offset of its last cell (None for one cell)."""
     stencil = symtab.stencils[id(equation)]
     reads = symtab.reads[id(equation)]
     home = layout.regions[equation.table].sheet
@@ -246,15 +242,14 @@ def _template(equation, symtab: SymbolTable, layout: Layout) -> tuple:
         if isinstance(expr, IndexVar):
             holes.append(stencil.variables[expr.name])
         else:
-            slot = stencil.slots.index(id(expr))
-            table, _, extent, _ = stencil.refs[slot]
-            first, steps, offsets = reads[slot]
-            region = layout.regions[table]
+            ref, _, extent, _ = stencil.refs[expr.slot]
+            first, steps, offsets = reads[expr.slot]
+            region = layout.regions[ref.table]
             holes.append(("" if region.sheet == home else sheet_prefix(region.sheet), region,
                           first - extent.base, steps, offsets and offsets[-1]))
         return "\0"  # no other text of a formula holds it
 
-    head, *parts = ("=" + format_expr(equation.rhs, leaf, pad="")).split("\0")
+    head, *parts = ("=" + format_expr(stencil.template, leaf, pad="")).split("\0")
     return tuple(stencil.variables.values()), head, tuple(zip(holes, parts))
 
 

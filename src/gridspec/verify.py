@@ -19,7 +19,8 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .a1 import Address, Hole, formula_shape, make_template, parse_a1_formula
+from .a1 import Address, formula_shape, make_template, parse_a1_formula
+from .ast import Hole
 from .errors import ParseFailure, UnknownFunction, UnsupportedMatchType
 from .evaluator import (
     BLANK,

@@ -38,7 +38,6 @@ from gridspec.ast import (
     SpecDocument,
     TableDecl,
     VarPattern,
-    element_refs,
     format_expr,
     format_number,
 )
@@ -74,6 +73,29 @@ def evaluate_fixture(name: str, inputs_name: str | None = None):
     inputs = load_inputs(FIXTURES / f"{inputs_name or name}_inputs.csv", symtab)
     values = evaluate(plan, inputs)
     return doc, symtab, plan, inputs, values
+
+
+# --- expression traversal --------------------------------------------------
+
+def walk(expr) -> list:
+    """Every node of an expression, parents before their children (operands,
+    arguments, indices), and children left to right."""
+    nodes, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if type(node) is Binary:
+            stack += (node.right, node.left)
+        elif type(node) is Call:
+            stack += node.args[::-1]
+        elif type(node) is ElementRef:
+            stack += node.indices[::-1]
+    return nodes
+
+
+def element_refs(expr) -> list[ElementRef]:
+    """The element references in an expression, in walk order."""
+    return [node for node in walk(expr) if type(node) is ElementRef]
 
 
 # --- random well-formed documents ------------------------------------------
@@ -456,7 +478,7 @@ def reference_match_patterns(patterns, indices):
 
 def _valid_refs(equation, symtab):
     """The element references of an equation that name a declared table
-    with the right arity, in walk order: the slots of its stencil."""
+    with the right arity, in walk order: the refs of its stencil."""
     return [ref for ref in element_refs(equation.rhs)
             if ref.table in symtab.tables
             and len(ref.indices) == len(symtab.tables[ref.table].dims)]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridspec import InputError, analyze, parse_document, pretty_print
-from gridspec.analyzer import CellId
+from gridspec.analyzer import MAX_CELLS, CellId, resolve
 from gridspec.cli import main, load_inputs
 from gridspec.evaluator import Boolean, Number
 from gridspec.parser import MAX_EXPRESSION_DEPTH, MAX_INTEGER
@@ -420,6 +420,45 @@ class TestLayoutBeforeElaboration:
         assert main(["compile", str(spec), "--out-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == \
             "error: layout exceeds sheet extents at Model!A3:ACOF12\n"
+
+
+class TestCellLimit:
+    """A model of more than MAX_CELLS cells is refused by name resolution,
+    before anything is made per cell: 1.6e10 cells would take about
+    128 GB for elaboration's list alone."""
+
+    HUGE = ("bounds a: 1 to 16000. bounds b: 1 to 1000000.\n"
+            "table x : a b -> number.\nx[ i, j ] = 1.\n")
+    # the child may take 1.5 GB, so a per-cell list fails there, not here
+    CHILD = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))\n"
+             "from gridspec.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+
+    @pytest.mark.parametrize("command", [["check"], ["compile", "--out-dir", "out"],
+                                         ["eval", "--out", "out.csv"]], ids=lambda c: c[0])
+    def test_huge_model_is_refused(self, tmp_path, command):
+        (tmp_path / "spec.gsx").write_text(self.HUGE, encoding="utf-8")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", self.CHILD, command[0], "spec.gsx",
+                               *command[1:]], cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (1, "")
+        assert done.stdout == ("error TooManyCells 2:1 the tables hold 16,000,000,000 cells, "
+                               "over the limit of 1,000,000\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["spec.gsx"]
+
+    @pytest.mark.parametrize("tables, size, refused", [
+        (1, 99_865, False), (1, 10_000_000, True),  # the 100k-cell loans model; 10 million
+        (1, MAX_CELLS, False), (1, MAX_CELLS + 1, True),
+        (2, MAX_CELLS // 2, False), (2, MAX_CELLS // 2 + 1, True)])
+    def test_limit_counts_every_table(self, tables, size, refused):
+        spec = f"bounds a: 1 to {size}.\n" + "".join(
+            f"table x{k} : a -> number.\n" for k in range(tables))
+        _, diagnostics = resolve(parse_document(spec))
+        assert [d.code for d in diagnostics] == ["TooManyCells"] * refused
 
 
 class TestRangeRectangles:

@@ -17,19 +17,21 @@ from gridspec.ast import (
     ConstantPattern,
     ElementRef,
     EquationDecl,
+    Hole,
     IndexVar,
     NumberLit,
     SpecDocument,
-    element_refs,
 )
 from gridspec.evaluator import resolve_references
 
 from helpers import (
     covering_document,
+    element_refs,
     fixture_text,
     random_document,
     reference_expand_ref,
     reference_ref_bounds,
+    walk,
 )
 
 
@@ -156,3 +158,23 @@ def test_cancelling_indices_take_one_box():
     stencil = next(iter(symtab.stencils.values()))
     assert [indices for _, indices, _, _ in stencil.refs] == [((1, ()),), ((0, ((0, 1),)),)]
     assert [len(boxes) for boxes in plan.boxes.values()] == [1]
+
+
+def test_templates_match_the_stencils():
+    """An equation's template holds a Hole in place of each reference: the
+    slots are 0 to len(refs) - 1 in walk order, each ranged as its
+    reference is, and refs holds the right-hand side's own references."""
+    for doc in documents():
+        symtab, _ = resolve(doc)
+        for equation in doc.elements:
+            if not isinstance(equation, EquationDecl):
+                continue
+            stencil = symtab.stencils[id(equation)]
+            nodes = walk(stencil.template)
+            holes = [node for node in nodes if type(node) is Hole]
+            assert [hole.slot for hole in holes] == list(range(len(stencil.refs)))
+            assert [hole.ranged for hole in holes] == [ranged for *_, ranged in stencil.refs]
+            refs = element_refs(equation.rhs)
+            assert len(refs) == len(stencil.refs)
+            assert all(ref is node for ref, (node, *_) in zip(refs, stencil.refs))
+            assert ElementRef not in map(type, nodes)

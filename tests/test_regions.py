@@ -8,12 +8,13 @@ diagnostics in the same order, the same rules, reads, edges, order,
 values, faults and cycles."""
 
 import random
+import sys
 from collections import Counter
 
 import pytest
 
 from gridspec import analyzer, evaluator, parse_document
-from gridspec.analyzer import CellId, elaborate, resolve
+from gridspec.analyzer import CellId, analyze, elaborate, resolve
 from gridspec.ast import (
     Binary,
     ConstantPattern,
@@ -27,7 +28,7 @@ from gridspec.ast import (
 from gridspec.cli import load_inputs, main
 from gridspec.errors import CyclicDependency, RuntimeFault
 from gridspec.evaluator import Number, build_graph, evaluate, resolve_references
-from gridspec.layout import plan_layout, render_formula
+from gridspec.layout import emit, plan_layout, render_formula
 
 from helpers import (
     FIXTURES,
@@ -237,3 +238,27 @@ def test_compile_makes_no_rule_per_cell(monkeypatch, tmp_path):
     cell = symtab.cells[max(n for n, box in enumerate(plan.owner) if box is not None)]
     assert render_formula(cell, plan, plan_layout(doc, symtab)).startswith("=")
     assert counts == Counter(), counts
+
+
+def test_reads_take_no_reference_scan():
+    """Evaluation and emit find each reference's dense read at its Hole's
+    slot, so no `index` lookup runs however many references an equation
+    has (a scan for the reference node made one per reference read)."""
+    terms = " + ".join(["x[ t ] * 0"] * 100)
+    doc = parse_document("bounds t: 1 to 20.\ntable x : t -> number.\n"
+                         f"table y : t -> number.\ny[ t ] = {terms}.\n")
+    symtab, plan, diagnostics = analyze(doc)
+    assert diagnostics == []
+    layout = plan_layout(doc, symtab)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and arg.__name__ == "index":
+            calls.append(arg)
+
+    sys.setprofile(profile)
+    try:
+        emit(layout, plan, evaluate(plan, {}), {}, doc)
+    finally:
+        sys.setprofile(None)
+    assert calls == []

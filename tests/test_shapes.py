@@ -24,7 +24,7 @@ from gridspec.a1 import (
     make_template,
     parse_a1_formula,
 )
-from gridspec.ast import NumberLit, walk
+from gridspec.ast import NumberLit
 from gridspec.cli import load_inputs, main
 from gridspec.errors import GridSpecError, ParseFailure
 from gridspec.layout import csv_to_grid, emit, grid_to_csv, plan_layout
@@ -39,6 +39,7 @@ from helpers import (
     random_document,
     random_inputs,
     reference_verify_grid,
+    walk,
 )
 
 
