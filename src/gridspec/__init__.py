@@ -32,7 +32,7 @@ from .evaluator import (
     Value,
     apply_builtin,
     build_graph,
-    eval_expr,
+    compile_template,
     evaluate,
 )
 from .layout import (

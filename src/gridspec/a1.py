@@ -3,9 +3,10 @@
 Formulas are parsed by the specification expression grammar, with cell
 and range references in place of element references, which is what lets
 the grid verifier re-evaluate emitted formulas one step with the
-evaluator's own eval_expr.  Formulas that differ only in their references
-and numbers have one shape, parsed once to a template with holes, whose
-anchored pattern reads the holes of every other formula of the shape.
+evaluator's own compile_template.  Formulas that differ only in their
+references and numbers have one shape, parsed once to a template with
+holes, whose anchored pattern reads the holes of every other formula of
+the shape.
 """
 
 from __future__ import annotations
@@ -184,7 +185,7 @@ def formula_shape(body: str) -> tuple[tuple, list]:
 
 # The kind of each hole: a number, a reference, or a reference after ':',
 # which ends a range on the sheet of its start.
-_NUMBER, _ADDRESS, _RANGE_END = range(3)
+NUMBER, ADDRESS, RANGE_END = range(3)
 # A literal token's pattern ends where scan would end it: `<` and `>` are
 # not the start of `<=`, `<>` or `>=`, and a word runs into no letter,
 # digit, `_`, `$` or `!`, which would make it (part of) another token.
@@ -203,32 +204,45 @@ class Shape(NamedTuple):
     kinds: tuple[int, ...]
     pattern: re.Pattern
 
-    def read(self, formula: str, default_sheet: str) -> list | None:
-        """The value of each hole of `formula`, '=' and all: a float or an
-        Address, a range's corners in order (see _corners).  None if the
-        formula has another shape or a literal the parser reports: a
-        number that is not finite, a reference past the sheet's extents or
-        a range that ends on another sheet."""
+    def read(self, formula: str, default_sheet: str, columns: dict) -> list | None:
+        """The value of each hole of `formula`, '=' and all: a float, or a
+        reference's `(sheet, column, row)`, which equals its Address, a
+        range's corners in order (see _corners).  None if the formula has
+        another shape or a literal the parser reports: a number that is not
+        finite, a reference past the sheet's extents or a range that ends on
+        another sheet.  `columns` memoises the number of column letters."""
         match = self.pattern.fullmatch(formula, 1)
         if match is None:
             return None
         groups, bound, at = match.groups(), [], 0
         for kind in self.kinds:
-            if kind == _NUMBER:
+            if kind == NUMBER:
                 value = float(groups[at])
-                value = value if math.isfinite(value) else None
+                if not math.isfinite(value):
+                    return None
+                bound.append(value)
                 at += 1
-            else:  # a range ends on the sheet of its start only
-                sheet = bound[-1].sheet if kind == _RANGE_END else default_sheet
-                value = _read_address(*groups[at:at + 4], sheet)
-                at += 4
-                if kind == _RANGE_END and value:
-                    if value.sheet != sheet:
-                        return None
-                    bound[-1], value = _corners(bound[-1], value)
-            if value is None:
+                continue
+            sheet, quoted, letters, row = groups[at:at + 4]
+            at += 4
+            column = columns.get(letters)
+            if column is None:  # so that column_number never reads long text
+                column = columns[letters] = (column_number(letters) if len(letters) <= 3
+                                             else MAX_COLUMNS + 1)
+            if column > MAX_COLUMNS or len(row) > 7 or (row := int(row)) > MAX_ROWS:
                 return None
-            bound.append(value)
+            sheet = quoted or sheet
+            if kind == ADDRESS:
+                bound.append((sheet or default_sheet, column, row))
+                continue
+            start, left, top = bound[-1]  # a range ends on the sheet of its start only
+            if sheet and sheet != start:
+                return None
+            if left <= column and top <= row:
+                bound.append((start, column, row))
+            else:
+                bound[-1] = (start, min(left, column), min(top, row))
+                bound.append((start, max(left, column), max(top, row)))
         return bound
 
 
@@ -251,10 +265,10 @@ def make_template(expr: Expr, parts: list) -> tuple[Expr, Shape]:
     kinds, tokens = [], []
     for at in range(0, len(parts) - 1, _STRIDE):
         if parts[at + _DECIMAL] or parts[at + _REF]:
-            kind = (_NUMBER if parts[at + _DECIMAL] else
-                    _RANGE_END if at and parts[at - _STRIDE + _SYMBOL] == ":" else _ADDRESS)
+            kind = (NUMBER if parts[at + _DECIMAL] else
+                    RANGE_END if at and parts[at - _STRIDE + _SYMBOL] == ":" else ADDRESS)
             kinds.append(kind)
-            tokens.append(_NUMBER_HOLE if kind == _NUMBER else _REF_HOLE)
+            tokens.append(_NUMBER_HOLE if kind == NUMBER else _REF_HOLE)
         elif text := parts[at + _SYMBOL]:
             tokens.append(re.escape(text) + _SYMBOL_END.get(text, ""))
         else:  # a keyword or an identifier: a parsed formula has no illegal token

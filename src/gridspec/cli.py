@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -30,6 +31,8 @@ EXIT_OK = 0
 EXIT_SPEC_ERROR = 1
 EXIT_IO_ERROR = 2
 EXIT_RUNTIME_ERROR = 3
+
+_INDEX_TEXT = re.compile(r"[+-]?[0-9]+")  # ASCII digits only, as a spec writes them
 
 
 def load_inputs(path, symtab: SymbolTable) -> dict[CellId, Value]:
@@ -56,10 +59,11 @@ def load_inputs(path, symtab: SymbolTable) -> dict[CellId, Value]:
             indices = []
             for dim, text in zip(decl.dims, record[1:1 + arity]):
                 try:
-                    index = int(text)
-                except ValueError:
-                    raise InputError("BadValue",
-                                     f"line {line}: index {text!r} is not an integer") from None
+                    index = int(text) if _INDEX_TEXT.fullmatch(text) else None
+                except ValueError:  # more digits than int() reads
+                    index = None
+                if index is None:
+                    raise InputError("BadValue", f"line {line}: index {text!r} is not an integer")
                 low, high = symtab.bounds[dim]
                 if not low <= index <= high:
                     raise InputError("BadValue",

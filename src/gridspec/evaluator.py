@@ -12,11 +12,12 @@ from __future__ import annotations
 import datetime
 import heapq
 import math
+import operator
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from itertools import count, product
-from operator import mul
 
 from .analyzer import CellId, CellPlan, SymbolTable, index_value, runs
 from .ast import (
@@ -26,6 +27,7 @@ from .ast import (
     BooleanLit,
     Call,
     Expr,
+    Hole,
     IndexVar,
     NumberLit,
 )
@@ -168,23 +170,22 @@ def _as_boolean(value: Value) -> bool:
     raise _Fault(f"expected a boolean, got {value!r}")
 
 
+_BOOLEANS = (Boolean(False), Boolean(True))  # indexed by a bool
+_ZERO = Number(0.0)
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 def apply_binary(op: str, left: Value, right: Value) -> Value:
     """Arithmetic and comparison with Blank-as-zero and NA propagation."""
     if is_na(left) or is_na(right):
         return NA
-    if op in ("+", "-", "*", "/"):
+    if op in _ARITHMETIC:
         a, b = _as_number(left), _as_number(right)
-        if op == "+":
-            result = a + b
-        elif op == "-":
-            result = a - b
-        elif op == "*":
-            result = a * b
-        elif b == 0:
+        if op == "/" and b == 0:
             raise _Fault("division by zero")
-        else:
-            result = a / b
-        return _finite(result)
+        return _finite(_ARITHMETIC[op](a, b))
     # comparisons; operands must share a type
     if isinstance(left, DateValue) and isinstance(right, DateValue):
         a, b = left.date, right.date
@@ -194,69 +195,83 @@ def apply_binary(op: str, left: Value, right: Value) -> Value:
         a, b = _as_number(left), _as_number(right)
     else:
         raise _Fault(f"cannot compare {left!r} with {right!r}")
-    result = {
-        "=": a == b, "<>": a != b,
-        "<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b,
-    }[op]
-    return Boolean(result)
+    return _BOOLEANS[_COMPARISONS[op](a, b)]
 
 
 def apply_builtin(name: str, args: list) -> Value:
     """Apply a builtin other than `if` to evaluated arguments.
 
     Range-valued arguments (from `all` indices) arrive as Python lists
-    of Values.  `if` evaluates only the branch it takes, so eval_expr
-    applies it before the branches are evaluated.
+    of Values.  `if` evaluates only the branch it takes, so a compiled
+    template applies it before the branches are evaluated.
     """
     name = name.lower()
-    if name in ("or", "and"):
-        if any(is_na(a) for a in args):
-            return NA
-        flags = [_as_boolean(a) for a in args]
-        return Boolean(any(flags) if name == "or" else all(flags))
-    if name == "not":
-        if is_na(args[0]):
-            return NA
-        return Boolean(not _as_boolean(args[0]))
-    if name == "isna":
-        return Boolean(is_na(args[0]))
-    if name == "sum":
-        total = 0.0
-        for item in _flatten(args):
-            if is_na(item):
-                return NA
-            if isinstance(item, (Blank, Boolean)):
-                continue
-            total += _as_number(item)
-        return _finite(total)
-    if name == "match":
-        needle, rng, mode = args
-        if not (isinstance(mode, Number) and mode.value == 0):
-            raise UnsupportedMatchType("third argument of match must be 0")
-        if not isinstance(rng, list):
-            rng = [rng]
-        if is_na(needle):
-            return NA
-        positions = rng.positions if isinstance(rng, SparseRange) else count(1)
-        for position, item in zip(positions, rng):
-            if value_equal(needle, item):
-                return Number(position)
+    function = _BUILTIN_FUNCTIONS.get(name)
+    if function is None:
+        raise UnknownFunction(name)
+    return function(*args)
+
+
+def _logical(combine, args) -> Value:
+    if any([is_na(a) for a in args]):
         return NA
-    if name == "date":
-        parts = []
-        for part in args:
-            if is_na(part):
+    return _BOOLEANS[combine([_as_boolean(a) for a in args])]
+
+
+def _not(value: Value) -> Value:
+    if is_na(value):
+        return NA
+    return _BOOLEANS[not _as_boolean(value)]
+
+
+def _sum(*args) -> Value:
+    total = 0.0
+    for arg in args:
+        for item in arg if isinstance(arg, list) else (arg,):
+            if type(item) is Number:
+                total += item.value
+            elif is_na(item):
                 return NA
-            number = _as_number(part)
-            if number != int(number):
-                raise _Fault(f"date part {number} is not an integer")
-            parts.append(int(number))
-        year, month, day = parts
-        try:
-            return DateValue.of(year, month, day)
-        except (ValueError, OverflowError) as exc:
-            raise _Fault(f"invalid date({year}, {month}, {day}): {exc}") from None
-    raise UnknownFunction(name)
+            elif not isinstance(item, (Blank, Boolean)):
+                total += _as_number(item)
+    return _finite(total)
+
+
+def _match(needle: Value, rng, mode: Value) -> Value:
+    if not (isinstance(mode, Number) and mode.value == 0):
+        raise UnsupportedMatchType("third argument of match must be 0")
+    if not isinstance(rng, list):
+        rng = [rng]
+    if is_na(needle):
+        return NA
+    positions = rng.positions if isinstance(rng, SparseRange) else count(1)
+    for position, item in zip(positions, rng):
+        if value_equal(needle, item):
+            return Number(position)
+    return NA
+
+
+def _date(*args) -> Value:
+    parts = []
+    for part in args:
+        if is_na(part):
+            return NA
+        number = _as_number(part)
+        if number != int(number):
+            raise _Fault(f"date part {number} is not an integer")
+        parts.append(int(number))
+    year, month, day = parts
+    try:
+        return DateValue.of(year, month, day)
+    except (ValueError, OverflowError) as exc:
+        raise _Fault(f"invalid date({year}, {month}, {day}): {exc}") from None
+
+
+_BUILTIN_FUNCTIONS = {
+    "or": lambda *args: _logical(any, args), "and": lambda *args: _logical(all, args),
+    "not": _not, "isna": lambda value: _BOOLEANS[is_na(value)],
+    "sum": _sum, "match": _match, "date": _date,
+}
 
 
 def _finite(number: float) -> Number:
@@ -265,59 +280,126 @@ def _finite(number: float) -> Number:
     return Number(number)
 
 
-def _flatten(args):
-    for arg in args:
-        if isinstance(arg, list):
-            yield from arg
-        else:
-            yield arg
+# --- compiled templates ----------------------------------------------------
+# A compiled node is a partial of one of the functions below, whose last
+# argument is the environment.  A partial, unlike a closure, makes no cell
+# per name it holds, which leaves the garbage collector less to do when
+# thousands of small equations are compiled.
+
+def compile_template(template: Expr, leaf):
+    """A formula, a template of Holes (see ast.punch), as one function of
+    an environment: a spec right-hand side, whose environment is a cell's
+    indices, or a formula shape, whose environment is its bound holes.
+
+    The template is walked once, here.  `leaf(node)` gives the function
+    that reads every node that is not a literal, operator or call: a
+    Hole, or an index variable.  A ranged Hole's function gives a list of
+    Values, which only `sum` and `match` accept as an argument.  Each
+    operator and builtin is chosen now; `if` evaluates only the branch it
+    takes, and an unknown function, a wrong arity or a range elsewhere
+    faults only when its node is reached.  The function raises _Fault
+    when an operator or builtin rejects its operands, and gives 0 where
+    the formula's result is an empty cell, as the host application
+    does."""
+    run = _compile(template, leaf, False)
+    if type(template) in (Binary, NumberLit, BooleanLit) or (
+            type(template) is Call and template.func.lower() != "if"):
+        return run  # never Blank
+    return partial(_blank_is_zero, run)
 
 
-# --- evaluation ------------------------------------------------------------
+def _compile(node: Expr, leaf, range_ok: bool):
+    kind = type(node)
+    if kind is Binary:
+        op = node.op
+        left, right = _compile(node.left, leaf, False), _compile(node.right, leaf, False)
+        if op in _COMPARISONS:
+            return partial(_comparison, op, _COMPARISONS[op], left, right)
+        return partial(_arithmetic, op, _ARITHMETIC[op], left, right)
+    if kind is Call:
+        return _compile_call(node, leaf)
+    if kind is NumberLit:
+        return partial(_constant, Number(node.value))
+    if kind is BooleanLit:
+        return partial(_constant, _BOOLEANS[node.value])
+    read = leaf(node)
+    if range_ok or not (kind is Hole and node.ranged):
+        return read
+    return partial(_outside, read)
 
-def eval_expr(expr: Expr, leaf) -> Value:
-    """Evaluate a formula: a spec right-hand side or a parsed A1 formula.
 
-    `leaf(node)` gives the value of every node that is not a literal,
-    operator or call: an element reference, index variable, cell or
-    range.  It returns a list of Values for a range, which only `sum`
-    and `match` accept as an argument.  Raises _Fault when an operator
-    or builtin rejects its operands."""
-    value = _eval(expr, leaf, False)
-    if isinstance(value, Blank):
-        # a formula whose result is an empty cell yields 0, as in the
-        # host application
-        return Number(0.0)
+def _compile_call(node: Call, leaf):
+    name, count = node.func.lower(), len(node.args)
+    if name not in BUILTINS:
+        return partial(_raise, UnknownFunction, f"unknown function {name}")
+    if not count or BUILTINS[name] not in (None, count):
+        return partial(_raise, _Fault, f"{name} given {count} argument(s)")
+    args = [_compile(arg, leaf, name in AGGREGATES) for arg in node.args]
+    if name == "if":
+        return partial(_choose, *args)
+    function = _BUILTIN_FUNCTIONS[name]
+    if count == 1:
+        return partial(_call_1, function, *args)
+    if count == 3:
+        return partial(_call_3, function, *args)
+    return partial(_call_n, function, args)
+
+
+def _blank_is_zero(run, env):
+    value = run(env)
+    return _ZERO if type(value) is Blank else value
+
+
+def _constant(value, env):
     return value
 
 
-def _eval(expr: Expr, leaf, range_ok: bool):
-    if isinstance(expr, NumberLit):
-        return Number(expr.value)
-    if isinstance(expr, BooleanLit):
-        return Boolean(expr.value)
-    if isinstance(expr, Binary):
-        return apply_binary(expr.op, _eval(expr.left, leaf, False),
-                            _eval(expr.right, leaf, False))
-    if isinstance(expr, Call):
-        name = expr.func.lower()
-        if name not in BUILTINS:
-            raise UnknownFunction(f"unknown function {name}")
-        arity = BUILTINS[name]
-        if not expr.args or (arity is not None and len(expr.args) != arity):
-            raise _Fault(f"{name} given {len(expr.args)} argument(s)")
-        if name == "if":
-            cond = _eval(expr.args[0], leaf, False)
-            if is_na(cond):
-                return NA
-            branch = expr.args[1] if _as_boolean(cond) else expr.args[2]
-            return _eval(branch, leaf, False)
-        aggregate = name in AGGREGATES
-        return apply_builtin(name, [_eval(arg, leaf, aggregate) for arg in expr.args])
-    value = leaf(expr)
-    if isinstance(value, list) and not range_ok:
-        raise _Fault("range reference outside sum or match")
-    return value
+def _arithmetic(op, combine, left, right, env):
+    """Two Numbers are combined here; any other operands, a division by
+    zero and a result that is not finite go to apply_binary."""
+    a, b = left(env), right(env)
+    if type(a) is Number and type(b) is Number and (b.value or op != "/"):
+        result = combine(a.value, b.value)
+        if result - result == 0:  # finite
+            return Number(result)
+    return apply_binary(op, a, b)
+
+
+def _comparison(op, compare, left, right, env):
+    a, b = left(env), right(env)
+    if type(a) is Number and type(b) is Number:
+        return _BOOLEANS[compare(a.value, b.value)]
+    return apply_binary(op, a, b)
+
+
+def _choose(cond, then, other, env):
+    flag = cond(env)
+    if type(flag) is Boolean:
+        return then(env) if flag.value else other(env)
+    if is_na(flag):
+        return NA
+    return then(env) if _as_boolean(flag) else other(env)
+
+
+def _call_1(function, arg, env):
+    return function(arg(env))
+
+
+def _call_3(function, first, second, third, env):
+    return function(first(env), second(env), third(env))
+
+
+def _call_n(function, args, env):
+    return function(*[arg(env) for arg in args])
+
+
+def _outside(read, env):
+    read(env)
+    raise _Fault("range reference outside sum or match")
+
+
+def _raise(error, message, env):
+    raise error(message)
 
 
 # --- reads, the evaluation order and the dependency graph ------------------
@@ -346,7 +428,7 @@ def _read_numbers(plan: CellPlan, number: int) -> list[int]:
     values = [indices[d] for d in symtab.stencils[id(box.equation)].variables.values()]
     numbers = []
     for first, steps, offsets in symtab.reads[id(box.equation)]:
-        first += sum(map(mul, steps, values))
+        first += sum(map(operator.mul, steps, values))
         numbers += [first + offset for offset in offsets or (0,)]
     return numbers
 
@@ -437,37 +519,78 @@ def build_graph(plan: CellPlan) -> DependencyGraph:
     return DependencyGraph([cells[n] for n in numbers], edges, [cells[n] for n in order])
 
 
+def _reader(store: list, read: tuple, dims: tuple):
+    """The function of a cell's indices that gives what one reference of
+    an equation reads there (see SymbolTable.reads), `dims` holding the
+    dimension that each of the equation's variables binds."""
+    first, steps, offsets = read
+    if offsets is None:
+        if len(steps) == 1:
+            return partial(_read_1, store, first, *steps, *dims)
+        if len(steps) == 2:
+            return partial(_read_2, store, first, *steps, *dims)
+        return partial(_read_n, store, first, steps, dims)
+    return partial(_read_cells, store, first, steps, dims, offsets)
+
+
+def _read_1(store, first, step, d, indices):
+    return store[first + step * indices[d]]
+
+
+def _read_2(store, first, step, other, d, e, indices):
+    return store[first + step * indices[d] + other * indices[e]]
+
+
+def _read_n(store, first, steps, dims, indices):
+    return store[first + sum(map(operator.mul, steps, map(indices.__getitem__, dims)))]
+
+
+def _read_cells(store, first, steps, dims, offsets, indices):
+    start = first + sum(map(operator.mul, steps, map(indices.__getitem__, dims)))
+    return [store[start + offset] for offset in offsets]
+
+
+def _index_number(d, indices):
+    return Number(indices[d])
+
+
 def evaluate(plan: CellPlan, inputs: dict[CellId, Value]) -> dict[CellId, Value]:
     """Evaluate every cell of the plan; returns the complete value grid, in
-    evaluation order."""
+    evaluation order.  Each equation's template is compiled once, to a
+    function of a cell's indices (see compile_template)."""
     symtab = plan.symtab
     cells, stencils, dense = symtab.cells, symtab.stencils, symtab.reads
     currency = {name: decl.result_type == "currency" for name, decl in symtab.tables.items()}
     order = order_cells(plan)
     store: list[Value] = [BLANK] * len(cells)
+    programs = {}  # id() of each equation -> its compiled template
 
-    def leaf(node):
-        # of the cell being evaluated: index variables from its indices,
-        # a reference's Hole from the store
-        if type(node) is IndexVar:
-            return Number(indices[stencil.variables[node.name]])
-        first, steps, offsets = reads[node.slot]
-        number = first + sum(map(mul, steps, values))
-        return store[number] if offsets is None else [store[number + o] for o in offsets]
+    def compiled(key: int):
+        stencil, reads = stencils[key], dense[key]
+        variables = stencil.variables
+        dims = tuple(variables.values())
 
+        def leaf(node):
+            if type(node) is IndexVar:
+                return partial(_index_number, variables[node.name])
+            return _reader(store, reads[node.slot], dims)
+        return compile_template(stencil.template, leaf)
+
+    for boxes in plan.boxes.values():
+        for box in boxes:
+            if id(box.equation) not in programs:
+                programs[id(box.equation)] = compiled(id(box.equation))
+    owner = plan.owner
     for number in order:
-        cell, box = cells[number], plan.owner[number]
+        cell, box = cells[number], owner[number]
         if box is None:
             value = inputs.get(cell, BLANK)
         else:
-            equation, indices = box.equation, cell.indices
-            stencil, reads = stencils[id(equation)], dense[id(equation)]
-            values = [indices[d] for d in stencil.variables.values()]
             try:
-                value = eval_expr(stencil.template, leaf)
+                value = programs[id(box.equation)](cell.indices)
             except _Fault as exc:
                 raise RuntimeFault(cell, str(exc)) from None
-        if isinstance(value, Number) and currency[cell.table]:
+        if type(value) is Number and currency[cell.table]:
             value = Number(value.value, currency=True)
         store[number] = value
     return {cells[n]: store[n] for n in order}

@@ -1,9 +1,10 @@
 """Differential verification of emitted grids.
 
-Every formula cell is re-evaluated one step: the formula is parsed, the
-values document supplies the value at each referenced address, the
-result is computed by the evaluator's own eval_expr and compared to the
-cell's own entry in the values document.  A formula that does not
+Every formula cell is re-evaluated one step: the formula is bound by its
+shape, the values document supplies the value at each referenced
+address, the result is computed by the shape's template, compiled by the
+evaluator's own compile_template, and compared to the cell's own entry
+in the values document.  A formula that does not
 parse, calls an unknown function, reads a cell that holds no value or a
 sheet the directory does not hold, or whose operands make it fault is a
 mismatch that names the reason.  Numbers compare within relative
@@ -19,7 +20,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .a1 import Address, formula_shape, make_template, parse_a1_formula
+from .a1 import NUMBER, Address, formula_shape, make_template, parse_a1_formula
 from .ast import Hole
 from .errors import ParseFailure, UnknownFunction, UnsupportedMatchType
 from .evaluator import (
@@ -31,7 +32,7 @@ from .evaluator import (
     SparseRange,
     Value,
     _Fault,
-    eval_expr,
+    compile_template,
     is_na,
 )
 from .layout import Grid
@@ -115,7 +116,8 @@ class _Sheets(dict):
 def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
     """One-step check of every formula cell against the values document.
     Each formula shape is parsed once, to a template whose Shape has an
-    anchored pattern (see a1.make_template), and every formula is bound
+    anchored pattern (see a1.make_template), and its template is compiled
+    once, to a checker of the values at its holes.  Every formula is bound
     by a Shape's pattern alone: that of the formula above it in its
     column, else of the formula checked before it, else of the template
     its shape's key finds.  Only a formula that the first two miss is
@@ -129,10 +131,10 @@ def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
     parsed = _Sheets({sheet: {at: parse_value_text(text) for at, text in cells.items()}
                       for sheet, cells in values.items()})
     by_row = {}  # sheet -> its cells by row, see _by_row; made for a sheet's first range
-    templates = {}  # shape key -> (template, Shape), see a1.make_template
+    templates = {}  # shape key -> (Shape, checker), see a1.make_template
     above = {}  # column -> the template of the last formula read in it, on this sheet
     before = None  # the template of the last formula read
-    bound = []  # the values at the holes of the formula being checked
+    columns = {}  # column letters -> their number, see Shape.read
 
     def read(text: str, sheet: str, column: int):
         """The template of a formula and the values at its holes.  Raises
@@ -141,52 +143,61 @@ def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
         tried = None
         for template in (above.get(column), before):
             if template is not None and template is not tried:
-                found = template[1].read(text, sheet)
+                found = template[0].read(text, sheet, columns)
                 if found is not None:
                     break
                 tried = template
         else:
             key, parts = formula_shape(text[1:])
             template = templates.get(key)
-            found = template and template[1].read(text, sheet)
+            found = template and template[0].read(text, sheet, columns)
             if found is None:  # a new shape, or a literal the parser reports
-                template = templates[key] = make_template(
-                    parse_a1_formula(text, default_sheet=sheet), parts)
-                found = template[1].read(text, sheet)
+                expr, shape = make_template(parse_a1_formula(text, default_sheet=sheet), parts)
+                template = templates[key] = shape, compile_template(expr, holes(shape.kinds))
+                found = shape.read(text, sheet, columns)
         above[column] = before = template
         return template, found
 
-    def operand(sheet: str, at: tuple[int, int]) -> Value:
-        value = parsed[sheet].get(at, BLANK)
-        if value is None:
-            raise _Fault(f"references non-value cell {Address(sheet, at[1], at[0])}")
-        return value
+    def holes(kinds):
+        """The leaf of a shape's compiled template: the function that gives
+        the value at a hole from the values bound at a formula's holes."""
+        def leaf(hole: Hole):
+            slot = hole.slot
+            if hole.ranged:
+                return lambda bound: cells_in(bound[slot], bound[slot + 1])
+            if kinds[slot] == NUMBER:
+                return lambda bound: Number(bound[slot])
 
-    def cells_in(first: Address, last: Address) -> SparseRange:
+            def cell(bound):
+                sheet, column, row = bound[slot]
+                value = parsed[sheet].get((row, column), BLANK)
+                if value is None:
+                    raise _Fault(f"references non-value cell {Address(sheet, column, row)}")
+                return value
+            return cell
+        return leaf
+
+    def cells_in(first: tuple, last: tuple) -> SparseRange:
         """The values of the cells the values document holds in a range, in
         row-major order, each with its position in the range.  Only the
         sheet's rows that hold a cell within the range's rows are visited."""
-        sheet = first.sheet
+        (sheet, left, top), (_, right, bottom) = first, last
+        cells = parsed[sheet]
         if sheet not in by_row:
-            by_row[sheet] = _by_row(parsed[sheet])
-        rows, columns = by_row[sheet]
-        width = last.column - first.column + 1
+            by_row[sheet] = _by_row(cells)
+        rows, held_in = by_row[sheet]
+        width = right - left + 1
         values, positions = [], []
-        for row in rows[bisect_left(rows, first.row):bisect_right(rows, last.row)]:
-            held = columns[row]
-            offset = (row - first.row) * width - first.column + 1
-            for column in held[bisect_left(held, first.column):bisect_right(held, last.column)]:
-                values.append(operand(sheet, (row, column)))
+        for row in rows[bisect_left(rows, top):bisect_right(rows, bottom)]:
+            held = held_in[row]
+            offset = (row - top) * width - left + 1
+            for column in held[bisect_left(held, left):bisect_right(held, right)]:
+                value = cells[(row, column)]
+                if value is None:
+                    raise _Fault(f"references non-value cell {Address(sheet, column, row)}")
+                values.append(value)
                 positions.append(offset + column)
         return SparseRange(values, positions)
-
-    def leaf(hole: Hole) -> Value | list[Value]:
-        value = bound[hole.slot]
-        if hole.ranged:
-            return cells_in(value, bound[hole.slot + 1])
-        if isinstance(value, float):
-            return Number(value)
-        return operand(value.sheet, (value.row, value.column))
 
     for sheet in sorted(formulas):
         above.clear()
@@ -199,8 +210,8 @@ def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
             stored = stored_on_sheet.get((row, column), BLANK)
             report.checks += 1
             try:
-                template, bound = read(text, sheet, column)
-                computed = eval_expr(template[0], leaf)
+                (_, check), bound = read(text, sheet, column)
+                computed = check(bound)
             except ParseFailure as exc:
                 first = exc.diagnostics[0]
                 fault = f"does not parse: {first.code} {first.pos} {first.message}"

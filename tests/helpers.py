@@ -1,8 +1,8 @@
 """Shared helpers for the test suite: fixture loading, random well-formed
 document generators used by the property tests, and reference code that
 the flat-list spec parser, the lowering of element references, the region
-plan, the per-shape verifier and the per-equation formula templates are
-compared against."""
+plan, the per-shape verifier, the per-equation formula templates and the
+compiled templates are compared against."""
 
 from __future__ import annotations
 
@@ -18,6 +18,8 @@ from gridspec import analyze, evaluate, parse_document
 from gridspec.analyzer import CellId
 from gridspec.ast import (
     ADDITIVE_OPS,
+    AGGREGATES,
+    BUILTINS,
     GUARD_COMPARATORS,
     MAX_ARITY,
     PRECEDENCE,
@@ -50,7 +52,19 @@ from gridspec.errors import (
     UnknownFunction,
     UnsupportedMatchType,
 )
-from gridspec.evaluator import BLANK, Number, _Fault, eval_expr, resolve_references
+from gridspec.evaluator import (
+    BLANK,
+    NA,
+    Blank,
+    Boolean,
+    Number,
+    _as_boolean,
+    _Fault,
+    apply_binary,
+    apply_builtin,
+    is_na,
+    resolve_references,
+)
 from gridspec.parser import MAX_EXPRESSION_DEPTH, MAX_INTEGER, Diagnostic
 from gridspec.verify import Mismatch, VerifyReport, parse_value_text, values_agree
 
@@ -566,6 +580,44 @@ def reference_build_graph(rules, inputs, references):
     return nodes, edges, order
 
 
+def reference_eval_expr(expr, leaf):
+    """Evaluate a formula by walking its tree, the oracle that
+    evaluator.compile_template is compared against.  `leaf(node)` gives
+    the value of every node that is not a literal, operator or call: a
+    list of Values for a range, which only `sum` and `match` accept."""
+    value = _reference_eval(expr, leaf, False)
+    return Number(0.0) if isinstance(value, Blank) else value
+
+
+def _reference_eval(expr, leaf, range_ok):
+    if isinstance(expr, NumberLit):
+        return Number(expr.value)
+    if isinstance(expr, BooleanLit):
+        return Boolean(expr.value)
+    if isinstance(expr, Binary):
+        return apply_binary(expr.op, _reference_eval(expr.left, leaf, False),
+                            _reference_eval(expr.right, leaf, False))
+    if isinstance(expr, Call):
+        name = expr.func.lower()
+        if name not in BUILTINS:
+            raise UnknownFunction(f"unknown function {name}")
+        arity = BUILTINS[name]
+        if not expr.args or (arity is not None and len(expr.args) != arity):
+            raise _Fault(f"{name} given {len(expr.args)} argument(s)")
+        if name == "if":
+            cond = _reference_eval(expr.args[0], leaf, False)
+            if is_na(cond):
+                return NA
+            branch = expr.args[1] if _as_boolean(cond) else expr.args[2]
+            return _reference_eval(branch, leaf, False)
+        aggregate = name in AGGREGATES
+        return apply_builtin(name, [_reference_eval(arg, leaf, aggregate) for arg in expr.args])
+    value = leaf(expr)
+    if isinstance(value, list) and not range_ok:
+        raise _Fault("range reference outside sum or match")
+    return value
+
+
 def reference_evaluate(symtab, rules, inputs, references, order, bindings):
     """Evaluate every cell in `order`; returns the value dict in that order."""
     store = {}
@@ -584,7 +636,7 @@ def reference_evaluate(symtab, rules, inputs, references, order, bindings):
                 return [store[c] for c in cells] if type(cells) is tuple else store[cells]
 
             try:
-                value = eval_expr(equation.rhs, leaf)
+                value = reference_eval_expr(equation.rhs, leaf)
             except _Fault as exc:
                 raise RuntimeFault(cell, str(exc)) from None
         if isinstance(value, Number) and symtab.tables[cell.table].result_type == "currency":
@@ -627,7 +679,8 @@ def reference_verify_grid(formulas, values) -> VerifyReport:
             stored = parsed.get(sheet, {}).get((row, column), BLANK)
             report.checks += 1
             try:
-                computed = eval_expr(parse_a1_formula(text, default_sheet=sheet), leaf)
+                computed = reference_eval_expr(parse_a1_formula(text, default_sheet=sheet),
+                                               leaf)
             except ParseFailure as exc:
                 first = exc.diagnostics[0]
                 fault = f"does not parse: {first.code} {first.pos} {first.message}"

@@ -77,6 +77,12 @@ class TestLoadInputs:
             load_inputs(path, loans_symtab)
         assert info.value.code == "BadValue"
 
+    @pytest.mark.parametrize("text, period", [("11", 11), ("+2", 2), ("012", 12)])
+    def test_index_signed_ascii_digits(self, loans_symtab, tmp_path, text, period):
+        path = write_inputs(tmp_path, f"expenses_during_period,{text},7\n")
+        assert list(load_inputs(path, loans_symtab)) == \
+            [CellId("expenses_during_period", (period,))]
+
     def test_duplicate_binding(self, loans_symtab, tmp_path):
         path = write_inputs(tmp_path, "initial_cash,100\ninitial_cash,200\n")
         with pytest.raises(InputError) as info:
@@ -183,6 +189,18 @@ class TestCompileAndVerify:
 
     def test_verify_missing_manifest(self, tmp_path):
         assert main(["verify", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("text", ["1_1", "\u0662", "\uff12", "\u00b2", "2.0", "0x2", ""])
+    def test_index_only_ascii_digits(self, tmp_path, capsys, text):
+        """An index field is an optionally signed run of ASCII digits; other
+        text that Python's int() reads, such as `1_1` or an Arabic-Indic
+        two, is not an integer."""
+        inputs = tmp_path / "in.csv"
+        inputs.write_text(f"expenses_during_period,{text},7\n", encoding="utf-8")
+        assert main(["compile", str(FIXTURES / "cashflow.gsx"), "--inputs", str(inputs),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.strip() == \
+            f"error BadValue: line 1: index {text!r} is not an integer"
 
     def test_bad_inputs_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -241,7 +241,7 @@ def check_binding(first, second, sheet):
         return
     if formula_shape(second[1:])[0] != key:  # a filler ran into the text next to its hole
         return
-    bound = holes.read(second, sheet)
+    bound = holes.read(second, sheet, {})
     try:
         expected = leaves(parse_a1_formula(second, sheet))
     except ParseFailure:
@@ -343,7 +343,7 @@ class TestCrossSheetRange:
         template, holes = make_template(parse_a1_formula("=SUM(A1:B1)"),
                                         formula_shape("SUM(A1:B1)")[1])
         assert holes.pattern.fullmatch(self.CROSS, 1) is not None
-        assert holes.read(self.CROSS, "Model") is None
+        assert holes.read(self.CROSS, "Model", {}) is None
 
     def test_end_naming_the_sheet_of_its_start(self):
         values = {"Model": {(1, 1): "1"}, "Time": {(1, 1): "10", (1, 2): "20"}}
@@ -382,7 +382,7 @@ class TestReversedRange:
         corners = [Address("Time", 1, 1), Address("Time", 2, 2)]
         assert leaves(parse_a1_formula(formula)) == corners
         _, holes = make_template(parse_a1_formula("=SUM(A1:B2)"), formula_shape("SUM(A1:B2)")[1])
-        assert holes.read(formula, "Model") == corners
+        assert holes.read(formula, "Model", {}) == corners
 
 
 # --- the anchored pattern of a shape ----------------------------------------
