@@ -110,6 +110,7 @@ class _A1Parser(Parser):
                                            f"illegal character {word!r}", pos)])
         super().__init__(stream)
         self.default_sheet = default_sheet
+        self.columns = {}
 
     def atom(self) -> Expr:
         if self.kinds[self.pos] != "ref":
@@ -118,40 +119,53 @@ class _A1Parser(Parser):
                 self.fail("'(' after a function name")
             return expr
         first = self._address(self.default_sheet)
+        self.pos += 1
         if not self.accept_op((":",)):
-            return CellRef(first)
+            return CellRef(Address._make(first))
         if not self.at("ref"):
             self.fail("a cell reference after ':'")
-        return RangeRef(*_corners(first, self._address(first.sheet, ends_range=True)))
+        corners = _corners(first, self._address(first[0]))
+        if corners is None:
+            self.fail(f"a range end on the sheet of its start, {first[0]!r}")
+        self.pos += 1
+        return RangeRef(*map(Address._make, corners))
 
-    def _address(self, default_sheet: str, ends_range: bool = False) -> Address:
-        """Consume the current reference token; a range's end is on `default_sheet`."""
-        match = self.refs[self.pos]
-        address = _read_address(*match.group("sheet", "quoted", "col", "row"), default_sheet)
+    def _address(self, default_sheet: str) -> tuple:
+        """The address the current reference token names (see _address)."""
+        address = _address(self.refs[self.pos].groups(), _SHEET, default_sheet, self.columns)
         if address is None:
             self.fail(f"a cell reference within A1:XFD{MAX_ROWS}")
-        if ends_range and address.sheet != default_sheet:
-            self.fail(f"a range end on the sheet of its start, {default_sheet!r}")
-        self.pos += 1
         return address
 
 
-def _read_address(sheet, quoted, col, row, default_sheet) -> Address | None:
-    """The address a `ref` token's groups name, or None past the sheet's extents."""
-    if len(col) <= 3 and len(row) <= 7:  # so int() never reads long text
-        address = Address(quoted or sheet or default_sheet, column_number(col), int(row))
-        if address.column <= MAX_COLUMNS and address.row <= MAX_ROWS:
-            return address
-    return None
+def _address(groups, at, default_sheet, columns) -> tuple | None:
+    """The `(sheet, column, row)` that a reference's groups name, its
+    sheet, quoted sheet, column letters and row from `groups[at]` on,
+    which equals its Address; None past the sheet's extents.  `columns`
+    memoises the number of column letters."""
+    letters, row = groups[at + 2], groups[at + 3]
+    if len(letters) > 3 or len(row) > 7:  # so that no long text is read
+        return None
+    column = columns.get(letters)
+    if column is None:
+        column = columns[letters] = column_number(letters)
+    if column > MAX_COLUMNS or (row := int(row)) > MAX_ROWS:
+        return None
+    return groups[at + 1] or groups[at] or default_sheet, column, row
 
 
-def _corners(first: Address, last: Address) -> tuple[Address, Address]:
+def _corners(first: tuple, last: tuple) -> tuple[tuple, tuple] | None:
     """A range's top-left and bottom-right corners, as a spreadsheet reads
-    the rectangle between two ends in any order; both are on `first`'s sheet."""
-    if first.column <= last.column and first.row <= last.row:
+    the rectangle between two ends in any order; None if the ends are on
+    two sheets, for a range ends on the sheet of its start only."""
+    sheet, left, top = first
+    if last[0] != sheet:
+        return None
+    _, column, row = last
+    if left <= column and top <= row:
         return first, last
-    return (Address(first.sheet, min(first.column, last.column), min(first.row, last.row)),
-            Address(first.sheet, max(first.column, last.column), max(first.row, last.row)))
+    return ((sheet, min(left, column), min(top, row)),
+            (sheet, max(left, column), max(top, row)))
 
 
 def parse_a1_formula(text: str, default_sheet: str = "Model") -> Expr:
@@ -170,6 +184,7 @@ def parse_a1_formula(text: str, default_sheet: str = "Model") -> Expr:
 _STRIDE = _A1_TOKENS.groups + 1
 _SYMBOL, _DECIMAL, _REF, _KEYWORD, _IDENTIFIER = (
     _A1_TOKENS.groupindex[g] for g in ("symbol", "decimal", "ref", "keyword", "identifier"))
+_SHEET = _A1_TOKENS.groupindex["sheet"] - 1  # where a `ref`'s groups start in groups()
 _KEPT = [_A1_TOKENS.groupindex[g] for g in ("symbol", "keyword", "identifier", "illegal")]
 
 
@@ -206,11 +221,11 @@ class Shape(NamedTuple):
 
     def read(self, formula: str, default_sheet: str, columns: dict) -> list | None:
         """The value of each hole of `formula`, '=' and all: a float, or a
-        reference's `(sheet, column, row)`, which equals its Address, a
-        range's corners in order (see _corners).  None if the formula has
-        another shape or a literal the parser reports: a number that is not
-        finite, a reference past the sheet's extents or a range that ends on
-        another sheet.  `columns` memoises the number of column letters."""
+        reference's `(sheet, column, row)` (see _address), a range's corners
+        in order (see _corners).  None if the formula has another shape or a
+        literal the parser reports: a number that is not finite, a
+        reference past the sheet's extents or a range that ends on another
+        sheet.  `columns` memoises the number of column letters."""
         match = self.pattern.fullmatch(formula, 1)
         if match is None:
             return None
@@ -223,26 +238,18 @@ class Shape(NamedTuple):
                 bound.append(value)
                 at += 1
                 continue
-            sheet, quoted, letters, row = groups[at:at + 4]
+            # a range's end is on the sheet of its start unless it names one
+            address = _address(groups, at, default_sheet if kind == ADDRESS else bound[-1][0],
+                               columns)
             at += 4
-            column = columns.get(letters)
-            if column is None:  # so that column_number never reads long text
-                column = columns[letters] = (column_number(letters) if len(letters) <= 3
-                                             else MAX_COLUMNS + 1)
-            if column > MAX_COLUMNS or len(row) > 7 or (row := int(row)) > MAX_ROWS:
+            if address is None:
                 return None
-            sheet = quoted or sheet
-            if kind == ADDRESS:
-                bound.append((sheet or default_sheet, column, row))
-                continue
-            start, left, top = bound[-1]  # a range ends on the sheet of its start only
-            if sheet and sheet != start:
-                return None
-            if left <= column and top <= row:
-                bound.append((start, column, row))
-            else:
-                bound[-1] = (start, min(left, column), min(top, row))
-                bound.append((start, max(left, column), max(top, row)))
+            if kind == RANGE_END:
+                corners = _corners(bound[-1], address)
+                if corners is None:
+                    return None
+                bound[-1], address = corners
+            bound.append(address)
         return bound
 
 

@@ -301,11 +301,7 @@ def compile_template(template: Expr, leaf):
     when an operator or builtin rejects its operands, and gives 0 where
     the formula's result is an empty cell, as the host application
     does."""
-    run = _compile(template, leaf, False)
-    if type(template) in (Binary, NumberLit, BooleanLit) or (
-            type(template) is Call and template.func.lower() != "if"):
-        return run  # never Blank
-    return partial(_blank_is_zero, run)
+    return partial(_blank_is_zero, _compile(template, leaf, False))
 
 
 def _compile(node: Expr, leaf, range_ok: bool):
@@ -337,12 +333,7 @@ def _compile_call(node: Call, leaf):
     args = [_compile(arg, leaf, name in AGGREGATES) for arg in node.args]
     if name == "if":
         return partial(_choose, *args)
-    function = _BUILTIN_FUNCTIONS[name]
-    if count == 1:
-        return partial(_call_1, function, *args)
-    if count == 3:
-        return partial(_call_3, function, *args)
-    return partial(_call_n, function, args)
+    return partial(_call, _BUILTIN_FUNCTIONS[name], args)
 
 
 def _blank_is_zero(run, env):
@@ -381,15 +372,7 @@ def _choose(cond, then, other, env):
     return then(env) if _as_boolean(flag) else other(env)
 
 
-def _call_1(function, arg, env):
-    return function(arg(env))
-
-
-def _call_3(function, first, second, third, env):
-    return function(first(env), second(env), third(env))
-
-
-def _call_n(function, args, env):
+def _call(function, args, env):
     return function(*[arg(env) for arg in args])
 
 
@@ -525,23 +508,11 @@ def _reader(store: list, read: tuple, dims: tuple):
     dimension that each of the equation's variables binds."""
     first, steps, offsets = read
     if offsets is None:
-        if len(steps) == 1:
-            return partial(_read_1, store, first, *steps, *dims)
-        if len(steps) == 2:
-            return partial(_read_2, store, first, *steps, *dims)
-        return partial(_read_n, store, first, steps, dims)
+        return partial(_read_cell, store, first, steps, dims)
     return partial(_read_cells, store, first, steps, dims, offsets)
 
 
-def _read_1(store, first, step, d, indices):
-    return store[first + step * indices[d]]
-
-
-def _read_2(store, first, step, other, d, e, indices):
-    return store[first + step * indices[d] + other * indices[e]]
-
-
-def _read_n(store, first, steps, dims, indices):
+def _read_cell(store, first, steps, dims, indices):
     return store[first + sum(map(operator.mul, steps, map(indices.__getitem__, dims)))]
 
 

@@ -57,13 +57,16 @@ from gridspec.evaluator import (
     NA,
     Blank,
     Boolean,
+    DateValue,
     Number,
+    SparseRange,
     _as_boolean,
+    _as_number,
     _Fault,
-    apply_binary,
-    apply_builtin,
+    _finite,
     is_na,
     resolve_references,
+    value_equal,
 )
 from gridspec.parser import MAX_EXPRESSION_DEPTH, MAX_INTEGER, Diagnostic
 from gridspec.verify import Mismatch, VerifyReport, parse_value_text, values_agree
@@ -595,8 +598,8 @@ def _reference_eval(expr, leaf, range_ok):
     if isinstance(expr, BooleanLit):
         return Boolean(expr.value)
     if isinstance(expr, Binary):
-        return apply_binary(expr.op, _reference_eval(expr.left, leaf, False),
-                            _reference_eval(expr.right, leaf, False))
+        return reference_apply_binary(expr.op, _reference_eval(expr.left, leaf, False),
+                                      _reference_eval(expr.right, leaf, False))
     if isinstance(expr, Call):
         name = expr.func.lower()
         if name not in BUILTINS:
@@ -611,11 +614,99 @@ def _reference_eval(expr, leaf, range_ok):
             branch = expr.args[1] if _as_boolean(cond) else expr.args[2]
             return _reference_eval(branch, leaf, False)
         aggregate = name in AGGREGATES
-        return apply_builtin(name, [_reference_eval(arg, leaf, aggregate) for arg in expr.args])
+        return reference_apply_builtin(
+            name, [_reference_eval(arg, leaf, aggregate) for arg in expr.args])
     value = leaf(expr)
     if isinstance(value, list) and not range_ok:
         raise _Fault("range reference outside sum or match")
     return value
+
+
+def reference_apply_binary(op, left, right):
+    """An operator on two Values, one test per case: the oracle's own, apart
+    from the operators and their fallback that compiled templates use."""
+    if is_na(left) or is_na(right):
+        return NA
+    if op in ("+", "-", "*", "/"):
+        a, b = _as_number(left), _as_number(right)
+        if op == "+":
+            result = a + b
+        elif op == "-":
+            result = a - b
+        elif op == "*":
+            result = a * b
+        elif b == 0:
+            raise _Fault("division by zero")
+        else:
+            result = a / b
+        return _finite(result)
+    if isinstance(left, DateValue) and isinstance(right, DateValue):
+        a, b = left.date, right.date
+    elif isinstance(left, Boolean) and isinstance(right, Boolean):
+        a, b = left.value, right.value
+    elif isinstance(left, (Number, Blank)) and isinstance(right, (Number, Blank)):
+        a, b = _as_number(left), _as_number(right)
+    else:
+        raise _Fault(f"cannot compare {left!r} with {right!r}")
+    result = {
+        "=": a == b, "<>": a != b,
+        "<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b,
+    }[op]
+    return Boolean(result)
+
+
+def reference_apply_builtin(name, args):
+    """A builtin other than `if` on evaluated arguments, one test per name:
+    the oracle's own, apart from the builtin functions that compiled
+    templates call."""
+    if name in ("or", "and"):
+        if any(is_na(a) for a in args):
+            return NA
+        flags = [_as_boolean(a) for a in args]
+        return Boolean(any(flags) if name == "or" else all(flags))
+    if name == "not":
+        if is_na(args[0]):
+            return NA
+        return Boolean(not _as_boolean(args[0]))
+    if name == "isna":
+        return Boolean(is_na(args[0]))
+    if name == "sum":
+        total = 0.0
+        for item in itertools.chain.from_iterable(
+                arg if isinstance(arg, list) else [arg] for arg in args):
+            if is_na(item):
+                return NA
+            if isinstance(item, (Blank, Boolean)):
+                continue
+            total += _as_number(item)
+        return _finite(total)
+    if name == "match":
+        needle, rng, mode = args
+        if not (isinstance(mode, Number) and mode.value == 0):
+            raise UnsupportedMatchType("third argument of match must be 0")
+        if not isinstance(rng, list):
+            rng = [rng]
+        if is_na(needle):
+            return NA
+        positions = rng.positions if isinstance(rng, SparseRange) else itertools.count(1)
+        for position, item in zip(positions, rng):
+            if value_equal(needle, item):
+                return Number(position)
+        return NA
+    assert name == "date", name
+    parts = []
+    for part in args:
+        if is_na(part):
+            return NA
+        number = _as_number(part)
+        if number != int(number):
+            raise _Fault(f"date part {number} is not an integer")
+        parts.append(int(number))
+    year, month, day = parts
+    try:
+        return DateValue.of(year, month, day)
+    except (ValueError, OverflowError) as exc:
+        raise _Fault(f"invalid date({year}, {month}, {day}): {exc}") from None
 
 
 def reference_evaluate(symtab, rules, inputs, references, order, bindings):

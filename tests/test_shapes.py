@@ -262,6 +262,19 @@ def test_binding_examples(first, second):
     check_binding(first, second, "Model")
 
 
+def test_column_memo_keeps_no_long_run():
+    """Column letters past a sheet's three are refused before the memo of
+    column numbers is read, so a run of any length leaves nothing in it."""
+    _, holes = make_template(parse_a1_formula("=A1+B2"), formula_shape("A1+B2")[1])
+    columns = {}
+    for letters in ("XFDA", "ABCDEFGH", "Z" * 400):
+        assert holes.read(f"={letters}1+B2", "Model", columns) is None
+        assert holes.read(f"=A1+{letters}2", "Model", columns) is None
+    assert columns == {"A": 1}
+    assert holes.read("=XFD1+XFE2", "Model", columns) is None
+    assert columns == {"A": 1, "XFD": 16384, "XFE": 16385}
+
+
 @given(st.data(), st.sampled_from(SHAPES), st.sampled_from(["Model", "Time"]))
 @settings(max_examples=300)
 def test_binding_reads_what_the_parser_reads(data, shape, sheet):
