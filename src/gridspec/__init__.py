@@ -9,7 +9,6 @@ and differentially verifies the emitted grids.
 from .analyzer import CellId, CellPlan, RuleInstance, SymbolTable, analyze, elaborate, resolve, typecheck
 from .ast import SpecDocument, pretty_print
 from .errors import (
-    AnalysisFailure,
     CyclicDependency,
     GridSpecError,
     InputError,
@@ -18,7 +17,6 @@ from .errors import (
     ParseFailure,
     RuntimeFault,
     UnknownFunction,
-    UnmappedCell,
     UnsupportedMatchType,
 )
 from .evaluator import (
@@ -30,14 +28,12 @@ from .evaluator import (
     NAError,
     Number,
     Value,
-    apply_builtin,
     build_graph,
     compile_template,
     evaluate,
 )
 from .layout import (
     Layout,
-    LayoutOptions,
     emit,
     humanize_caption,
     plan_layout,

@@ -7,8 +7,8 @@ per equation: the values its left-hand patterns give each index
 variable.  A box's cells and the cells they read have numbers affine in
 those values, so coverage and overlap are checked a run of cells at a
 time and bounds once per equation, at the corners of its boxes; a table
-that fails is enumerated cell by cell for exact diagnostics: every
-derived cell must be matched by exactly one equation.
+that fails is diagnosed cell by cell from the boxes that cover each
+cell: every derived cell must be covered by exactly one equation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import product
-from operator import mul
+from operator import ge, gt, le, lt, mul, ne
 from typing import NamedTuple
 
 from .ast import (
@@ -36,7 +36,6 @@ from .ast import (
     NumberLit,
     SpecDocument,
     TableDecl,
-    VarPattern,
     punch,
 )
 from .parser import Diagnostic
@@ -48,13 +47,7 @@ _NUMERIC_FAMILY = frozenset({"number", "currency", "general"})
 # anything per cell.
 MAX_CELLS = 1_000_000
 
-_GUARDS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "<>": lambda a, b: a != b,
-}
+_GUARDS = {"<": lt, "<=": le, ">": gt, ">=": ge, "<>": ne}
 
 
 class CellId(NamedTuple):
@@ -174,7 +167,7 @@ def runs(spans, first: int, steps) -> list[range]:
 class CellPlan:
     """The region plan: each derived table's boxes and, per dense cell
     number, the box that covers the cell (None for an input cell).  `rules`
-    and `inputs` are views of it, made when first read."""
+    is a view of it, made when first read."""
 
     symtab: SymbolTable
     boxes: dict[str, list[Box]] = field(repr=False)
@@ -193,11 +186,6 @@ class CellPlan:
                     rules[cell] = RuleInstance(box.equation, {
                         var: cell.indices[d] for var, d in variables.items()})
         return rules
-
-    @cached_property
-    def inputs(self) -> set[CellId]:
-        return {cell for name in self.symtab.tables if name not in self.boxes
-                for cell in self.symtab.table_cells(name)}
 
 
 def compatible(declared: str, inferred: str) -> bool:
@@ -519,27 +507,26 @@ class _TypeChecker:
 
 
 def match_patterns(patterns, indices) -> dict[str, int] | None:
-    """Unify LHS patterns with concrete indices; return the substitution."""
+    """Unify LHS patterns with concrete indices; return the substitution.
+    Elaboration works on boxes and never calls it; perfbench/tracing.py
+    counts calls through this name."""
     subst: dict[str, int] = {}
     for pattern, value in zip(patterns, indices):
-        if isinstance(pattern, ConstantPattern):
+        if type(pattern) is ConstantPattern:
             if pattern.value != value:
                 return None
-        elif isinstance(pattern, VarPattern):
-            if subst.setdefault(pattern.name, value) != value:
-                return None
-        else:
-            if subst.setdefault(pattern.name, value) != value:
-                return None
-            if not _GUARDS[pattern.comparator](value, pattern.bound):
-                return None
+        elif subst.setdefault(pattern.name, value) != value or (
+                type(pattern) is GuardedVarPattern
+                and not _GUARDS[pattern.comparator](value, pattern.bound)):
+            return None
     return subst
 
 
 def elaborate(doc: SpecDocument, symtab: SymbolTable) -> tuple[CellPlan, list[Diagnostic]]:
     """Pick exactly one rule per derived cell: cover each derived table with
-    its equations' boxes, and enumerate a table cell by cell only when its
-    boxes may read out of bounds, cover a cell twice or leave one uncovered."""
+    its equations' boxes, and diagnose a table cell by cell, from the same
+    boxes, only when they may read out of bounds, cover a cell twice or
+    leave one uncovered."""
     diagnostics: list[Diagnostic] = []
     owner = [None] * sum(extent.size for extent in symtab.extents.values())
     boxes: dict[str, list[Box]] = {}
@@ -547,28 +534,26 @@ def elaborate(doc: SpecDocument, symtab: SymbolTable) -> tuple[CellPlan, list[Di
         if not equations:
             continue
         extent = symtab.extents[name]
-        cells = slice(extent.base, extent.base + extent.size)
-        boxes[name] = []
-        if not all(_cover(equation, symtab.stencils[id(equation)], extent, owner, boxes[name])
-                   for equation in equations) or None in owner[cells]:
-            owner[cells] = [None] * extent.size
-            boxes[name] = _cover_cells(name, equations, symtab, owner, diagnostics)
+        covers = [_cover(equation, symtab.stencils[id(equation)], extent)
+                  for equation in equations]
+        boxes[name] = [box for cover, _ in covers for box in cover]
+        if not (all(in_bounds for _, in_bounds in covers) and _own(boxes[name], owner)
+                and None not in owner[extent.base:extent.base + extent.size]):
+            _diagnose(name, boxes[name], symtab, owner, diagnostics)
     return CellPlan(symtab, boxes, owner), diagnostics
 
 
-def _cover(equation: EquationDecl, stencil: Stencil, extent: Extent, owner: list,
-           boxes: list) -> bool:
-    """Add the boxes an equation's patterns cover to `boxes`, and point each
-    of their cells to its box in `owner`.  A constant is one point, or no
-    cell outside its dimension.  A variable spans its dimension, and one
-    that repeats, as in a[i,i], spans all of them at once, a diagonal; a
-    guard cuts its span and `<>` splits it in two.  False if the equation
-    may read out of bounds or a box meets a cell already covered."""
+def _cover(equation: EquationDecl, stencil: Stencil, extent: Extent) -> tuple[list[Box], bool]:
+    """The boxes an equation's patterns cover, and whether its reads from
+    them stay in bounds.  A constant is one point, or no cell outside its
+    dimension.  A variable spans its dimension, and one that repeats, as in
+    a[i,i], spans all of them at once, a diagonal; a guard cuts its span
+    and `<>` splits it in two."""
     hull, holes = {}, {}
     for pattern, (_, low, high) in zip(equation.lhs_patterns, extent.axes):
         if type(pattern) is ConstantPattern:
             if not low <= pattern.value <= high:
-                return True
+                return [], True
             continue
         first, last = hull.get(pattern.name, (low, high))
         first, last = max(first, low), min(last, high)
@@ -589,8 +574,10 @@ def _cover(equation: EquationDecl, stencil: Stencil, extent: Extent, owner: list
         else:
             pieces.append([range(first, last + 1)] if first <= last else [])
         if not pieces[-1]:
-            return True
+            return [], True
         hull[name] = (pieces[-1][0].start, pieces[-1][-1][-1])
+    first, steps, _ = _dense_read(stencil.home, extent, len(hull))
+    boxes = [Box(equation, spans, first, steps) for spans in product(*pieces)]
     # an index is affine, so its extremes over the boxes lie at the hull's
     # corners; the hull lists the variables in the order of Stencil.variables
     corners = list(hull.values())
@@ -599,59 +586,62 @@ def _cover(equation: EquationDecl, stencil: Stencil, extent: Extent, owner: list
             if index is not None:
                 least = greatest = index[0]
                 for n, coefficient in index[1]:
-                    first, last = corners[n]
+                    start, end = corners[n]
                     if coefficient < 0:
-                        first, last = last, first
-                    least += coefficient * first
-                    greatest += coefficient * last
+                        start, end = end, start
+                    least += coefficient * start
+                    greatest += coefficient * end
                 if least < low or greatest > high:
-                    return False
-    first, steps, _ = _dense_read(stencil.home, extent, len(corners))
-    for spans in product(*pieces):
-        box = Box(equation, spans, first, steps)
-        for run in runs(spans, first, steps):
+                    return boxes, False
+    return boxes, True
+
+
+def _own(boxes: list[Box], owner: list) -> bool:
+    """Point each cell of the boxes to its box in `owner`, a run of cells
+    at a time; False at a box that meets a cell already covered."""
+    for box in boxes:
+        for run in runs(box.spans, box.first, box.steps):
             cells = slice(run.start, run.stop, run.step)
             if owner[cells].count(None) < len(run):
                 return False
             owner[cells] = [box] * len(run)
-        boxes.append(box)
     return True
 
 
-def _cover_cells(name: str, equations, symtab: SymbolTable, owner: list,
-                 diagnostics: list[Diagnostic]) -> list[Box]:
-    """Cover a table cell by cell, each cell that one equation matches with
-    a box of its own, reporting the others and reads out of bounds."""
-    boxes, extent = [], symtab.extents[name]
-    for number, cell in enumerate(symtab.table_cells(name), extent.base):
-        matches = [(equation, subst) for equation in equations
-                   if (subst := match_patterns(equation.lhs_patterns, cell.indices)) is not None]
+def _diagnose(name: str, boxes: list[Box], symtab: SymbolTable, owner: list,
+              diagnostics: list[Diagnostic]) -> None:
+    """Report a table's uncovered and overlapping cells and its reads out of
+    bounds, in row-major order, from the boxes that cover each cell; an
+    equation's boxes are disjoint.  A cell that exactly one equation
+    covers keeps that equation's box in `owner`; the others hold None."""
+    extent = symtab.extents[name]
+    covering = [[] for _ in range(extent.size)]
+    for box in boxes:
+        for run in runs(box.spans, box.first - extent.base, box.steps):
+            for offset in run:
+                covering[offset].append(box)
+    for number, (cell, matches) in enumerate(zip(symtab.table_cells(name), covering),
+                                             extent.base):
+        owner[number] = matches[0] if len(matches) == 1 else None
         if not matches:
             diagnostics.append(Diagnostic(
                 "error", "UncoveredCell",
                 f"no equation covers cell {cell}", symtab.tables[name].pos))
-            continue
-        if len(matches) > 1:
+        elif len(matches) > 1:
             diagnostics.append(Diagnostic(
                 "error", "OverlappingRules",
-                f"{len(matches)} equations cover cell {cell}", matches[1][0].pos))
-            continue
-        equation, subst = matches[0]
-        stencil, values = symtab.stencils[id(equation)], tuple(subst.values())
-        first, steps, _ = _dense_read(stencil.home, extent, len(values))
-        owner[number] = Box(equation, tuple([range(v, v + 1) for v in values]), first, steps)
-        boxes.append(owner[number])
-        for ref, indices, target, _ in stencil.refs:
-            for index, (dim, low, high) in zip(indices, target.axes):
-                if index is None:
-                    continue
-                value = index_value(index, values)
-                if not low <= value <= high:
-                    diagnostics.append(Diagnostic(
-                        "error", "IndexOutOfBounds",
-                        f"rule for {cell} references {ref.table} at {dim}={value}, "
-                        f"outside {low}..{high}", equation.pos))
-    return boxes
+                f"{len(matches)} equations cover cell {cell}", matches[1].equation.pos))
+        else:
+            equation = matches[0].equation
+            stencil = symtab.stencils[id(equation)]
+            values = [cell.indices[d] for d in stencil.variables.values()]
+            for ref, indices, target, _ in stencil.refs:
+                for index, (dim, low, high) in zip(indices, target.axes):
+                    if index is not None and not low <= (value := index_value(index, values)) <= high:
+                        diagnostics.append(Diagnostic(
+                            "error", "IndexOutOfBounds",
+                            f"rule for {cell} references {ref.table} at {dim}={value}, "
+                            f"outside {low}..{high}", equation.pos))
 
 
 def analyze(doc: SpecDocument, before_elaborate=None):

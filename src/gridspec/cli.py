@@ -23,7 +23,7 @@ from .errors import (
     RuntimeFault,
 )
 from .evaluator import Boolean, DateValue, Number, Value, evaluate
-from .layout import LayoutOptions, emit, grid_to_csv, plan_layout, write_outputs
+from .layout import emit, grid_to_csv, plan_layout, write_outputs
 from .parser import parse_document
 from .verify import verify_directory
 
@@ -97,7 +97,7 @@ def _parse_binding_value(text: str, result_type: str, line: int) -> Value:
     if result_type in ("boolean", "date"):
         raise InputError("BadValue",
                          f"line {line}: numeric value for a {result_type} table")
-    return Number(number, currency=result_type == "currency")
+    return Number(number)
 
 
 def _print_diagnostics(diagnostics):
@@ -123,7 +123,7 @@ def _load_and_analyze(spec_path, caption_table=None):
     layouts = []
     try:
         symtab, plan, diagnostics = analyze(doc, lambda doc, symtab: layouts.append(
-            plan_layout(doc, symtab, LayoutOptions(caption_table=caption_table))))
+            plan_layout(doc, symtab, caption_table)))
     except LayoutError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC_ERROR
@@ -160,7 +160,7 @@ def _compile_grids(args):
     except (CyclicDependency, RuntimeFault) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
-    return emit(layout, plan, values, inputs, doc)
+    return emit(layout, plan, values, doc)
 
 
 def cmd_eval(args) -> int:

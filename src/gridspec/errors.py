@@ -16,14 +16,6 @@ class ParseFailure(GridSpecError):
         super().__init__(str(first) if first else "parse failure")
 
 
-class AnalysisFailure(GridSpecError):
-    """Raised by high-level helpers when analysis reports errors."""
-
-    def __init__(self, diagnostics):
-        self.diagnostics = list(diagnostics)
-        super().__init__(f"{len(self.diagnostics)} analysis error(s)")
-
-
 class CyclicDependency(GridSpecError):
     """A cell depends, directly or transitively, on itself."""
 
@@ -55,10 +47,6 @@ class LayoutError(GridSpecError):
 
 
 class LayoutOverflow(LayoutError):
-    pass
-
-
-class UnmappedCell(GridSpecError):
     pass
 
 

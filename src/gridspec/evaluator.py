@@ -1,10 +1,10 @@
 """Cell-granular evaluation of an elaborated plan.
 
-Runtime values are Blank, Number (optionally tagged as currency),
-Boolean, DateValue, or the single NA error.  Arithmetic coerces Blank
-to 0; NA propagates through arithmetic and comparison but is absorbed
-by isna.  Evaluation walks cells in dependency order, so every read
-sees an already-written value.
+Runtime values are Blank, Number, Boolean, DateValue, or the single NA
+error; currency is a table's type, which only emit reads.  Arithmetic
+coerces Blank to 0; NA propagates through arithmetic and comparison but
+is absorbed by isna.  Evaluation walks cells in dependency order, so
+every read sees an already-written value.
 """
 
 from __future__ import annotations
@@ -69,17 +69,15 @@ NA = NAError()
 
 
 class Number(Value):
-    """A real number; the currency tag is presentation only and is
-    ignored by equality, comparison, and arithmetic."""
+    """A real number."""
 
-    __slots__ = ("value", "currency")
+    __slots__ = ("value",)
 
-    def __init__(self, value: float, currency: bool = False):
+    def __init__(self, value: float):
         self.value = float(value)
-        self.currency = currency
 
     def __repr__(self):
-        return f"Number({self.value}{', currency' if self.currency else ''})"
+        return f"Number({self.value})"
 
     def __eq__(self, other):
         return isinstance(other, Number) and self.value == other.value
@@ -196,20 +194,6 @@ def apply_binary(op: str, left: Value, right: Value) -> Value:
     else:
         raise _Fault(f"cannot compare {left!r} with {right!r}")
     return _BOOLEANS[_COMPARISONS[op](a, b)]
-
-
-def apply_builtin(name: str, args: list) -> Value:
-    """Apply a builtin other than `if` to evaluated arguments.
-
-    Range-valued arguments (from `all` indices) arrive as Python lists
-    of Values.  `if` evaluates only the branch it takes, so a compiled
-    template applies it before the branches are evaluated.
-    """
-    name = name.lower()
-    function = _BUILTIN_FUNCTIONS.get(name)
-    if function is None:
-        raise UnknownFunction(name)
-    return function(*args)
 
 
 def _logical(combine, args) -> Value:
@@ -531,7 +515,6 @@ def evaluate(plan: CellPlan, inputs: dict[CellId, Value]) -> dict[CellId, Value]
     function of a cell's indices (see compile_template)."""
     symtab = plan.symtab
     cells, stencils, dense = symtab.cells, symtab.stencils, symtab.reads
-    currency = {name: decl.result_type == "currency" for name, decl in symtab.tables.items()}
     order = order_cells(plan)
     store: list[Value] = [BLANK] * len(cells)
     programs = {}  # id() of each equation -> its compiled template
@@ -561,7 +544,5 @@ def evaluate(plan: CellPlan, inputs: dict[CellId, Value]) -> dict[CellId, Value]
                 value = programs[id(box.equation)](cell.indices)
             except _Fault as exc:
                 raise RuntimeFault(cell, str(exc)) from None
-        if type(value) is Number and currency[cell.table]:
-            value = Number(value.value, currency=True)
         store[number] = value
     return {cells[n]: store[n] for n in order}

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from operator import mul
 
-from .a1 import MAX_COLUMNS, MAX_ROWS, Address, column_letters, sheet_prefix
+from .a1 import MAX_COLUMNS, MAX_ROWS, column_letters, sheet_prefix
 from .analyzer import CellId, CellPlan, SymbolTable
 from .ast import (
     BooleanLit,
@@ -44,9 +44,8 @@ from .ast import (
     format_number,
     print_expr,
 )
-from .errors import LayoutError, LayoutOverflow, UnmappedCell
+from .errors import LayoutError, LayoutOverflow
 from .evaluator import (
-    BLANK,
     Blank,
     Boolean,
     DateValue,
@@ -66,15 +65,8 @@ def humanize_caption(name: str) -> str:
 
 
 @dataclass
-class LayoutOptions:
-    caption_table: str | None = None  # default: a 1-D table named "time", if any
-
-
-@dataclass
 class Region:
-    """A table's rectangle.  The cell at `indices` lies in column
-    origin[0] + sum(indices[k] * column_steps[k]) and in row
-    origin[1] + sum(indices[k] * row_steps[k])."""
+    """A table's rectangle; `at` places each of its cells."""
 
     sheet: str
     top: int          # first data row
@@ -83,9 +75,6 @@ class Region:
     height: int
     orientation: str  # cell | vertical | block
     header_row: int
-    column_steps: tuple[int, ...]  # columns moved by one step along each dimension
-    row_steps: tuple[int, ...]     # rows moved by one step along each dimension
-    origin: tuple[int, int]        # (column, row) that all-zero indices would take
 
     @property
     def bottom(self) -> int:
@@ -94,12 +83,6 @@ class Region:
     @property
     def right(self) -> int:
         return self.left + self.width - 1
-
-    def place(self, indices: tuple[int, ...]) -> tuple[int, int]:
-        """(column, row) of the cell at `indices`."""
-        column, row = self.origin
-        return (column + sum(map(mul, indices, self.column_steps)),
-                row + sum(map(mul, indices, self.row_steps)))
 
     def at(self, offset: int) -> tuple[int, int]:
         """(column, row) of the table's cell `offset` places after its first
@@ -120,16 +103,10 @@ def _place(decl: TableDecl, bounds: dict[str, tuple[int, int]], sheet: str,
     """The region of `decl` whose first cell is at (`top`, `left`), by the
     axis rule: with two or more dimensions the first runs across columns;
     the others run down rows, the last fastest."""
-    lows = [bounds[dim][0] for dim in decl.dims]
-    sizes = [bounds[dim][1] - low + 1 for dim, low in zip(decl.dims, lows)]
+    sizes = [bounds[dim][1] - bounds[dim][0] + 1 for dim in decl.dims]
     across = 1 if len(sizes) > 1 else 0
-    down = sizes[across:]
-    column_steps = (1,) * across + (0,) * len(down)
-    row_steps = (0,) * across + tuple(math.prod(down[k + 1:]) for k in range(len(down)))
-    return Region(sheet, top, left, math.prod(sizes[:across]), math.prod(down),
-                  ("cell", "vertical", "block")[min(len(sizes), 2)], header_row,
-                  column_steps, row_steps,
-                  (left - sum(map(mul, lows, column_steps)), top - sum(map(mul, lows, row_steps))))
+    return Region(sheet, top, left, math.prod(sizes[:across]), math.prod(sizes[across:]),
+                  ("cell", "vertical", "block")[min(len(sizes), 2)], header_row)
 
 
 @dataclass
@@ -138,12 +115,6 @@ class Layout:
     regions: dict[str, Region]
     caption_column: tuple[str, int, str] | None  # (sheet, column, source table)
     caption_rows: list[int] = field(default_factory=list)  # band start rows mirrored
-
-    def cell_address(self, cell: CellId) -> Address:
-        region = self.regions.get(cell.table)
-        if region is None:
-            raise UnmappedCell(str(cell))
-        return Address(region.sheet, *region.place(cell.indices))
 
 
 def _caption_table(name: str | None, symtab: SymbolTable) -> TableDecl | None:
@@ -161,10 +132,10 @@ def _caption_table(name: str | None, symtab: SymbolTable) -> TableDecl | None:
 
 
 def plan_layout(doc: SpecDocument, symtab: SymbolTable,
-                options: LayoutOptions | None = None) -> Layout:
-    """Assign every table a sheet, rectangle, and orientation."""
-    options = options or LayoutOptions()
-    caption = _caption_table(options.caption_table, symtab)
+                caption_table: str | None = None) -> Layout:
+    """Assign every table a sheet, rectangle, and orientation.  The caption
+    table is `caption_table`, by default a 1-D table named `time`, if any."""
+    caption = _caption_table(caption_table, symtab)
     main_tables = [t for t in doc.elements
                    if isinstance(t, TableDecl) and (caption is None or t.name != caption.name)]
     bounds = symtab.bounds
@@ -205,12 +176,13 @@ def plan_layout(doc: SpecDocument, symtab: SymbolTable,
             raise LayoutOverflow(
                 f"layout exceeds sheet extents at {region.sheet}!{region.a1_range()}")
     # a range is written as the rectangle from its first cell to its last,
-    # so along the dimensions that run down rows its `all` indices come last
+    # so along the dimensions that run down rows, all but a block's first,
+    # its `all` indices come last
     for stencil in symtab.stencils.values():
         for ref, indices, _, ranged in stencil.refs:
             if not ranged:
                 continue
-            down = [i is None for i, step in zip(indices, regions[ref.table].row_steps) if step]
+            down = [i is None for i in (indices[1:] if len(indices) > 1 else indices)]
             if down != sorted(down):
                 raise LayoutError(f"range {print_expr(ref)} is not one rectangle: its 'all' "
                                   "indices must come last among the dimensions down rows")
@@ -288,10 +260,10 @@ def render_formula(cell: CellId, plan: CellPlan, layout: Layout) -> str:
 # --- value rendering and emission ------------------------------------------
 
 def render_value(value: Value, currency: bool = False) -> str:
-    """Machine-readable value text that reads back as the same value:
-    currency to two decimals without a symbol where that is exact, other
-    numbers in positional notation, booleans TRUE/FALSE, NA as #N/A,
-    dates ISO, blanks empty."""
+    """Machine-readable value text that reads back as the same value: a
+    number of a currency table to two decimals without a symbol where that
+    is exact, other numbers in positional notation, booleans TRUE/FALSE,
+    NA as #N/A, dates ISO, blanks empty."""
     if isinstance(value, Blank):
         return ""
     if isinstance(value, NAError):
@@ -301,7 +273,7 @@ def render_value(value: Value, currency: bool = False) -> str:
     if isinstance(value, DateValue):
         return value.date.isoformat()
     if isinstance(value, Number):
-        if currency or value.currency:
+        if currency:
             text = f"{value.value:.2f}"
             if float(text) == value.value:
                 return text
@@ -320,8 +292,9 @@ class EmitResult:
 
 
 def emit(layout: Layout, plan: CellPlan, values: dict[CellId, Value],
-         inputs: dict[CellId, Value], doc: SpecDocument | None = None) -> EmitResult:
-    """Produce the formula grid, the parallel values grid, and the manifest."""
+         doc: SpecDocument | None = None) -> EmitResult:
+    """Produce the formula grid, the parallel values grid, and the manifest
+    from every cell's value, inputs included, as `evaluate` gives them."""
     symtab = plan.symtab
     formulas: Grid = {sheet: {} for sheet in layout.sheets}
     value_doc: Grid = {sheet: {} for sheet in layout.sheets}
@@ -343,10 +316,11 @@ def emit(layout: Layout, plan: CellPlan, values: dict[CellId, Value],
         header = humanize_caption(source)
         put(sheet, 1, column, header, header)
         source_decl = symtab.tables[source]
+        currency = source_decl.result_type == "currency"
         low, high = symtab.bounds[source_decl.dims[0]]
         for band_top in layout.caption_rows:
             for index in range(low, high + 1):
-                text = render_value(values.get(CellId(source, (index,)), BLANK))
+                text = render_value(values[CellId(source, (index,))], currency)
                 put(sheet, band_top + index - low, column, text, text)
 
     # table cells; an equation's template serves the cells of its table only
@@ -361,12 +335,10 @@ def emit(layout: Layout, plan: CellPlan, values: dict[CellId, Value],
         for number in range(extent.base, extent.base + extent.size):
             cell, box = cells[number], plan.owner[number]
             column, row = region.at(number - extent.base)
-            if box is None:
-                text = render_value(inputs.get(cell, BLANK), currency)
-                put(region.sheet, row, column, text, text)
-            else:
-                formula = _fill(templates[id(box.equation)], cell.indices, letters)
-                put(region.sheet, row, column, formula, render_value(values[cell], currency))
+            text = render_value(values[cell], currency)
+            formula = text if box is None else _fill(templates[id(box.equation)], cell.indices,
+                                                     letters)
+            put(region.sheet, row, column, formula, text)
 
     manifest = build_manifest(layout, symtab, doc)
     return EmitResult(formulas, value_doc, manifest)

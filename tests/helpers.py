@@ -34,6 +34,7 @@ from gridspec.ast import (
     ElementRef,
     EquationDecl,
     GuardedVarPattern,
+    Hole,
     IndexVar,
     NumberLit,
     SourcePos,
@@ -64,6 +65,7 @@ from gridspec.evaluator import (
     _as_number,
     _Fault,
     _finite,
+    compile_template,
     is_na,
     resolve_references,
     value_equal,
@@ -709,6 +711,13 @@ def reference_apply_builtin(name, args):
         raise _Fault(f"invalid date({year}, {month}, {day}): {exc}") from None
 
 
+def call_builtin(name, args):
+    """A builtin on Values, through the compiled template of a Call whose
+    arguments are Holes; a list of Values fills a ranged one."""
+    holes = tuple(Hole(slot, isinstance(arg, list)) for slot, arg in enumerate(args))
+    return compile_template(Call(name, holes), lambda hole: lambda bound: bound[hole.slot])(args)
+
+
 def reference_evaluate(symtab, rules, inputs, references, order, bindings):
     """Evaluate every cell in `order`; returns the value dict in that order."""
     store = {}
@@ -730,8 +739,6 @@ def reference_evaluate(symtab, rules, inputs, references, order, bindings):
                 value = reference_eval_expr(equation.rhs, leaf)
             except _Fault as exc:
                 raise RuntimeFault(cell, str(exc)) from None
-        if isinstance(value, Number) and symtab.tables[cell.table].result_type == "currency":
-            value = Number(value.value, currency=True)
         store[cell] = value
     return store
 
@@ -793,13 +800,28 @@ def _format_ref(address: Address, home_sheet: str) -> str:
     return f"{sheet_prefix(address.sheet)}{address.a1()}"
 
 
+def reference_address(cell, symtab, layout) -> Address:
+    """A cell's address by the axis rule, from its indices and its table's
+    first cell: a table of two or more dimensions runs its first dimension
+    across columns and the others down rows, the last fastest; any other
+    table runs down one column."""
+    region = layout.regions[cell.table]
+    axes = [(index - low, high - low + 1) for index, (low, high)
+            in zip(cell.indices, (symtab.bounds[dim] for dim in symtab.tables[cell.table].dims))]
+    column = axes.pop(0)[0] if len(axes) > 1 else 0
+    row = 0
+    for offset, size in axes:
+        row = row * size + offset
+    return Address(region.sheet, region.left + column, region.top + row)
+
+
 def reference_render_formula(cell, plan, layout) -> str:
     """Render a derived cell's rule instance as an A1 formula for the
     cell's sheet, walking its equation once for this cell."""
     equation, subst = plan.rules[cell]
     reads = resolve_references(plan)[cell]
     slots = {id(ref): k for k, ref in enumerate(_valid_refs(equation, plan.symtab))}
-    home = layout.cell_address(cell).sheet
+    home = layout.regions[cell.table].sheet
 
     def leaf(expr):
         if isinstance(expr, NumberLit):
@@ -812,8 +834,8 @@ def reference_render_formula(cell, plan, layout) -> str:
             return expr.func.upper()
         cells = reads[slots[id(expr)]]
         if type(cells) is not tuple:
-            return _format_ref(layout.cell_address(cells), home)
-        first, last = layout.cell_address(cells[0]), layout.cell_address(cells[-1])
+            return _format_ref(reference_address(cells, plan.symtab, layout), home)
+        first, last = (reference_address(c, plan.symtab, layout) for c in (cells[0], cells[-1]))
         return f"{_format_ref(first, home)}:{last.a1()}"
 
     return "=" + format_expr(equation.rhs, leaf, pad="")

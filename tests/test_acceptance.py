@@ -16,6 +16,7 @@ from gridspec.evaluator import Boolean, Number, is_na
 from helpers import (
     FIXTURES,
     analyze_fixture,
+    call_builtin,
     evaluate_fixture,
     random_document,
 )
@@ -76,10 +77,9 @@ class TestAcceptance:
             expense = rng.randint(0, 50)
             periods = rng.randint(1, 24)
             plan = analyze_source(CLOSED_FORM_TEMPLATE.format(n=periods))
-            inputs = {CellId("initial_cash", ()): Number(cash, currency=True)}
+            inputs = {CellId("initial_cash", ()): Number(cash)}
             for t in range(1, periods + 1):
-                inputs[CellId("expenses_during_period", (t,))] = \
-                    Number(expense, currency=True)
+                inputs[CellId("expenses_during_period", (t,))] = Number(expense)
             values = evaluate(plan, inputs)
             for t in range(1, periods + 1):
                 assert number_at(values, "total_cash_at_end_of_period", t) == \
@@ -109,14 +109,14 @@ class TestAcceptance:
                    "200 random documents")
 
     def test_6_match_oracle(self):
-        from gridspec.evaluator import NA, apply_builtin
+        from gridspec.evaluator import NA
 
         rng = random.Random(6174)
         for _ in range(1000):
             haystack = [Boolean(rng.random() < 0.5)
                         for _ in range(rng.randint(1, 12))]
             needle = Boolean(rng.random() < 0.5)
-            got = apply_builtin("match", [needle, haystack, Number(0)])
+            got = call_builtin("match", [needle, haystack, Number(0)])
             hits = [k for k, item in enumerate(haystack, start=1)
                     if item == needle]
             assert got == (Number(hits[0]) if hits else NA)

@@ -151,10 +151,11 @@ class TestElaborate:
         for name in ("cashflow", "borrowing", "loans"):
             _, symtab, plan = analyze_fixture(name)
             derived = set(plan.rules)
-            everything = {cell for table in symtab.tables
-                          for cell in symtab.table_cells(table)}
-            assert derived | plan.inputs == everything
-            assert derived & plan.inputs == set()
+            inputs = {cell for table in symtab.tables if symtab.is_input(table)
+                      for cell in symtab.table_cells(table)}
+            everything = set(symtab.cells)
+            assert derived | inputs == everything
+            assert derived & inputs == set()
 
     def test_substitution_soundness(self):
         for name in ("cashflow", "loans"):

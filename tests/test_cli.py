@@ -267,6 +267,19 @@ class TestValueTextReadsBack:
         assert main(["verify", str(out)]) == 0
         assert "0 mismatch(es)" in capsys.readouterr().out
 
+    def test_number_table_does_not_take_currency_from_what_it_reads(self, tmp_path, capsys):
+        """Currency is a table's type: a number table that reads a currency cell writes 5.1."""
+        code, out = run_cli(tmp_path, "bounds t: 1 to 1.\ntable price : t -> currency.\n"
+                            "table copy : t -> number.\ntable twice : t -> number.\n"
+                            "table pick : t -> number.\ncopy[ t ] = price[ t ].\n"
+                            "twice[ t ] = price[ t ] * 1.\npick[ t ] = if( true, price[ t ], 0 ).\n",
+                            "price,1,5.1\n")
+        assert code == 0
+        values = (out / "Model.values.csv").read_text(encoding="utf-8").splitlines()
+        assert values[2] == "5.10,5.1,5.1,5.1"
+        assert main(["verify", str(out)]) == 0
+        assert "0 mismatch(es)" in capsys.readouterr().out
+
     def test_small_literal_is_positional(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "table x : -> number.\ntable y : -> number.\n"
                                       "y[] = x[] * 0.00001.\n", "x,3\n")

@@ -13,13 +13,12 @@ from gridspec.evaluator import (
     DateValue,
     Number,
     apply_binary,
-    apply_builtin,
     build_graph,
     is_na,
     value_equal,
 )
 
-from helpers import analyze_fixture, covering_document, evaluate_fixture, random_document
+from helpers import analyze_fixture, call_builtin, covering_document, evaluate_fixture, random_document
 
 
 def number_at(values, table, *indices):
@@ -39,10 +38,6 @@ class TestValueAlgebra:
         assert is_na(apply_binary("<=", NA, Number(7)))
         assert is_na(apply_binary("=", Number(1), NA))
 
-    def test_currency_tag_invisible_to_comparison(self):
-        assert Number(5.0, currency=True) == Number(5.0)
-        assert apply_binary("=", Number(5.0, currency=True), Number(5.0)) == Boolean(True)
-
     def test_blank_and_na_match_nothing(self):
         assert not value_equal(BLANK, BLANK)
         assert not value_equal(NA, NA)
@@ -58,43 +53,43 @@ class TestValueAlgebra:
 
 class TestBuiltins:
     def test_or_and_blank_false_na_poison(self):
-        assert apply_builtin("or", [Boolean(False), BLANK]) == Boolean(False)
-        assert apply_builtin("or", [Boolean(True), NA]) == NA
-        assert apply_builtin("and", [Boolean(True), BLANK]) == Boolean(False)
+        assert call_builtin("or", [Boolean(False), BLANK]) == Boolean(False)
+        assert call_builtin("or", [Boolean(True), NA]) == NA
+        assert call_builtin("and", [Boolean(True), BLANK]) == Boolean(False)
 
     def test_not(self):
-        assert apply_builtin("not", [Boolean(False)]) == Boolean(True)
-        assert apply_builtin("not", [NA]) == NA
+        assert call_builtin("not", [Boolean(False)]) == Boolean(True)
+        assert call_builtin("not", [NA]) == NA
 
     def test_isna_absorbs_na(self):
-        assert apply_builtin("isna", [NA]) == Boolean(True)
-        assert apply_builtin("isna", [Number(3)]) == Boolean(False)
-        assert apply_builtin("isna", [BLANK]) == Boolean(False)
+        assert call_builtin("isna", [NA]) == Boolean(True)
+        assert call_builtin("isna", [Number(3)]) == Boolean(False)
+        assert call_builtin("isna", [BLANK]) == Boolean(False)
 
     def test_sum_skips_blank_and_boolean(self):
         values = [Number(1), BLANK, Boolean(True), Number(2.5)]
-        assert apply_builtin("sum", [values]) == Number(3.5)
+        assert call_builtin("sum", [values]) == Number(3.5)
 
     def test_sum_poisoned_by_na(self):
-        assert apply_builtin("sum", [[Number(1), NA]]) == NA
+        assert call_builtin("sum", [[Number(1), NA]]) == NA
 
     def test_match_finds_first_position(self):
         rng = [Boolean(False), Boolean(True), Boolean(True)]
-        assert apply_builtin("match", [Boolean(True), rng, Number(0)]) == Number(2)
+        assert call_builtin("match", [Boolean(True), rng, Number(0)]) == Number(2)
 
     def test_match_absent_is_na(self):
         rng = [Boolean(False), Boolean(False)]
-        assert apply_builtin("match", [Boolean(True), rng, Number(0)]) == NA
+        assert call_builtin("match", [Boolean(True), rng, Number(0)]) == NA
 
     def test_match_requires_type_equality(self):
         rng = [Number(1), Boolean(True)]
-        assert apply_builtin("match", [Boolean(True), rng, Number(0)]) == Number(2)
+        assert call_builtin("match", [Boolean(True), rng, Number(0)]) == Number(2)
 
     def test_date_builds_and_validates(self):
-        assert apply_builtin("date", [Number(2009), Number(2), Number(1)]) == \
+        assert call_builtin("date", [Number(2009), Number(2), Number(1)]) == \
             DateValue(datetime.date(2009, 2, 1))
         with pytest.raises(Exception):
-            apply_builtin("date", [Number(2009), Number(13), Number(1)])
+            call_builtin("date", [Number(2009), Number(13), Number(1)])
 
 
 def analyze_source(source):
@@ -315,10 +310,9 @@ class TestClosedForm:
         # integer data keeps every step exact in binary floating point,
         # so the recurrence must equal the closed form digit for digit
         plan = analyze_source(CLOSED_FORM_TEMPLATE.format(n=periods))
-        inputs = {CellId("initial_cash", ()): Number(cash, currency=True)}
+        inputs = {CellId("initial_cash", ()): Number(cash)}
         for t in range(1, periods + 1):
-            inputs[CellId("expenses_during_period", (t,))] = \
-                Number(expense, currency=True)
+            inputs[CellId("expenses_during_period", (t,))] = Number(expense)
         values = evaluate(plan, inputs)
         for t in range(1, periods + 1):
             assert number_at(values, "total_cash_at_end_of_period", t) == \
@@ -332,7 +326,7 @@ class TestMatchOracle:
         for _ in range(1000):
             haystack = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
             needle = rng.choice([Boolean(True), Number(1), Number(2)])
-            got = apply_builtin("match", [needle, haystack, Number(0)])
+            got = call_builtin("match", [needle, haystack, Number(0)])
             # oracle: first 1-based position with type-and-value equality
             expected = NA
             for position, item in enumerate(haystack, start=1):

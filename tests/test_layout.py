@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from gridspec import analyze, evaluate, parse_document
 from gridspec.a1 import Address, column_letters, column_number
 from gridspec.layout import (
-    LayoutOptions,
     emit,
     grid_to_csv,
     csv_to_grid,
@@ -17,13 +16,13 @@ from gridspec.layout import (
 )
 from gridspec.evaluator import BLANK, NA, Boolean, DateValue, Number
 
-from helpers import evaluate_fixture, random_shape_spec
+from helpers import evaluate_fixture, random_shape_spec, reference_address
 
 
 def compile_fixture(name):
     doc, symtab, plan, inputs, values = evaluate_fixture(name)
     layout = plan_layout(doc, symtab)
-    return layout, emit(layout, plan, values, inputs, doc)
+    return layout, emit(layout, plan, values, doc)
 
 
 class TestColumnNames:
@@ -91,8 +90,7 @@ class TestRegions:
 
     def test_caption_table_override(self):
         doc, symtab, plan, inputs, values = evaluate_fixture("cashflow")
-        layout = plan_layout(
-            doc, symtab, LayoutOptions(caption_table="expenses_during_period"))
+        layout = plan_layout(doc, symtab, caption_table="expenses_during_period")
         assert layout.caption_column == ("Model", 1, "expenses_during_period")
         assert layout.regions["expenses_during_period"].sheet == \
             "Expenses during period"
@@ -203,7 +201,7 @@ def compile_source(source):
     symtab, plan, diagnostics = analyze(doc)
     assert plan is not None, [str(d) for d in diagnostics]
     layout = plan_layout(doc, symtab)
-    return symtab, layout, emit(layout, plan, evaluate(plan, {}), {}, doc)
+    return symtab, layout, emit(layout, plan, evaluate(plan, {}), doc)
 
 
 def sheet_order(cell):
@@ -216,7 +214,7 @@ def check_geometry(symtab, layout, manifest):
     regions = layout.regions
     for name in symtab.tables:
         region = regions[name]
-        addresses = [layout.cell_address(cell)
+        addresses = [reference_address(cell, symtab, layout)
                      for cell in sorted(symtab.table_cells(name), key=sheet_order)]
         # one address per cell, all inside the rectangle, which they fill
         assert len(set(addresses)) == len(addresses) == region.width * region.height, name
@@ -226,9 +224,11 @@ def check_geometry(symtab, layout, manifest):
             assert region.top <= address.row <= region.bottom, (name, address)
         spots = [(address.row, address.column) for address in addresses]
         assert spots == sorted(spots), name
-        # a cell's dense number places it too: its offset in row-major index order
+        # Region.at places a cell by its offset in row-major index order, as
+        # dense numbers run, at the address the axis rule gives its indices
         for offset, cell in enumerate(symtab.table_cells(name)):
-            assert region.at(offset) == region.place(cell.indices), (name, cell)
+            address = reference_address(cell, symtab, layout)
+            assert region.at(offset) == (address.column, address.row), (name, cell)
     for (name, region), (other_name, other) in itertools.combinations(regions.items(), 2):
         assert (region.sheet != other.sheet or region.right < other.left
                 or other.right < region.left or region.bottom < other.top
@@ -251,7 +251,7 @@ class TestGeometry:
         for name in ("cashflow", "borrowing", "loans"):
             doc, symtab, plan, inputs, values = evaluate_fixture(name)
             layout = plan_layout(doc, symtab)
-            check_geometry(symtab, layout, emit(layout, plan, values, inputs, doc).manifest)
+            check_geometry(symtab, layout, emit(layout, plan, values, doc).manifest)
 
     def test_random_shapes(self):
         rng = random.Random(6006)

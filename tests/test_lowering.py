@@ -29,6 +29,7 @@ from helpers import (
     element_refs,
     fixture_text,
     random_document,
+    reference_elaborate,
     reference_expand_ref,
     reference_ref_bounds,
     walk,
@@ -134,22 +135,47 @@ def test_lowering_matches_reference_expansion():
     assert faulty >= 100 and read >= 1000
 
 
-def test_clean_documents_match_no_cell(monkeypatch):
-    """Bounds are checked exactly at the corners of each equation's boxes,
-    so a document without diagnostics never falls back to matching
-    patterns cell by cell."""
+def count_matches(monkeypatch) -> list:
+    """The list of the calls made to analyzer.match_patterns from now on."""
     calls = []
     match_patterns = analyzer.match_patterns
     monkeypatch.setattr(analyzer, "match_patterns",
                         lambda *args: calls.append(args) or match_patterns(*args))
-    clean = 0
+    return calls
+
+
+def test_clean_documents_match_no_cell(monkeypatch):
+    """Bounds are checked exactly at the corners of each equation's boxes,
+    so a document without diagnostics never falls back to matching
+    patterns cell by cell."""
+    matches, clean = count_matches(monkeypatch), 0
     for doc in documents():
-        del calls[:]
         _, plan, diagnostics = analyze(doc)
         if not diagnostics:
-            assert plan is not None and calls == [], doc
+            assert plan is not None and matches == [], doc
             clean += 1
     assert clean >= 600
+
+
+BROKEN = parse_document(
+    "bounds t: 1 to 4.\ntable x : t -> number.\ntable short : t -> number.\n"
+    "table twice : t -> number.\ntable past : t -> number.\n"
+    "short[ t<4 ] = x[ t ].\ntwice[ t ] = x[ t ].\ntwice[ t>2 ] = 1.\n"
+    "past[ t ] = x[ t + 1 ] + x[ t - 1 ].\n")
+
+
+def test_broken_documents_match_no_cell(monkeypatch):
+    """A table with an uncovered cell, an overlap or a read out of bounds
+    is diagnosed from the boxes of its equations too, never by matching
+    patterns cell by cell, and its diagnostics are the per-cell oracle's."""
+    matches = count_matches(monkeypatch)
+    symtab, _ = resolve(BROKEN)
+    _, diagnostics = elaborate(BROKEN, symtab)
+    assert matches == []
+    assert diagnostics == reference_elaborate(BROKEN, symtab)[2]
+    assert [d.code for d in diagnostics] == ["UncoveredCell", *["OverlappingRules"] * 2,
+                                             *["IndexOutOfBounds"] * 2]
+    assert sum(bool(analyze(doc)[2]) for doc in documents()) >= 300 and matches == []
 
 
 def test_cancelling_indices_take_one_box():

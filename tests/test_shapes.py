@@ -105,7 +105,7 @@ class TestShapeKey:
 
 def compiled_fixture(name):
     doc, symtab, plan, inputs, values = evaluate_fixture(name)
-    return emit(plan_layout(doc, symtab), plan, values, inputs, doc)
+    return emit(plan_layout(doc, symtab), plan, values, doc)
 
 
 @pytest.mark.parametrize("name", ["cashflow", "borrowing", "loans"])
@@ -132,7 +132,7 @@ def test_random_documents(tmp_path):
         try:
             layout = plan_layout(doc, symtab)
             inputs = load_inputs(inputs_path, symtab)
-            result = emit(layout, plan, evaluate(plan, inputs), inputs, doc)
+            result = emit(layout, plan, evaluate(plan, inputs), doc)
         except GridSpecError:
             continue
         assert assert_same_report(result.formulas, result.values).ok
@@ -159,7 +159,7 @@ def test_covering_documents(tmp_path):
             values = evaluate(plan, inputs)
         except GridSpecError:  # a division by zero
             continue
-        result = emit(layout, plan, values, inputs, doc)
+        result = emit(layout, plan, values, doc)
         assert assert_same_report(result.formulas, result.values).ok
         for sheet, cells in result.values.items():
             for at in rng.sample(sorted(cells), min(2, len(cells))):

@@ -12,7 +12,7 @@ from gridspec.ast import EquationDecl
 from gridspec.cli import load_inputs
 from gridspec.errors import GridSpecError, LayoutError
 from gridspec.evaluator import BLANK
-from gridspec.layout import LayoutOptions, emit, plan_layout
+from gridspec.layout import emit, plan_layout
 
 from helpers import (
     covering_document,
@@ -20,20 +20,21 @@ from helpers import (
     evaluate_fixture,
     random_document,
     random_inputs,
+    reference_address,
     reference_render_formula,
 )
 
 
-def assert_reference_formulas(doc, plan, values, inputs, options=None):
+def assert_reference_formulas(doc, plan, values, caption_table=None):
     """Every formula emit writes is the reference rendering of its cell,
     and every derived cell has one; render_formula agrees too."""
-    layout = plan_layout(doc, plan.symtab, options)
-    result = emit(layout, plan, values, inputs, doc)
+    layout = plan_layout(doc, plan.symtab, caption_table)
+    result = emit(layout, plan, values, doc)
     emitted = {(sheet, at): text for sheet, cells in result.formulas.items()
                for at, text in cells.items() if text.startswith("=")}
     expected = {}
     for cell in plan.rules:
-        address = layout.cell_address(cell)
+        address = reference_address(cell, plan.symtab, layout)
         text = reference_render_formula(cell, plan, layout)
         expected[address.sheet, (address.row, address.column)] = text
         assert render_formula(cell, plan, layout) == text
@@ -44,7 +45,7 @@ def assert_reference_formulas(doc, plan, values, inputs, options=None):
 @pytest.mark.parametrize("name", ["cashflow", "borrowing", "loans"])
 def test_fixtures(name):
     doc, _, plan, inputs, values = evaluate_fixture(name)
-    assert assert_reference_formulas(doc, plan, values, inputs)
+    assert assert_reference_formulas(doc, plan, values)
 
 
 def test_random_documents(tmp_path):
@@ -61,9 +62,9 @@ def test_random_documents(tmp_path):
         try:
             values = evaluate(plan, inputs)
         except GridSpecError:  # a formula is written whatever its value
-            values = dict.fromkeys(plan.rules, BLANK)
+            values = {cell: inputs.get(cell, BLANK) for cell in plan.symtab.cells}
         try:
-            assert_reference_formulas(doc, plan, values, inputs)
+            assert_reference_formulas(doc, plan, values)
         except LayoutError:
             continue
         compared += 1
@@ -82,8 +83,8 @@ def test_covering_documents(tmp_path):
         try:
             values = evaluate(plan, inputs)
         except GridSpecError:  # a formula is written whatever its value
-            values = dict.fromkeys(plan.rules, BLANK)
-        assert assert_reference_formulas(doc, plan, values, inputs)
+            values = {cell: inputs.get(cell, BLANK) for cell in plan.symtab.cells}
+        assert assert_reference_formulas(doc, plan, values)
 
 
 CAPTION_SPEC = """\
@@ -108,8 +109,7 @@ def test_quoted_caption_sheet(tmp_path):
     inputs_path.write_text("".join(f"base,{i},{i * 10}\n" for i in range(1, 5)),
                            encoding="utf-8")
     inputs = load_inputs(inputs_path, symtab)
-    formulas = assert_reference_formulas(doc, plan, evaluate(plan, inputs), inputs,
-                                         LayoutOptions(caption_table="q_r"))
+    formulas = assert_reference_formulas(doc, plan, evaluate(plan, inputs), "q_r")
     assert formulas["Model", (4, 3)] == "=C3+'Q r'!A4*2"
     assert formulas["Model", (2, 4)] == "=SUM('Q r'!A3:A6)/SUM(C3:C6)"
     assert formulas["Q r", (3, 1)] == "=Model!B3+1"
@@ -129,6 +129,6 @@ def test_one_template_per_equation(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(gridspec.layout, "format_expr", counted)
-    emit(layout, plan, values, inputs, doc)
+    emit(layout, plan, values, doc)
     equations = [e for e in doc.elements if isinstance(e, EquationDecl)]
     assert 0 < len(calls) <= len(equations)

@@ -16,7 +16,7 @@ from helpers import evaluate_fixture
 def compile_fixture(name):
     doc, symtab, plan, inputs, values = evaluate_fixture(name)
     layout = plan_layout(doc, symtab)
-    return plan, emit(layout, plan, values, inputs, doc)
+    return plan, emit(layout, plan, values, doc)
 
 
 class TestFormulaParsing:
