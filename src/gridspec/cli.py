@@ -227,8 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate_cmd = sub.add_parser("eval", help="evaluate a spec to value grids")
     evaluate_cmd.add_argument("spec")
     evaluate_cmd.add_argument("--inputs")
-    evaluate_cmd.add_argument("--out")
-    evaluate_cmd.add_argument("--out-dir")
+    target = evaluate_cmd.add_mutually_exclusive_group()  # both: a usage error, exit 2
+    target.add_argument("--out")
+    target.add_argument("--out-dir")
     evaluate_cmd.add_argument("--caption-table")
     evaluate_cmd.set_defaults(func=cmd_eval)
 

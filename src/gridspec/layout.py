@@ -27,7 +27,8 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from operator import mul
+from itertools import product, repeat
+from operator import itemgetter, mul
 
 from .a1 import MAX_COLUMNS, MAX_ROWS, column_letters, sheet_prefix
 from .analyzer import CellId, CellPlan, SymbolTable
@@ -141,8 +142,7 @@ def plan_layout(doc: SpecDocument, symtab: SymbolTable,
     bounds = symtab.bounds
     regions: dict[str, Region] = {}
     sheets = [MAIN_SHEET] if main_tables else []
-    caption_column = None
-    caption_rows: list[int] = []
+    caption_column, caption_rows = None, []
     if caption is not None:
         sheets.append(humanize_caption(caption.name))
         regions[caption.name] = _place(caption, bounds, sheets[-1], 3, 1, 1)
@@ -192,15 +192,13 @@ def plan_layout(doc: SpecDocument, symtab: SymbolTable,
 # --- formula rendering -----------------------------------------------------
 
 def _template(equation, symtab: SymbolTable, layout: Layout) -> tuple:
-    """Stencil.template's formula text split at its holes: the dimensions
-    its index variables bind, the text before the first hole, then each
-    hole with the text after it.  A hole is the dimension whose index an
-    index variable takes or, for a Hole, the sheet prefix its reference
-    needs on the equation's sheet, its table's region and its dense read
-    (SymbolTable.reads): `first` less the table's base, the steps, and for
-    a range the offset of its last cell (None for one cell)."""
-    stencil = symtab.stencils[id(equation)]
-    reads = symtab.reads[id(equation)]
+    """Stencil.template's formula as one %-format string, and its holes: for
+    an index variable its number in Stencil.variables, formatted %d; for a
+    reference its table's region and dense read (SymbolTable.reads), that
+    is `first` less the table's base, the steps, the last step and for a
+    range its last cell's offset (None for one cell), each end formatted
+    %s%d, column letters and row, after the sheet prefix it needs."""
+    stencil, reads = symtab.stencils[id(equation)], symtab.reads[id(equation)]
     home = layout.regions[equation.table].sheet
     holes = []
 
@@ -212,73 +210,99 @@ def _template(equation, symtab: SymbolTable, layout: Layout) -> tuple:
         if isinstance(expr, Call):
             return expr.func.upper()
         if isinstance(expr, IndexVar):
-            holes.append(stencil.variables[expr.name])
-        else:
-            ref, _, extent, _ = stencil.refs[expr.slot]
-            first, steps, offsets = reads[expr.slot]
-            region = layout.regions[ref.table]
-            holes.append(("" if region.sheet == home else sheet_prefix(region.sheet), region,
-                          first - extent.base, steps, offsets and offsets[-1]))
-        return "\0"  # no other text of a formula holds it
+            holes.append(list(stencil.variables).index(expr.name))
+            return "%d"
+        ref, _, extent, _ = stencil.refs[expr.slot]
+        first, steps, offsets = reads[expr.slot]
+        region = layout.regions[ref.table]
+        holes.append((region, first - extent.base, steps, steps[-1] if steps else 0,
+                      offsets and offsets[-1]))
+        prefix = "" if region.sheet == home else sheet_prefix(region.sheet).replace("%", "%%")
+        return prefix + ("%s%d" if offsets is None else "%s%d:%s%d")  # ranges are rectangles
 
-    head, *parts = ("=" + format_expr(stencil.template, leaf, pad="")).split("\0")
-    return tuple(stencil.variables.values()), head, tuple(zip(holes, parts))
+    return "=" + format_expr(stencil.template, leaf, pad=""), tuple(holes)
 
 
-def _fill(template: tuple, indices: tuple[int, ...], letters) -> str:
-    """A cell's formula from its equation's template, its indices and
-    column_letters, `letters`.  A reference reads the cell `first + sum(step
-    * value)` over the cell's index-variable values, and a range that cell
-    and the one its last offset further on, placed by Region.at."""
-    dims, head, holes = template
-    values = [indices[d] for d in dims]
-    texts = [head]
-    for hole, text in holes:
+def _format_run(template: tuple, outer: tuple, inner: range, letters) -> list[str]:
+    """Formulas of a run of one equation's cells (see _template): the index
+    variables take the values `outer` but the last, which takes each of
+    `inner`, so a reference reads cells `first + sum(step * value)`, `step`
+    apart, and a range each to its last offset on.  They are placed as
+    Region.at places them: by arithmetic in one row or one column, else one
+    by one; `letters` is column_letters."""
+    text, holes = template
+    count, fields = len(inner), []
+    for hole in holes:
         if type(hole) is int:
-            texts.append(str(indices[hole]))
-        else:
-            prefix, region, first, steps, last = hole
-            first += sum(map(mul, steps, values))
-            # a range lists its cells row-major and plan_layout admits only
-            # rectangles, so it is first:last, with the sheet before first only
-            for number in (first,) if last is None else (first, first + last):
-                column, row = region.at(number)
-                texts += (prefix, letters(column), str(row))
-                prefix = ":"
-        texts.append(text)
-    return "".join(texts)
+            fields.append(repeat(outer[hole], count) if hole < len(outer) else inner)
+            continue
+        region, first, steps, step, last = hole
+        first += sum(map(mul, steps, outer)) + step * inner.start
+        across, down = divmod(step, region.height)
+        for number in (first,) if last is None else (first, first + last):
+            column, row = region.at(number)
+            if not down:  # one row
+                fields += (map(letters, range(column, column + across * count, across))
+                           if across else repeat(letters(column), count)), repeat(row, count)
+            elif count == 1 or region.at(number + step * (count - 1))[0] == column:
+                fields += repeat(letters(column), count), range(row, row + step * count, step)
+            else:
+                columns, rows = zip(*map(region.at, range(number, number + step * count, step)))
+                fields += map(letters, columns), rows
+    return list(map(text.__mod__, zip(*fields))) if fields else [text % ()] * count
 
 
 def render_formula(cell: CellId, plan: CellPlan, layout: Layout) -> str:
     """Render a derived cell's equation as an A1 formula for its sheet; the
     equation is that of the box which covers the cell's dense number."""
-    extent = plan.symtab.extents[cell.table]
-    box = plan.owner[extent.origin + sum(map(mul, cell.indices, extent.strides))]
-    return _fill(_template(box.equation, plan.symtab, layout), cell.indices, column_letters)
+    symtab, extent = plan.symtab, plan.symtab.extents[cell.table]
+    equation = plan.owner[extent.origin + sum(map(mul, cell.indices, extent.strides))].equation
+    dims = symtab.stencils[id(equation)].variables.values()
+    *outer, last = [cell.indices[d] for d in dims] or [0]  # no variables: one cell
+    return _format_run(_template(equation, symtab, layout), outer, range(last, last + 1),
+                       column_letters)[0]
 
 
 # --- value rendering and emission ------------------------------------------
+
+def _currency_text(value: float) -> str:
+    """A currency number to two decimals where that is exact, -0 as 0.00."""
+    text = f"{value + 0.0:.2f}"  # adding 0.0 turns -0 into 0
+    return text if float(text) == value else format_number(value)
+
 
 def render_value(value: Value, currency: bool = False) -> str:
     """Machine-readable value text that reads back as the same value: a
     number of a currency table to two decimals without a symbol where that
     is exact, other numbers in positional notation, booleans TRUE/FALSE,
     NA as #N/A, dates ISO, blanks empty."""
-    if isinstance(value, Blank):
-        return ""
-    if isinstance(value, NAError):
-        return "#N/A"
+    if isinstance(value, Number):
+        return (_currency_text if currency else format_number)(value.value)
     if isinstance(value, Boolean):
         return "TRUE" if value.value else "FALSE"
     if isinstance(value, DateValue):
         return value.date.isoformat()
-    if isinstance(value, Number):
-        if currency:
-            text = f"{value.value:.2f}"
-            if float(text) == value.value:
-                return text
-        return format_number(value.value)
+    if isinstance(value, (Blank, NAError)):
+        return "" if isinstance(value, Blank) else "#N/A"
     raise TypeError(f"unrenderable value: {value!r}")
+
+
+def _value_texts(name: str, symtab: SymbolTable, values: dict[CellId, Value]) -> list[str]:
+    """A table's value texts by dense number (see render_value)."""
+    extent, currency = symtab.extents[name], symtab.tables[name].result_type == "currency"
+    number = _currency_text if currency else format_number
+    return [number(value.value) if type(value) is Number else render_value(value, currency)
+            for value in map(values.__getitem__,
+                             symtab.cells[extent.base:extent.base + extent.size])]
+
+
+def _put(grids: tuple, texts: tuple, top: int, left: int, height: int) -> None:
+    """Write each of `texts`, by dense number, into its one of `grids`, `height` to
+    a column from (`top`, `left`) on; empty texts stay out, and the grids share keys."""
+    keys = [(row, column) for column in range(left, left + len(texts[0]) // height)
+            for row in range(top, top + height)]
+    for grid, cell_texts in zip(grids, texts):
+        grid.update(filter(itemgetter(1), zip(keys, cell_texts)))
 
 
 Grid = dict[str, dict[tuple[int, int], str]]  # sheet -> (row, column) -> text
@@ -299,46 +323,37 @@ def emit(layout: Layout, plan: CellPlan, values: dict[CellId, Value],
     formulas: Grid = {sheet: {} for sheet in layout.sheets}
     value_doc: Grid = {sheet: {} for sheet in layout.sheets}
 
-    def put(sheet, row, column, formula_text, value_text):
-        if formula_text:
-            formulas[sheet][(row, column)] = formula_text
-        if value_text:
-            value_doc[sheet][(row, column)] = value_text
-
     # headers
     for name, region in layout.regions.items():
-        caption = humanize_caption(name)
-        put(region.sheet, region.header_row, region.left, caption, caption)
+        key = region.header_row, region.left
+        formulas[region.sheet][key] = value_doc[region.sheet][key] = humanize_caption(name)
 
     # caption column: header plus copied values next to matching bands
     if layout.caption_column is not None:
         sheet, column, source = layout.caption_column
-        header = humanize_caption(source)
-        put(sheet, 1, column, header, header)
-        source_decl = symtab.tables[source]
-        currency = source_decl.result_type == "currency"
-        low, high = symtab.bounds[source_decl.dims[0]]
+        formulas[sheet][1, column] = value_doc[sheet][1, column] = humanize_caption(source)
+        texts = _value_texts(source, symtab, values)
         for band_top in layout.caption_rows:
-            for index in range(low, high + 1):
-                text = render_value(values[CellId(source, (index,))], currency)
-                put(sheet, band_top + index - low, column, text, text)
+            _put((formulas[sheet], value_doc[sheet]), (texts, texts), band_top, column, len(texts))
 
-    # table cells; an equation's template serves the cells of its table only
+    # table cells, a box's formulas a run at a time; an input cell's formula is its value
     letters = functools.cache(column_letters)
-    cells = symtab.cells
-    for name, decl in symtab.tables.items():
-        currency = decl.result_type == "currency"
-        region = layout.regions[name]
-        extent = symtab.extents[name]
-        templates = {id(equation): _template(equation, symtab, layout)
-                     for equation in symtab.equations_by_table.get(name, ())}
-        for number in range(extent.base, extent.base + extent.size):
-            cell, box = cells[number], plan.owner[number]
-            column, row = region.at(number - extent.base)
-            text = render_value(values[cell], currency)
-            formula = text if box is None else _fill(templates[id(box.equation)], cell.indices,
-                                                     letters)
-            put(region.sheet, row, column, formula, text)
+    for name in symtab.tables:
+        region, base = layout.regions[name], symtab.extents[name].base
+        templates = {}  # id() of each equation of the table -> its _template
+        texts = _value_texts(name, symtab, values)
+        cell_formulas = texts.copy() if name in plan.boxes else texts
+        for box in plan.boxes.get(name, ()):
+            if id(box.equation) not in templates:
+                templates[id(box.equation)] = _template(box.equation, symtab, layout)
+            *outer, inner = box.spans or (range(1),)
+            step = box.steps[-1] if box.steps else 1
+            for fixed in product(*outer):  # a run: `fixed` outer values, cells `step` apart
+                start = box.first - base + sum(map(mul, box.steps, fixed)) + step * inner.start
+                cell_formulas[start:start + step * len(inner):step] = _format_run(
+                    templates[id(box.equation)], fixed, inner, letters)
+        _put((formulas[region.sheet], value_doc[region.sheet]), (cell_formulas, texts),
+             region.top, region.left, region.height)
 
     manifest = build_manifest(layout, symtab, doc)
     return EmitResult(formulas, value_doc, manifest)
@@ -349,18 +364,11 @@ def build_manifest(layout: Layout, symtab: SymbolTable,
     comments = _attach_comments(doc) if doc is not None else {}
     tables = []
     for name, decl in symtab.tables.items():
-        region = layout.regions.get(name)
-        if region is None:
-            continue
-        tables.append({
-            "name": name,
-            "sheet": region.sheet,
-            "rectangle": region.a1_range(),
-            "orientation": region.orientation,
-            "result_type": decl.result_type,
-            "class": "input" if symtab.is_input(name) else "derived",
-            "comment": comments.get(name, ""),
-        })
+        region = layout.regions[name]
+        tables.append({"name": name, "sheet": region.sheet, "rectangle": region.a1_range(),
+                       "orientation": region.orientation, "result_type": decl.result_type,
+                       "class": "input" if symtab.is_input(name) else "derived",
+                       "comment": comments.get(name, "")})
     entry = {"sheets": layout.sheets, "tables": tables}
     if layout.caption_column is not None:
         sheet, column, source = layout.caption_column
@@ -394,22 +402,19 @@ def grid_to_csv(cells: dict[tuple[int, int], str]) -> str:
     """Render one sheet's sparse cells as a rectangular RFC-4180 CSV."""
     if not cells:
         return ""
-    max_row = max(row for row, _ in cells)
-    max_col = max(col for _, col in cells)
+    width = max(map(itemgetter(1), cells))
+    rows = [[""] * width for _ in range(max(cells)[0])]
+    for (row, column), text in cells.items():
+        rows[row - 1][column - 1] = text
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    for row in range(1, max_row + 1):
-        writer.writerow([cells.get((row, col), "") for col in range(1, max_col + 1)])
+    csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
 
 
 def csv_to_grid(text: str) -> dict[tuple[int, int], str]:
-    cells: dict[tuple[int, int], str] = {}
-    for row_index, record in enumerate(csv.reader(io.StringIO(text)), start=1):
-        for col_index, cell_text in enumerate(record, start=1):
-            if cell_text != "":
-                cells[(row_index, col_index)] = cell_text
-    return cells
+    return {(row, column): cell_text
+            for row, record in enumerate(csv.reader(io.StringIO(text)), start=1)
+            for column, cell_text in enumerate(record, start=1) if cell_text}
 
 
 def manifest_to_json(manifest: dict) -> str:
@@ -422,11 +427,9 @@ def write_outputs(result: EmitResult, out_dir) -> None:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for sheet, cells in result.formulas.items():
-        (out / f"{sheet}.formulas.csv").write_text(grid_to_csv(cells),
-                                                   encoding="utf-8", newline="")
-    for sheet, cells in result.values.items():
-        (out / f"{sheet}.values.csv").write_text(grid_to_csv(cells),
-                                                 encoding="utf-8", newline="")
+    for kind, grid in (("formulas", result.formulas), ("values", result.values)):
+        for sheet, cells in grid.items():
+            (out / f"{sheet}.{kind}.csv").write_text(grid_to_csv(cells), encoding="utf-8",
+                                                     newline="")
     (out / "manifest.json").write_text(manifest_to_json(result.manifest),
                                        encoding="utf-8", newline="")

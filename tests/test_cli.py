@@ -149,6 +149,14 @@ class TestEvalCommand:
     def test_missing_output_target(self):
         assert main(["eval", str(FIXTURES / "cashflow.gsx")]) == 2
 
+    def test_out_and_out_dir_are_refused_together(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["eval", str(FIXTURES / "cashflow.gsx"), "--out", str(tmp_path / "a.csv"),
+                  "--out-dir", str(tmp_path / "d")])
+        assert info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_spec_without_tables(self, tmp_path, capsys):
         """A spec with no table writes an empty values CSV, as compile
         writes a directory without sheets."""
@@ -277,6 +285,18 @@ class TestValueTextReadsBack:
         assert code == 0
         values = (out / "Model.values.csv").read_text(encoding="utf-8").splitlines()
         assert values[2] == "5.10,5.1,5.1,5.1"
+        assert main(["verify", str(out)]) == 0
+        assert "0 mismatch(es)" in capsys.readouterr().out
+
+    def test_negative_zero_currency_is_zero(self, tmp_path, capsys):
+        """A currency cell holding -0 is written 0.00, as a number cell is written 0."""
+        code, out = run_cli(tmp_path, "bounds t: 1 to 1.\ntable price : t -> currency.\n"
+                            "table zero : t -> currency.\ntable plain : t -> number.\n"
+                            "zero[ t ] = price[ t ] * ( 0 - 1 ).\n"
+                            "plain[ t ] = price[ t ] * ( 0 - 1 ).\n", "price,1,0\n")
+        assert code == 0
+        values = (out / "Model.values.csv").read_text(encoding="utf-8").splitlines()
+        assert values[2] == "0.00,0.00,0"
         assert main(["verify", str(out)]) == 0
         assert "0 mismatch(es)" in capsys.readouterr().out
 

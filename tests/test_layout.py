@@ -114,6 +114,11 @@ class TestRenderValue:
         assert render_value(Number(1e-5)) == "0.00001"
         assert render_value(Number(10 / 3), currency=True) == "3.3333333333333335"
 
+    def test_negative_zero_is_zero(self):
+        assert render_value(Number(-0.0), currency=True) == "0.00"
+        assert render_value(Number(-0.0)) == "0"
+        assert render_value(Number(-0.001), currency=True) == "-0.001"
+
 
 class TestRenderedFormulas:
     def test_cashflow_formulas(self):

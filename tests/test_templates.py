@@ -3,12 +3,14 @@ each cell's addresses and index values.  Its formulas must equal, cell for
 cell, those of a renderer that walks the equation for every cell
 (helpers.reference_render_formula)."""
 
+import collections
 import random
+import sys
 
 import pytest
 
 from gridspec import analyze, evaluate, parse_document, render_formula
-from gridspec.ast import EquationDecl
+from gridspec import layout as layout_module
 from gridspec.cli import load_inputs
 from gridspec.errors import GridSpecError, LayoutError
 from gridspec.evaluator import BLANK
@@ -115,20 +117,146 @@ def test_quoted_caption_sheet(tmp_path):
     assert formulas["Q r", (3, 1)] == "=Model!B3+1"
 
 
-def test_one_template_per_equation(monkeypatch):
-    """One emit of the loans fixture formats each equation at most once."""
-    import gridspec.layout
+# One document per way a run's addresses are placed: a reversed read steps
+# up one column, a transposed block read steps whole columns either way, a
+# diagonal read crosses a column boundary within a run, a 0-D read stays put.
+PLACEMENT_SPECS = {
+    "reversed read": ("""\
+bounds t: 1 to 5.
+table a : t -> number.
+table b : t -> number.
+b[ t ] = a[ 6 - t ].
+""", "Model", (3, 2), "=A7"),
+    "transposed block read": ("""\
+bounds l: 1 to 2.
+bounds t: 1 to 3.
+table x : l t -> number.
+table y : t l -> number.
+y[ t, l ] = x[ l, t ] + x[ 3 - l, t ].
+""", "Model", (10, 2), "=B4+A4"),
+    "run across a column boundary": ("""\
+bounds l: 1 to 3.
+bounds t: 1 to 3.
+table x : l t -> number.
+table d : t -> number.
+d[ t ] = x[ t, t ] + x[ t, 4 - t ].
+""", "Model", (11, 1), "=C5+C3"),
+    "0-D read, index variable, range and a <>-split box": ("""\
+bounds t: 1 to 4.
+table rate : -> number.
+table a : t -> number.
+table y : t -> number.
+table total : -> number.
+y[ t <> 2 ] = a[ t ] * rate[] + t.
+y[ 2 ] = sum( a[ all ] ).
+total[] = sum( y[ all ] ) - rate[].
+""", "Model", (5, 3), "=B5*A2+3"),
+    "range along a block row": ("""\
+bounds l: 1 to 3.
+bounds t: 1 to 2.
+table x : l t -> number.
+table s : t -> number.
+s[ t ] = sum( x[ all, t ] ) + x[ 3, t ].
+""", "Model", (9, 1), "=SUM(A4:C4)+C4"),
+    "caption-sheet prefix": ("""\
+bounds t: 1 to 3.
+table time : t -> number.
+table a : t -> number.
+time[ t ] = t * 10.
+a[ t ] = time[ 4 - t ] + time[ t ].
+""", "Model", (3, 2), "=Time!A5+Time!A3"),
+}
 
-    doc, symtab, plan, inputs, values = evaluate_fixture("loans")
-    layout = plan_layout(doc, symtab)
+
+@pytest.mark.parametrize("name", PLACEMENT_SPECS)
+def test_placement_branches(name):
+    spec, sheet, at, formula = PLACEMENT_SPECS[name]
+    doc = parse_document(spec)
+    _, plan, diagnostics = analyze(doc)
+    assert plan is not None, diagnostics
+    formulas = assert_reference_formulas(doc, plan, evaluate(plan, {}))
+    assert formulas[sheet, at] == formula
+
+
+def counting(monkeypatch, name):
+    """Record the arguments of each call of layout's `name`."""
     calls = []
-    original = gridspec.layout.format_expr
+    original = getattr(layout_module, name)
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args)
         return original(*args, **kwargs)
+    monkeypatch.setattr(layout_module, name, counted)
+    return calls
 
-    monkeypatch.setattr(gridspec.layout, "format_expr", counted)
-    emit(layout, plan, values, doc)
-    equations = [e for e in doc.elements if isinstance(e, EquationDecl)]
-    assert 0 < len(calls) <= len(equations)
+
+def test_one_template_per_equation(monkeypatch):
+    """Each emit formats the template of each equation that covers a cell
+    once, and keeps nothing formatted from one call to the next."""
+    formatted = counting(monkeypatch, "format_expr")
+    for name in ("cashflow", "borrowing", "loans"):
+        doc, symtab, plan, _, values = evaluate_fixture(name)
+        layout = plan_layout(doc, symtab)
+        equations = {id(box.equation): box.equation
+                     for boxes in plan.boxes.values() for box in boxes}.values()
+        formatted.clear()
+        for calls in (1, 2):
+            emit(layout, plan, values, doc)
+            assert len(formatted) == calls * len(equations)
+        assert [args[0] for args in formatted] == 2 * [
+            symtab.stencils[id(equation)].template for equation in equations]
+
+
+def test_render_formula_uses_the_run_formatter(monkeypatch):
+    doc, symtab, plan, _, values = evaluate_fixture("loans")
+    layout = plan_layout(doc, symtab)
+    emitted = emit(layout, plan, values, doc).formulas
+    formatted = counting(monkeypatch, "_format_run")
+    for cell in plan.rules:
+        address = reference_address(cell, symtab, layout)
+        assert render_formula(cell, plan, layout) == emitted[address.sheet][address.row,
+                                                                           address.column]
+    assert len(formatted) == len(plan.rules)
+
+
+SCALED_SPEC = """\
+bounds t: 1 to {periods}.
+bounds l: 1 to 3.
+table time : t -> number.
+table rate : l -> currency.
+table x : l t -> currency.
+table total : t -> number.
+time[ t ] = t.
+x[ l, 1 ] = rate[ l ].
+x[ l, t > 1 ] = x[ l, t - 1 ] * rate[ l ] + time[ t ].
+total[ t ] = sum( x[ all, t ] ) + time[ {periods} + 1 - t ] + t.
+"""
+
+
+def test_no_call_per_cell():
+    """Emit makes no Python call per formula cell: with four times the
+    periods, every function but the value texts' is called as often."""
+    calls = []
+    for periods in (10, 40):
+        doc = parse_document(SCALED_SPEC.format(periods=periods))
+        _, plan, diagnostics = analyze(doc)
+        assert plan is not None, diagnostics
+        values = evaluate(plan, {})
+        layout = plan_layout(doc, plan.symtab)
+        counts = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                counts[frame.f_code] += 1
+        sys.setprofile(profile)
+        try:
+            emit(layout, plan, values, doc)
+        finally:
+            sys.setprofile(None)
+        calls.append(counts)
+    per_value = {f.__code__ for f in (layout_module.render_value, layout_module.format_number,
+                                      layout_module._currency_text)}
+    small, large = calls
+    assert large[layout_module._format_run.__code__] > 0
+    assert {code.co_name: (small[code], large[code]) for code in small.keys() | large.keys()
+            if code not in per_value and small[code] != large[code]} == {}
