@@ -82,60 +82,51 @@ class Extent(NamedTuple):
     axes: tuple[tuple[str, int, int], ...]
 
 
-class Stencil(NamedTuple):
-    """An equation lowered once by `resolve`.  `variables` maps its index
-    variables, in order of first appearance, to the first dimension each
-    binds.  Each index is an affine form `(constant, ((n, coefficient),
-    ...))` over the variables numbered in that order, terms that cancel
-    left out.  `home` holds the form of each left-hand pattern, and `refs`
-    `(ref, indices, extent, ranged)` per element reference, left to right:
-    the ElementRef, the forms (None for `all`), its table's Extent and
-    whether any index is `all`.  `template` is the right-hand side with
-    the reference `refs[n]` made `Hole(n, ranged)` (see ast.punch)."""
+@dataclass(eq=False)
+class Stencil:
+    """An equation lowered once by `resolve`: the one record of it that
+    later stages read, compared by identity, so two equal equations stay
+    two.  `variables` maps its index variables, in order of first
+    appearance, to the first dimension each binds.  Each index is an
+    affine form `(constant, ((n, coefficient), ...))` over the variables
+    numbered in that order, terms that cancel left out.  `home` holds the
+    form of each left-hand pattern, and `refs` `(ref, indices, extent,
+    ranged)` per element reference, left to right: the ElementRef, the
+    forms (None for `all`), its table's Extent and whether any index is
+    `all`.  `template` is the right-hand side with the reference `refs[n]`
+    made `Hole(n, ranged)` (see ast.punch)."""
 
+    equation: EquationDecl
     variables: dict[str, int]
     home: tuple
     refs: tuple
     template: Expr
+
+    @cached_property
+    def reads(self) -> tuple:
+        """The dense numbers each reference reads, `(first, steps,
+        offsets)`: `first + sum(value * step)` over the variables' values,
+        plus each offset for a range (None for one cell).  Made when first
+        read, which `check` never does."""
+        width = len(self.variables)
+        return tuple([_dense_read(indices, extent, width) for _, indices, extent, _ in self.refs])
 
 
 @dataclass
 class SymbolTable:
     bounds: dict[str, tuple[int, int]]
     tables: dict[str, TableDecl]
-    equations_by_table: dict[str, list[EquationDecl]]
-    stencils: dict[int, Stencil] = field(repr=False)  # id() of each equation -> its stencil
-    extents: dict[str, Extent] = field(repr=False)    # in name order
+    stencils: dict[str, list[Stencil]] = field(repr=False)  # per table, in source order
+    extents: dict[str, Extent] = field(repr=False)          # in name order
 
     def is_input(self, table: str) -> bool:
-        return not self.equations_by_table.get(table)
-
-    def table_cells(self, table: str):
-        """Enumerate every CellId of a table in row-major index order."""
-        decl = self.tables[table]
-        ranges = [range(self.bounds[d][0], self.bounds[d][1] + 1) for d in decl.dims]
-        for combo in product(*ranges):
-            yield CellId(table, combo)
+        return not self.stencils.get(table)
 
     @cached_property
     def cells(self) -> list[CellId]:
-        """Every cell, by dense number."""
-        return [cell for name in self.extents for cell in self.table_cells(name)]
-
-    @cached_property
-    def reads(self) -> dict[int, tuple]:
-        """Per equation, by id(), the dense numbers each of its references
-        reads, `(first, steps, offsets)`: `first + sum(value * step)` over
-        its variables' values, plus each offset for a range (None for one
-        cell).  Made when first read, which `check` never does."""
-        reads, same_steps = {}, {}  # equal steps are kept once
-        for key, stencil in self.stencils.items():
-            width, read = len(stencil.variables), []
-            for _, indices, extent, _ in stencil.refs:
-                first, steps, offsets = _dense_read(indices, extent, width)
-                read.append((first, same_steps.setdefault(steps, steps), offsets))
-            reads[key] = tuple(read)
-        return reads
+        """Every cell, by dense number: each table's in row-major index order."""
+        return [CellId(name, indices) for name, extent in self.extents.items()
+                for indices in product(*[range(low, high + 1) for _, low, high in extent.axes])]
 
 
 class Box(NamedTuple):
@@ -144,7 +135,7 @@ class Box(NamedTuple):
     Stencil.variables.  A cell's dense number is `first + sum(value *
     step)` over those values."""
 
-    equation: EquationDecl
+    stencil: Stencil
     spans: tuple[range, ...]
     first: int
     steps: tuple[int, ...]
@@ -173,19 +164,23 @@ class CellPlan:
     boxes: dict[str, list[Box]] = field(repr=False)
     owner: list = field(repr=False)
 
-    @cached_property
-    def rules(self) -> dict[CellId, RuleInstance]:
-        """Each derived cell's rule, tables in declaration order, cells row-major."""
-        rules, cells, stencils = {}, self.symtab.cells, self.symtab.stencils
+    def derived(self):
+        """Each derived cell and the box that covers it, tables in
+        declaration order, cells row-major."""
+        cells = self.symtab.cells
         for name in self.boxes:
             extent = self.symtab.extents[name]
             numbers = slice(extent.base, extent.base + extent.size)
             for cell, box in zip(cells[numbers], self.owner[numbers]):
                 if box is not None:
-                    variables = stencils[id(box.equation)].variables
-                    rules[cell] = RuleInstance(box.equation, {
-                        var: cell.indices[d] for var, d in variables.items()})
-        return rules
+                    yield cell, box
+
+    @cached_property
+    def rules(self) -> dict[CellId, RuleInstance]:
+        """Each derived cell's rule, in the order of `derived`."""
+        return {cell: RuleInstance(box.stencil.equation, {
+                    var: cell.indices[d] for var, d in box.stencil.variables.items()})
+                for cell, box in self.derived()}
 
 
 def compatible(declared: str, inferred: str) -> bool:
@@ -200,8 +195,7 @@ def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
     diagnostics: list[Diagnostic] = []
     bounds: dict[str, tuple[int, int]] = {}
     tables: dict[str, TableDecl] = {}
-    equations: dict[str, list[EquationDecl]] = {}
-    stencils: dict[int, Stencil] = {}
+    stencils: dict[str, list[Stencil]] = {}
     # equal variable maps, lowered indices and Holes are kept once: a spec repeats its shapes
     same_variables, same_indices, same_hole = {}, {}, cache(Hole)
 
@@ -226,7 +220,7 @@ def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
                     f"table '{element.name}' declared more than once", element.pos))
                 continue
             tables[element.name] = element
-            equations[element.name] = []
+            stencils[element.name] = []
 
     extents, base = {}, 0
     for name in sorted(tables):
@@ -265,7 +259,6 @@ def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
                     f"index pattern(s) but the table has {len(decl.dims)} dimension(s)",
                     element.pos))
                 continue
-            equations[element.table].append(element)
             variables = {}
             for d, pattern in enumerate(element.lhs_patterns):
                 if type(pattern) is not ConstantPattern:
@@ -300,9 +293,10 @@ def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
                 return ref
 
             template = punch(element.rhs, hole)
-            stencils[id(element)] = Stencil(variables, home, tuple(refs), template)
+            stencil = Stencil(element, variables, home, tuple(refs), template)
+            stencils[element.table].append(stencil)
 
-    return SymbolTable(bounds, tables, equations, stencils, extents), diagnostics
+    return SymbolTable(bounds, tables, stencils, extents), diagnostics
 
 
 def _lower(index: Expr, positions: dict[str, int]) -> tuple:
@@ -334,7 +328,7 @@ def index_value(form: tuple, values) -> int:
 
 def _dense_read(indices, extent: Extent, width: int) -> tuple:
     """(first, steps, offsets) of the cells that per-dimension forms, None
-    for `all`, read in a table (see SymbolTable.reads): a form adds its
+    for `all`, read in a table (see Stencil.reads): a form adds its
     constant times its dimension's stride to `first`, and each coefficient
     times the stride to its variable's step."""
     first, steps, spans = extent.origin, [0] * width, []
@@ -350,12 +344,16 @@ def _dense_read(indices, extent: Extent, width: int) -> tuple:
 
 
 def typecheck(doc: SpecDocument, symtab: SymbolTable) -> list[Diagnostic]:
-    """Check every equation right-hand side against its table's result type."""
+    """Check every equation right-hand side against its table's result
+    type, in source order.  Each table's stencils are in source order, so
+    an equation's stencil is the next of its table's, if resolve made one."""
     diagnostics: list[Diagnostic] = []
+    pending = {name: stencils[::-1] for name, stencils in symtab.stencils.items()}
     for element in doc.elements:
-        stencil = symtab.stencils.get(id(element))  # None unless a resolved equation
-        if stencil is None:
+        upcoming = pending.get(element.table) if type(element) is EquationDecl else None
+        if not upcoming or upcoming[-1].equation is not element:
             continue
+        stencil = upcoming.pop()
         checker = _TypeChecker(symtab, stencil.variables, element, diagnostics)
         inferred = checker.infer(element.rhs, all_ok=False)
         declared = symtab.tables[element.table].result_type
@@ -530,12 +528,11 @@ def elaborate(doc: SpecDocument, symtab: SymbolTable) -> tuple[CellPlan, list[Di
     diagnostics: list[Diagnostic] = []
     owner = [None] * sum(extent.size for extent in symtab.extents.values())
     boxes: dict[str, list[Box]] = {}
-    for name, equations in symtab.equations_by_table.items():
-        if not equations:
+    for name, stencils in symtab.stencils.items():
+        if not stencils:
             continue
         extent = symtab.extents[name]
-        covers = [_cover(equation, symtab.stencils[id(equation)], extent)
-                  for equation in equations]
+        covers = [_cover(stencil, extent) for stencil in stencils]
         boxes[name] = [box for cover, _ in covers for box in cover]
         if not (all(in_bounds for _, in_bounds in covers) and _own(boxes[name], owner)
                 and None not in owner[extent.base:extent.base + extent.size]):
@@ -543,14 +540,14 @@ def elaborate(doc: SpecDocument, symtab: SymbolTable) -> tuple[CellPlan, list[Di
     return CellPlan(symtab, boxes, owner), diagnostics
 
 
-def _cover(equation: EquationDecl, stencil: Stencil, extent: Extent) -> tuple[list[Box], bool]:
+def _cover(stencil: Stencil, extent: Extent) -> tuple[list[Box], bool]:
     """The boxes an equation's patterns cover, and whether its reads from
     them stay in bounds.  A constant is one point, or no cell outside its
     dimension.  A variable spans its dimension, and one that repeats, as in
     a[i,i], spans all of them at once, a diagonal; a guard cuts its span
     and `<>` splits it in two."""
     hull, holes = {}, {}
-    for pattern, (_, low, high) in zip(equation.lhs_patterns, extent.axes):
+    for pattern, (_, low, high) in zip(stencil.equation.lhs_patterns, extent.axes):
         if type(pattern) is ConstantPattern:
             if not low <= pattern.value <= high:
                 return [], True
@@ -577,7 +574,7 @@ def _cover(equation: EquationDecl, stencil: Stencil, extent: Extent) -> tuple[li
             return [], True
         hull[name] = (pieces[-1][0].start, pieces[-1][-1][-1])
     first, steps, _ = _dense_read(stencil.home, extent, len(hull))
-    boxes = [Box(equation, spans, first, steps) for spans in product(*pieces)]
+    boxes = [Box(stencil, spans, first, steps) for spans in product(*pieces)]
     # an index is affine, so its extremes over the boxes lie at the hull's
     # corners; the hull lists the variables in the order of Stencil.variables
     corners = list(hull.values())
@@ -620,8 +617,8 @@ def _diagnose(name: str, boxes: list[Box], symtab: SymbolTable, owner: list,
         for run in runs(box.spans, box.first - extent.base, box.steps):
             for offset in run:
                 covering[offset].append(box)
-    for number, (cell, matches) in enumerate(zip(symtab.table_cells(name), covering),
-                                             extent.base):
+    cells = symtab.cells[extent.base:extent.base + extent.size]
+    for number, (cell, matches) in enumerate(zip(cells, covering), extent.base):
         owner[number] = matches[0] if len(matches) == 1 else None
         if not matches:
             diagnostics.append(Diagnostic(
@@ -630,10 +627,9 @@ def _diagnose(name: str, boxes: list[Box], symtab: SymbolTable, owner: list,
         elif len(matches) > 1:
             diagnostics.append(Diagnostic(
                 "error", "OverlappingRules",
-                f"{len(matches)} equations cover cell {cell}", matches[1].equation.pos))
+                f"{len(matches)} equations cover cell {cell}", matches[1].stencil.equation.pos))
         else:
-            equation = matches[0].equation
-            stencil = symtab.stencils[id(equation)]
+            stencil = matches[0].stencil
             values = [cell.indices[d] for d in stencil.variables.values()]
             for ref, indices, target, _ in stencil.refs:
                 for index, (dim, low, high) in zip(indices, target.axes):
@@ -641,7 +637,7 @@ def _diagnose(name: str, boxes: list[Box], symtab: SymbolTable, owner: list,
                         diagnostics.append(Diagnostic(
                             "error", "IndexOutOfBounds",
                             f"rule for {cell} references {ref.table} at {dim}={value}, "
-                            f"outside {low}..{high}", equation.pos))
+                            f"outside {low}..{high}", stencil.equation.pos))
 
 
 def analyze(doc: SpecDocument, before_elaborate=None):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import count, product
 
-from .analyzer import CellId, CellPlan, SymbolTable, index_value, runs
+from .analyzer import CellId, CellPlan, index_value, runs
 from .ast import (
     AGGREGATES,
     BUILTINS,
@@ -387,14 +387,14 @@ def expand_ref(ref, subst: dict[str, int]):
 
 def _read_numbers(plan: CellPlan, number: int) -> list[int]:
     """Every dense number that cell `number` reads, a range's each, in
-    row-major order (see SymbolTable.reads)."""
+    row-major order (see Stencil.reads)."""
     box = plan.owner[number]
     if box is None:
         return []
-    symtab, indices = plan.symtab, plan.symtab.cells[number].indices
-    values = [indices[d] for d in symtab.stencils[id(box.equation)].variables.values()]
+    indices = plan.symtab.cells[number].indices
+    values = [indices[d] for d in box.stencil.variables.values()]
     numbers = []
-    for first, steps, offsets in symtab.reads[id(box.equation)]:
+    for first, steps, offsets in box.stencil.reads:
         first += sum(map(operator.mul, steps, values))
         numbers += [first + offset for offset in offsets or (0,)]
     return numbers
@@ -405,9 +405,9 @@ def resolve_references(plan: CellPlan) -> dict[CellId, tuple]:
     slot of its equation's stencil, a CellId or, for a range, a plain tuple
     of CellIds (tell them apart by exact type).  Made when asked for;
     evaluation reads dense numbers instead."""
-    stencils = plan.symtab.stencils
-    return {cell: tuple([expand_ref(ref, subst) for ref in stencils[id(equation)].refs])
-            for cell, (equation, subst) in plan.rules.items()}
+    rules = plan.rules
+    return {cell: tuple([expand_ref(ref, rules[cell].substitution) for ref in box.stencil.refs])
+            for cell, box in plan.derived()}
 
 
 def order_cells(plan: CellPlan) -> list[int]:
@@ -420,7 +420,7 @@ def order_cells(plan: CellPlan) -> list[int]:
     listed a run at a time, sorted once, and a placed cell's readers are
     the keys between two bisections.  A cell that reads another twice has
     two keys and counts it twice, which places it no differently."""
-    owner, dense = plan.owner, plan.symtab.reads
+    owner = plan.owner
     size = len(owner)
     width = 4 * size + 4  # above any step of a reader's number, so no key step is 0
     indegree = [0] * size
@@ -429,7 +429,7 @@ def order_cells(plan: CellPlan) -> list[int]:
         for box in boxes:
             first, steps = box.first, box.steps
             reads = [(start + offset, coefficients) for start, coefficients, offsets
-                     in dense[id(box.equation)] for offset in offsets or (0,)]
+                     in box.stencil.reads for offset in offsets or (0,)]
             for run in runs(box.spans, first, steps):
                 indegree[run.start:run.stop:run.step] = [len(reads)] * len(run)
             for start, coefficients in reads:
@@ -488,7 +488,7 @@ def build_graph(plan: CellPlan) -> DependencyGraph:
 
 def _reader(store: list, read: tuple, dims: tuple):
     """The function of a cell's indices that gives what one reference of
-    an equation reads there (see SymbolTable.reads), `dims` holding the
+    an equation reads there (see Stencil.reads), `dims` holding the
     dimension that each of the equation's variables binds."""
     first, steps, offsets = read
     if offsets is None:
@@ -509,20 +509,20 @@ def _index_number(d, indices):
     return Number(indices[d])
 
 
-def evaluate(plan: CellPlan, inputs: dict[CellId, Value]) -> dict[CellId, Value]:
-    """Evaluate every cell of the plan; returns the complete value grid, in
-    evaluation order.  Each equation's template is compiled once, to a
-    function of a cell's indices (see compile_template)."""
-    symtab = plan.symtab
-    cells, stencils, dense = symtab.cells, symtab.stencils, symtab.reads
+def evaluate(plan: CellPlan, inputs: dict[CellId, Value]) -> list[Value]:
+    """Evaluate every cell of the plan; returns every cell's value, inputs
+    included, by dense number: `zip(plan.symtab.cells, values)` pairs each
+    with its cell.  An input cell takes its binding in `inputs`, or Blank;
+    a binding that names no input cell is ignored.  Each equation's
+    template is compiled once, to a function of a cell's indices (see
+    compile_template)."""
+    cells = plan.symtab.cells
     order = order_cells(plan)
     store: list[Value] = [BLANK] * len(cells)
-    programs = {}  # id() of each equation -> its compiled template
 
-    def compiled(key: int):
-        stencil, reads = stencils[key], dense[key]
+    def compiled(stencil):
         variables = stencil.variables
-        dims = tuple(variables.values())
+        dims, reads = tuple(variables.values()), stencil.reads
 
         def leaf(node):
             if type(node) is IndexVar:
@@ -530,10 +530,11 @@ def evaluate(plan: CellPlan, inputs: dict[CellId, Value]) -> dict[CellId, Value]
             return _reader(store, reads[node.slot], dims)
         return compile_template(stencil.template, leaf)
 
+    programs = {}  # each stencil that covers a cell -> its compiled template
     for boxes in plan.boxes.values():
         for box in boxes:
-            if id(box.equation) not in programs:
-                programs[id(box.equation)] = compiled(id(box.equation))
+            if box.stencil not in programs:
+                programs[box.stencil] = compiled(box.stencil)
     owner = plan.owner
     for number in order:
         cell, box = cells[number], owner[number]
@@ -541,8 +542,8 @@ def evaluate(plan: CellPlan, inputs: dict[CellId, Value]) -> dict[CellId, Value]
             value = inputs.get(cell, BLANK)
         else:
             try:
-                value = programs[id(box.equation)](cell.indices)
+                value = programs[box.stencil](cell.indices)
             except _Fault as exc:
                 raise RuntimeFault(cell, str(exc)) from None
         store[number] = value
-    return {cells[n]: store[n] for n in order}
+    return store

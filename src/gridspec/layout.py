@@ -27,11 +27,11 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from operator import itemgetter, mul
 
 from .a1 import MAX_COLUMNS, MAX_ROWS, column_letters, sheet_prefix
-from .analyzer import CellId, CellPlan, SymbolTable
+from .analyzer import CellId, CellPlan, Stencil, SymbolTable
 from .ast import (
     BooleanLit,
     Call,
@@ -178,7 +178,7 @@ def plan_layout(doc: SpecDocument, symtab: SymbolTable,
     # a range is written as the rectangle from its first cell to its last,
     # so along the dimensions that run down rows, all but a block's first,
     # its `all` indices come last
-    for stencil in symtab.stencils.values():
+    for stencil in chain.from_iterable(symtab.stencils.values()):
         for ref, indices, _, ranged in stencil.refs:
             if not ranged:
                 continue
@@ -191,15 +191,14 @@ def plan_layout(doc: SpecDocument, symtab: SymbolTable,
 
 # --- formula rendering -----------------------------------------------------
 
-def _template(equation, symtab: SymbolTable, layout: Layout) -> tuple:
+def _template(stencil: Stencil, layout: Layout) -> tuple:
     """Stencil.template's formula as one %-format string, and its holes: for
     an index variable its number in Stencil.variables, formatted %d; for a
-    reference its table's region and dense read (SymbolTable.reads), that
+    reference its table's region and dense read (Stencil.reads), that
     is `first` less the table's base, the steps, the last step and for a
     range its last cell's offset (None for one cell), each end formatted
     %s%d, column letters and row, after the sheet prefix it needs."""
-    stencil, reads = symtab.stencils[id(equation)], symtab.reads[id(equation)]
-    home = layout.regions[equation.table].sheet
+    reads, home = stencil.reads, layout.regions[stencil.equation.table].sheet
     holes = []
 
     def leaf(expr: Expr) -> str:
@@ -255,11 +254,11 @@ def _format_run(template: tuple, outer: tuple, inner: range, letters) -> list[st
 def render_formula(cell: CellId, plan: CellPlan, layout: Layout) -> str:
     """Render a derived cell's equation as an A1 formula for its sheet; the
     equation is that of the box which covers the cell's dense number."""
-    symtab, extent = plan.symtab, plan.symtab.extents[cell.table]
-    equation = plan.owner[extent.origin + sum(map(mul, cell.indices, extent.strides))].equation
-    dims = symtab.stencils[id(equation)].variables.values()
+    extent = plan.symtab.extents[cell.table]
+    stencil = plan.owner[extent.origin + sum(map(mul, cell.indices, extent.strides))].stencil
+    dims = stencil.variables.values()
     *outer, last = [cell.indices[d] for d in dims] or [0]  # no variables: one cell
-    return _format_run(_template(equation, symtab, layout), outer, range(last, last + 1),
+    return _format_run(_template(stencil, layout), outer, range(last, last + 1),
                        column_letters)[0]
 
 
@@ -287,13 +286,12 @@ def render_value(value: Value, currency: bool = False) -> str:
     raise TypeError(f"unrenderable value: {value!r}")
 
 
-def _value_texts(name: str, symtab: SymbolTable, values: dict[CellId, Value]) -> list[str]:
+def _value_texts(name: str, symtab: SymbolTable, values: list[Value]) -> list[str]:
     """A table's value texts by dense number (see render_value)."""
     extent, currency = symtab.extents[name], symtab.tables[name].result_type == "currency"
     number = _currency_text if currency else format_number
     return [number(value.value) if type(value) is Number else render_value(value, currency)
-            for value in map(values.__getitem__,
-                             symtab.cells[extent.base:extent.base + extent.size])]
+            for value in values[extent.base:extent.base + extent.size]]
 
 
 def _put(grids: tuple, texts: tuple, top: int, left: int, height: int) -> None:
@@ -315,10 +313,11 @@ class EmitResult:
     manifest: dict
 
 
-def emit(layout: Layout, plan: CellPlan, values: dict[CellId, Value],
+def emit(layout: Layout, plan: CellPlan, values: list[Value],
          doc: SpecDocument | None = None) -> EmitResult:
     """Produce the formula grid, the parallel values grid, and the manifest
-    from every cell's value, inputs included, as `evaluate` gives them."""
+    from every cell's value, inputs included, by dense number, as
+    `evaluate` gives them."""
     symtab = plan.symtab
     formulas: Grid = {sheet: {} for sheet in layout.sheets}
     value_doc: Grid = {sheet: {} for sheet in layout.sheets}
@@ -340,18 +339,18 @@ def emit(layout: Layout, plan: CellPlan, values: dict[CellId, Value],
     letters = functools.cache(column_letters)
     for name in symtab.tables:
         region, base = layout.regions[name], symtab.extents[name].base
-        templates = {}  # id() of each equation of the table -> its _template
+        templates = {}  # each stencil of the table that covers a cell -> its _template
         texts = _value_texts(name, symtab, values)
         cell_formulas = texts.copy() if name in plan.boxes else texts
         for box in plan.boxes.get(name, ()):
-            if id(box.equation) not in templates:
-                templates[id(box.equation)] = _template(box.equation, symtab, layout)
+            if box.stencil not in templates:
+                templates[box.stencil] = _template(box.stencil, layout)
             *outer, inner = box.spans or (range(1),)
             step = box.steps[-1] if box.steps else 1
             for fixed in product(*outer):  # a run: `fixed` outer values, cells `step` apart
                 start = box.first - base + sum(map(mul, box.steps, fixed)) + step * inner.start
                 cell_formulas[start:start + step * len(inner):step] = _format_run(
-                    templates[id(box.equation)], fixed, inner, letters)
+                    templates[box.stencil], fixed, inner, letters)
         _put((formulas[region.sheet], value_doc[region.sheet]), (cell_formulas, texts),
              region.top, region.left, region.height)
 

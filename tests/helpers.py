@@ -508,12 +508,14 @@ def reference_elaborate(doc, symtab):
     returns (rules, inputs, diagnostics), with rules mapping each cell to
     its (equation, substitution) in table and row-major order."""
     diagnostics, rules, inputs = [], {}, set()
-    for name in symtab.tables:
-        equations = symtab.equations_by_table[name]
+    for name, decl in symtab.tables.items():
+        equations = [stencil.equation for stencil in symtab.stencils[name]]
+        cells = [CellId(name, combo) for combo in itertools.product(
+            *[range(symtab.bounds[d][0], symtab.bounds[d][1] + 1) for d in decl.dims])]
         if not equations:
-            inputs.update(symtab.table_cells(name))
+            inputs.update(cells)
             continue
-        for cell in symtab.table_cells(name):
+        for cell in cells:
             matches = []
             for equation in equations:
                 subst = reference_match_patterns(equation.lhs_patterns, cell.indices)

@@ -30,7 +30,8 @@ def verdict(number, text):
 
 class TestAcceptance:
     def test_1_cashflow_fixture_values(self):
-        _, _, _, _, values = evaluate_fixture("cashflow")
+        _, symtab, _, _, values = evaluate_fixture("cashflow")
+        values = dict(zip(symtab.cells, values))
         starts = [number_at(values, "total_cash_at_start_of_period", t)
                   for t in range(1, 13)]
         ends = [number_at(values, "total_cash_at_end_of_period", t)
@@ -40,7 +41,8 @@ class TestAcceptance:
         verdict(1, "cash-flow fixture start/end sequences match the reference grid")
 
     def test_2_borrowing_fixture_values(self):
-        _, _, _, _, values = evaluate_fixture("borrowing")
+        _, symtab, _, _, values = evaluate_fixture("borrowing")
+        values = dict(zip(symtab.cells, values))
         for t in range(1, 13):
             want = values[CellId("want_to_borrow_during_period", (t,))]
             borrowed = number_at(values, "actually_borrowed_during_period", t)
@@ -51,7 +53,8 @@ class TestAcceptance:
         verdict(2, "borrowing fixture mirrors wants and matches the end sequence")
 
     def test_3_loans_fixture_values(self):
-        _, _, _, _, values = evaluate_fixture("loans")
+        _, symtab, _, _, values = evaluate_fixture("loans")
+        values = dict(zip(symtab.cells, values))
         expected_first = [1, 2, 3, 4, None, 2, 3, 4, None, None, 1, 1]
         for t, want in enumerate(expected_first, start=1):
             got = values[CellId("first_that_can_supply_wants", (t,))]
@@ -80,7 +83,7 @@ class TestAcceptance:
             inputs = {CellId("initial_cash", ()): Number(cash)}
             for t in range(1, periods + 1):
                 inputs[CellId("expenses_during_period", (t,))] = Number(expense)
-            values = evaluate(plan, inputs)
+            values = dict(zip(plan.symtab.cells, evaluate(plan, inputs)))
             for t in range(1, periods + 1):
                 assert number_at(values, "total_cash_at_end_of_period", t) == \
                     cash - t * expense
@@ -158,7 +161,8 @@ class TestAcceptance:
                     total = number_at(values, "total_loan_at_end_of_period", l, t)
                     assert total <= ceiling + 1e-9
 
-        _, _, _, inputs, values = evaluate_fixture("loans")
+        _, symtab, _, inputs, values = evaluate_fixture("loans")
+        values = dict(zip(symtab.cells, values))
         check_invariants(values, inputs)
 
         doc, symtab, plan = analyze_fixture("loans")
@@ -175,7 +179,7 @@ class TestAcceptance:
                 inputs[CellId("has_ceiling", (l,))] = Boolean(True)
                 inputs[CellId("ceiling", (l,))] = Number(rng.randint(0, 100))
                 inputs[CellId("initial_loan", (l,))] = Number(0)
-            values = evaluate(plan, inputs)
+            values = dict(zip(plan.symtab.cells, evaluate(plan, inputs)))
             check_invariants(values, inputs)
         verdict(8, "lending conservation, cash balance, and ceiling safety "
                    "hold on the loans fixture and 100 random configurations")

@@ -25,7 +25,7 @@ class TestResolve:
         assert diagnostics == []
         assert len(symtab.tables) == 5
         assert len(symtab.bounds) == 1
-        assert sum(len(v) for v in symtab.equations_by_table.values()) == 4
+        assert sum(len(v) for v in symtab.stencils.values()) == 4
 
     def test_duplicate_bounds(self):
         doc = parse_document("bounds time_span: 1 to 12.\nbounds time_span: 1 to 6.")
@@ -108,6 +108,14 @@ class TestTypecheck:
             "bounds b: 1 to 3.\ntable y : b -> currency.\ntable x : b -> general.\n"
             "x[t] = y[ t ] + 1.") == []
 
+    def test_reports_in_source_order(self):
+        # `a` is declared first, but the equation on `b` is written first
+        diagnostics = typecheck_source(
+            "bounds b: 1 to 3.\ntable a : b -> number.\ntable b : b -> number.\n"
+            "b[ t ] = true.\na[ t ] = 1 = 1.")
+        assert [(d.code, str(d.pos)) for d in diagnostics] == \
+            [("TypeMismatch", "4:1"), ("TypeMismatch", "5:1")]
+
 
 class TestElaborate:
     def test_fixture_a_rule_selection(self):
@@ -139,6 +147,14 @@ class TestElaborate:
         overlaps = [d for d in diagnostics if d.code == "OverlappingRules"]
         assert len(overlaps) == 12
 
+    def test_equal_equations_stay_two(self):
+        # equations compare equal whatever their positions; each is still its own rule
+        doc = parse_document("bounds b: 1 to 3.\ntable a : b -> number.\n"
+                             "a[ t ] = t.\na[ t ] = t.")
+        symtab, _ = resolve(doc)
+        _, diagnostics = elaborate(doc, symtab)
+        assert [(d.code, str(d.pos)) for d in diagnostics] == [("OverlappingRules", "4:1")] * 3
+
     def test_unguarded_recurrence_runs_out_of_bounds(self):
         source = fixture_text("cashflow").replace("[ t>1 ]", "[ t ]", 1)
         source = source.replace("total_cash_at_start_of_period[ 1 ] =\n  initial_cash[].", "")
@@ -151,8 +167,8 @@ class TestElaborate:
         for name in ("cashflow", "borrowing", "loans"):
             _, symtab, plan = analyze_fixture(name)
             derived = set(plan.rules)
-            inputs = {cell for table in symtab.tables if symtab.is_input(table)
-                      for cell in symtab.table_cells(table)}
+            inputs = {cell for table, extent in symtab.extents.items() if symtab.is_input(table)
+                      for cell in symtab.cells[extent.base:extent.base + extent.size]}
             everything = set(symtab.cells)
             assert derived | inputs == everything
             assert derived & inputs == set()
@@ -188,7 +204,7 @@ def naive_elaborate(doc, symtab):
     winners = {}
     verdicts = {}
     for name, decl in symtab.tables.items():
-        equations = symtab.equations_by_table[name]
+        equations = [stencil.equation for stencil in symtab.stencils[name]]
         if not equations:
             continue
         ranges = [range(symtab.bounds[d][0], symtab.bounds[d][1] + 1)

@@ -17,8 +17,16 @@ from gridspec.evaluator import (
     is_na,
     value_equal,
 )
+from gridspec.layout import emit, plan_layout
 
-from helpers import analyze_fixture, call_builtin, covering_document, evaluate_fixture, random_document
+from helpers import (
+    analyze_fixture,
+    call_builtin,
+    covering_document,
+    evaluate_fixture,
+    random_document,
+    reference_address,
+)
 
 
 def number_at(values, table, *indices):
@@ -225,9 +233,34 @@ class TestRuntimeFaults:
         assert info.value.cell == CellId("x", (1,))
 
 
+class TestInputs:
+    def test_bindings_to_no_input_cell_are_ignored(self):
+        # by its indices, x[9] would be the ninth cell on from x[1]: z[1,3];
+        # the values are read back from emit's values document
+        doc = parse_document(
+            "bounds b: 1 to 3.\ntable x : b -> number.\ntable y : b -> number.\n"
+            "table z : b b -> number.\ny[ t ] = x[ t ] + 1.")
+        symtab, plan, diagnostics = analyze(doc)
+        assert diagnostics == []
+        values = evaluate(plan, {
+            CellId("x", (1,)): Number(5), CellId("y", (2,)): Number(100),
+            CellId("x", (9,)): Number(7), CellId("q", (1,)): Number(3),
+            CellId("z", (1, 1)): Number(4)})
+        layout = plan_layout(doc, symtab)
+        grid = emit(layout, plan, values, doc).values["Model"]
+
+        def text(table, *indices):
+            address = reference_address(CellId(table, indices), symtab, layout)
+            return grid.get((address.row, address.column), "")
+        assert [text("x", t) for t in (1, 2, 3)] == ["5", "", ""]
+        assert [text("y", t) for t in (1, 2, 3)] == ["6", "1", "1"]
+        assert [text("z", i, j) for i in (1, 2, 3) for j in (1, 2, 3)] == ["4"] + [""] * 8
+
+
 class TestFixtureValues:
     def test_cashflow_sequences(self):
-        _, _, _, _, values = evaluate_fixture("cashflow")
+        _, symtab, _, _, values = evaluate_fixture("cashflow")
+        values = dict(zip(symtab.cells, values))
         ends = [number_at(values, "total_cash_at_end_of_period", t)
                 for t in range(1, 13)]
         assert ends == [95 - 5 * (t - 1) for t in range(1, 13)]
@@ -238,7 +271,8 @@ class TestFixtureValues:
         assert values[CellId("time", (3,))] == DateValue(datetime.date(2009, 3, 1))
 
     def test_borrowing_sequences(self):
-        _, _, _, _, values = evaluate_fixture("borrowing")
+        _, symtab, _, _, values = evaluate_fixture("borrowing")
+        values = dict(zip(symtab.cells, values))
         ends = [number_at(values, "total_cash_at_end_of_period", t)
                 for t in range(1, 13)]
         assert ends == [95, 90, 85, 80, 95, 90, 85, 90, 85, 80, 75, 70]
@@ -251,7 +285,8 @@ class TestFixtureValues:
             assert got == expected
 
     def test_loans_first_supplier(self):
-        _, _, _, _, values = evaluate_fixture("loans")
+        _, symtab, _, _, values = evaluate_fixture("loans")
+        values = dict(zip(symtab.cells, values))
         firsts = [values[CellId("first_that_can_supply_wants", (t,))]
                   for t in range(1, 13)]
         expected = [1, 2, 3, 4, None, 2, 3, 4, None, None, 1, 1]
@@ -262,7 +297,8 @@ class TestFixtureValues:
                 assert got == Number(want)
 
     def test_loans_lending_schedule(self):
-        _, _, _, _, values = evaluate_fixture("loans")
+        _, symtab, _, _, values = evaluate_fixture("loans")
+        values = dict(zip(symtab.cells, values))
         nonzero = {(1, 1): 15, (2, 2): 25, (3, 3): 45, (4, 4): 65,
                    (2, 6): 12, (3, 7): 12, (4, 8): 12}
         for l in range(1, 5):
@@ -271,13 +307,15 @@ class TestFixtureValues:
                 assert lent == nonzero.get((l, t), 0)
 
     def test_loans_cash_sequence(self):
-        _, _, _, _, values = evaluate_fixture("loans")
+        _, symtab, _, _, values = evaluate_fixture("loans")
+        values = dict(zip(symtab.cells, values))
         ends = [number_at(values, "total_cash_at_end_of_period", t)
                 for t in range(1, 13)]
         assert ends == [110, 130, 170, 230, 225, 232, 239, 246, 241, 236, 231, 226]
 
     def test_loans_totals_recurrence(self):
-        _, _, _, _, values = evaluate_fixture("loans")
+        _, symtab, _, _, values = evaluate_fixture("loans")
+        values = dict(zip(symtab.cells, values))
         for l in range(1, 5):
             for t in range(1, 13):
                 start = number_at(values, "total_loan_at_start_of_period", l, t)
@@ -313,7 +351,7 @@ class TestClosedForm:
         inputs = {CellId("initial_cash", ()): Number(cash)}
         for t in range(1, periods + 1):
             inputs[CellId("expenses_during_period", (t,))] = Number(expense)
-        values = evaluate(plan, inputs)
+        values = dict(zip(plan.symtab.cells, evaluate(plan, inputs)))
         for t in range(1, periods + 1):
             assert number_at(values, "total_cash_at_end_of_period", t) == \
                 cash - t * expense

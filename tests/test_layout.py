@@ -218,9 +218,10 @@ def sheet_order(cell):
 def check_geometry(symtab, layout, manifest):
     regions = layout.regions
     for name in symtab.tables:
-        region = regions[name]
+        region, extent = regions[name], symtab.extents[name]
+        cells = symtab.cells[extent.base:extent.base + extent.size]
         addresses = [reference_address(cell, symtab, layout)
-                     for cell in sorted(symtab.table_cells(name), key=sheet_order)]
+                     for cell in sorted(cells, key=sheet_order)]
         # one address per cell, all inside the rectangle, which they fill
         assert len(set(addresses)) == len(addresses) == region.width * region.height, name
         for address in addresses:
@@ -231,7 +232,7 @@ def check_geometry(symtab, layout, manifest):
         assert spots == sorted(spots), name
         # Region.at places a cell by its offset in row-major index order, as
         # dense numbers run, at the address the axis rule gives its indices
-        for offset, cell in enumerate(symtab.table_cells(name)):
+        for offset, cell in enumerate(cells):
             address = reference_address(cell, symtab, layout)
             assert region.at(offset) == (address.column, address.row), (name, cell)
     for (name, region), (other_name, other) in itertools.combinations(regions.items(), 2):

@@ -181,7 +181,7 @@ def test_broken_documents_match_no_cell(monkeypatch):
 def test_cancelling_indices_take_one_box():
     symtab, plan, diagnostics = analyze(CANCELLING)
     assert diagnostics == []
-    stencil = next(iter(symtab.stencils.values()))
+    [stencil] = symtab.stencils["y"]
     assert [indices for _, indices, _, _ in stencil.refs] == [((1, ()),), ((0, ((0, 1),)),)]
     assert [len(boxes) for boxes in plan.boxes.values()] == [1]
 
@@ -192,10 +192,10 @@ def test_templates_match_the_stencils():
     reference is, and refs holds the right-hand side's own references."""
     for doc in documents():
         symtab, _ = resolve(doc)
-        for equation in doc.elements:
-            if not isinstance(equation, EquationDecl):
-                continue
-            stencil = symtab.stencils[id(equation)]
+        stencils = [stencil for table in symtab.stencils.values() for stencil in table]
+        assert len(stencils) == sum(isinstance(e, EquationDecl) for e in doc.elements)
+        for stencil in stencils:
+            equation = stencil.equation
             nodes = walk(stencil.template)
             holes = [node for node in nodes if type(node) is Hole]
             assert [hole.slot for hole in holes] == list(range(len(stencil.refs)))

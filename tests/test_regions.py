@@ -93,8 +93,8 @@ def compare(doc, bindings) -> str:
         return "fault"
     values = evaluate(plan, bindings)
     # repr tells apart what == does not, such as 0.0 and -0.0
-    assert [(cell, repr(v)) for cell, v in values.items()] == \
-        [(cell, repr(v)) for cell, v in want.items()]
+    assert {cell: repr(v) for cell, v in zip(symtab.cells, values)} == \
+        {cell: repr(v) for cell, v in want.items()}
     return "evaluated"
 
 
