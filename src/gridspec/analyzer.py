@@ -345,8 +345,11 @@ def _dense_read(indices, extent: Extent, width: int) -> tuple:
 
 def typecheck(doc: SpecDocument, symtab: SymbolTable) -> list[Diagnostic]:
     """Check every equation right-hand side against its table's result
-    type, in source order.  Each table's stencils are in source order, so
-    an equation's stencil is the next of its table's, if resolve made one."""
+    type, in source order, and warn of one that reads its own cell at
+    every cell it covers (a reference to its own table whose lowered
+    indices are its home): that read is a cycle at every cell.  Each
+    table's stencils are in source order, so an equation's stencil is the
+    next of its table's, if resolve made one."""
     diagnostics: list[Diagnostic] = []
     pending = {name: stencils[::-1] for name, stencils in symtab.stencils.items()}
     for element in doc.elements:
@@ -362,6 +365,12 @@ def typecheck(doc: SpecDocument, symtab: SymbolTable) -> list[Diagnostic]:
                 "error", "TypeMismatch",
                 f"equation on '{element.table}' yields {inferred} but the table "
                 f"is declared -> {declared}", element.pos))
+        if any(ref.table == element.table and indices == stencil.home
+               for ref, indices, _, _ in stencil.refs):
+            diagnostics.append(Diagnostic(
+                "warning", "SelfReference",
+                f"equation on '{element.table}' reads its own cell at every cell it covers",
+                element.pos))
     return diagnostics
 
 
@@ -575,22 +584,28 @@ def _cover(stencil: Stencil, extent: Extent) -> tuple[list[Box], bool]:
         hull[name] = (pieces[-1][0].start, pieces[-1][-1][-1])
     first, steps, _ = _dense_read(stencil.home, extent, len(hull))
     boxes = [Box(stencil, spans, first, steps) for spans in product(*pieces)]
-    # an index is affine, so its extremes over the boxes lie at the hull's
-    # corners; the hull lists the variables in the order of Stencil.variables
-    corners = list(hull.values())
+    # the hull lists the variables in the order of Stencil.variables
+    spans = [range(first, last + 1) for first, last in hull.values()]
     for _, indices, target, _ in stencil.refs:
         for index, (_, low, high) in zip(indices, target.axes):
             if index is not None:
-                least = greatest = index[0]
-                for n, coefficient in index[1]:
-                    start, end = corners[n]
-                    if coefficient < 0:
-                        start, end = end, start
-                    least += coefficient * start
-                    greatest += coefficient * end
+                least, greatest = extremes(index, spans)
                 if least < low or greatest > high:
                     return boxes, False
     return boxes, True
+
+
+def extremes(form: tuple, spans) -> tuple[int, int]:
+    """The least and greatest values of an affine form (see Stencil) over
+    a box whose variables run over `spans`, a range each in the order of
+    Stencil.variables: an affine form takes them at the box's corners."""
+    least = greatest = form[0]
+    for n, coefficient in form[1]:
+        span = spans[n]
+        start, end = (span[0], span[-1]) if coefficient > 0 else (span[-1], span[0])
+        least += coefficient * start
+        greatest += coefficient * end
+    return least, greatest
 
 
 def _own(boxes: list[Box], owner: list) -> bool:

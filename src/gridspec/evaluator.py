@@ -1,10 +1,12 @@
-"""Cell-granular evaluation of an elaborated plan.
+"""Evaluation of an elaborated plan, a box of cells at a time.
 
 Runtime values are Blank, Number, Boolean, DateValue, or the single NA
 error; currency is a table's type, which only emit reads.  Arithmetic
 coerces Blank to 0; NA propagates through arithmetic and comparison but
-is absorbed by isna.  Evaluation walks cells in dependency order, so
-every read sees an already-written value.
+is absorbed by isna.  Evaluation runs each equation's boxes in an order
+proved once per box (see schedule), so every read sees an already-written
+value.  The per-cell order of order_cells is the exact path for a plan
+that the schedule cannot order, and it names the first fault and a cycle.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from itertools import count, product
+from itertools import chain, count, product
 
-from .analyzer import CellId, CellPlan, index_value, runs
+from .analyzer import Box, CellId, CellPlan, index_value, runs
 from .ast import (
     AGGREGATES,
     BUILTINS,
@@ -31,7 +33,14 @@ from .ast import (
     IndexVar,
     NumberLit,
 )
-from .errors import CyclicDependency, RuntimeFault, UnknownFunction, UnsupportedMatchType
+from .errors import (
+    CyclicDependency,
+    GridSpecError,
+    RuntimeFault,
+    UnknownFunction,
+    UnsupportedMatchType,
+)
+from .scheduler import schedule
 
 
 class Value:
@@ -477,8 +486,8 @@ class DependencyGraph:
 
 def build_graph(plan: CellPlan) -> DependencyGraph:
     """The cell dependency graph and evaluation order as CellIds, made from
-    the region plan when asked for; `evaluate` orders dense numbers with
-    `order_cells` directly."""
+    the region plan when asked for: the order of order_cells, in which
+    `evaluate` reports a fault or a cycle."""
     cells, order = plan.symtab.cells, order_cells(plan)
     numbers = [n for n, box in enumerate(plan.owner)
                if box is not None or cells[n].table not in plan.boxes]
@@ -486,27 +495,53 @@ def build_graph(plan: CellPlan) -> DependencyGraph:
     return DependencyGraph([cells[n] for n in numbers], edges, [cells[n] for n in order])
 
 
-def _reader(store: list, read: tuple, dims: tuple):
-    """The function of a cell's indices that gives what one reference of
-    an equation reads there (see Stencil.reads), `dims` holding the
-    dimension that each of the equation's variables binds."""
+def _reader(store: list, read: tuple):
+    """The function of an equation's variables' values that gives what one
+    of its references reads there (see Stencil.reads)."""
     first, steps, offsets = read
     if offsets is None:
-        return partial(_read_cell, store, first, steps, dims)
-    return partial(_read_cells, store, first, steps, dims, offsets)
+        return partial(_read_cell, store, first, steps)
+    return partial(_read_cells, store, first, steps, offsets)
 
 
-def _read_cell(store, first, steps, dims, indices):
-    return store[first + sum(map(operator.mul, steps, map(indices.__getitem__, dims)))]
+def _read_cell(store, first, steps, values):
+    return store[first + sum(map(operator.mul, steps, values))]
 
 
-def _read_cells(store, first, steps, dims, offsets, indices):
-    start = first + sum(map(operator.mul, steps, map(indices.__getitem__, dims)))
+def _read_cells(store, first, steps, offsets, values):
+    start = first + sum(map(operator.mul, steps, values))
     return [store[start + offset] for offset in offsets]
 
 
-def _index_number(d, indices):
-    return Number(indices[d])
+def _index_number(n, values):
+    return Number(values[n])
+
+
+def _compiled(stencil, store: list):
+    """An equation's template as a function of its variables' values, in
+    the order of Stencil.variables, reading `store`."""
+    reads, variables = stencil.reads, list(stencil.variables)
+
+    def leaf(node):
+        if type(node) is IndexVar:
+            return partial(_index_number, variables.index(node.name))
+        return _reader(store, reads[node.slot])
+    return compile_template(stencil.template, leaf)
+
+
+def _input_number(plan: CellPlan, cell) -> int | None:
+    """The dense number of the input cell that a binding names, or None."""
+    table, indices = cell
+    extent = plan.symtab.extents.get(table)
+    if extent is None or table in plan.boxes or len(indices) != len(extent.axes):
+        return None
+    number = extent.base
+    for index, stride, (_, low, high) in zip(indices, extent.strides, extent.axes):
+        try:
+            number += range(low, high + 1).index(index) * stride
+        except ValueError:
+            return None
+    return number
 
 
 def evaluate(plan: CellPlan, inputs: dict[CellId, Value]) -> list[Value]:
@@ -514,36 +549,58 @@ def evaluate(plan: CellPlan, inputs: dict[CellId, Value]) -> list[Value]:
     included, by dense number: `zip(plan.symtab.cells, values)` pairs each
     with its cell.  An input cell takes its binding in `inputs`, or Blank;
     a binding that names no input cell is ignored.  Each equation's
-    template is compiled once, to a function of a cell's indices (see
-    compile_template)."""
-    cells = plan.symtab.cells
-    order = order_cells(plan)
-    store: list[Value] = [BLANK] * len(cells)
-
-    def compiled(stencil):
-        variables = stencil.variables
-        dims, reads = tuple(variables.values()), stencil.reads
-
-        def leaf(node):
-            if type(node) is IndexVar:
-                return partial(_index_number, variables[node.name])
-            return _reader(store, reads[node.slot], dims)
-        return compile_template(stencil.template, leaf)
-
-    programs = {}  # each stencil that covers a cell -> its compiled template
-    for boxes in plan.boxes.values():
-        for box in boxes:
-            if box.stencil not in programs:
-                programs[box.stencil] = compiled(box.stencil)
-    owner = plan.owner
-    for number in order:
-        cell, box = cells[number], owner[number]
-        if box is None:
-            value = inputs.get(cell, BLANK)
-        else:
+    template is compiled once, to a function of its variables' values (see
+    compile_template), and run over its boxes in the order of `schedule`.
+    Where there is no schedule, or a cell faults, every cell is evaluated
+    again in the order of order_cells, which reports the cycle or the
+    fault that it meets first."""
+    store: list[Value] = [BLANK] * len(plan.owner)
+    for cell, value in inputs.items():
+        number = _input_number(plan, cell)
+        if number is not None:
+            store[number] = value
+    programs = {box.stencil: None for boxes in plan.boxes.values() for box in boxes}
+    for stencil in programs:
+        programs[stencil] = _compiled(stencil, store)
+    steps = schedule(plan)
+    if steps is not None:
+        try:
+            _run(store, programs, steps)
+            return store
+        except (_Fault, GridSpecError):
+            pass  # evaluated again below, which reports the fault that order_cells meets first
+    cells, owner = plan.symtab.cells, plan.owner
+    for number in order_cells(plan):
+        box = owner[number]
+        if box is not None:
+            indices = cells[number].indices
             try:
-                value = programs[box.stencil](cell.indices)
+                store[number] = programs[box.stencil](
+                    [indices[d] for d in box.stencil.variables.values()])
             except _Fault as exc:
-                raise RuntimeFault(cell, str(exc)) from None
-        store[number] = value
+                raise RuntimeFault(cells[number], str(exc)) from None
     return store
+
+
+def _run(store: list, programs: dict, steps: list) -> None:
+    """Evaluate the steps of a schedule, a box as one slice and a sweep a
+    slice at a time, and in a slice each member's cells there: those of
+    its first slice, moved on by its step on the bound once per slice."""
+    for item in steps:
+        slices, members = (range(1), [(item, None, 0, 0)]) if type(item) is Box else item
+        tasks = []
+        for box, n, first, last in members:
+            spans, step = list(box.spans), 0
+            if n is not None:
+                spans[n], step = range(first, first + 1), box.steps[n]
+            numbers = chain.from_iterable(runs(spans, box.first, box.steps))
+            tasks.append((programs[box.stencil], spans, n, first, last,
+                          numbers if n is None else list(numbers), step))  # None: used once
+        for s in slices:
+            for program, spans, n, first, last, numbers, step in tasks:
+                if first <= s <= last:
+                    if n is not None:
+                        spans[n] = range(s, s + 1)
+                    shift = (s - first) * step
+                    for number, values in zip(numbers, product(*spans)):
+                        store[number + shift] = program(values)

@@ -228,20 +228,26 @@ def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
 
 def verify_directory(out_dir) -> VerifyReport:
     """Load an emitted directory (manifest plus per-sheet CSVs) and verify.
-    Raises ValueError for a manifest or CSV that cannot be read as one."""
+    Raises OSError, `cannot read <path>: <reason>`, for a file that cannot
+    be read as UTF-8 text, and ValueError for a manifest or CSV that
+    cannot be read as one."""
     import csv
     import json
     from pathlib import Path
 
     from .layout import csv_to_grid
 
+    def text(path: Path) -> str:
+        try:
+            return path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise OSError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
     out = Path(out_dir)
     manifest_path = out / "manifest.json"
-    if not manifest_path.is_file():
-        raise FileNotFoundError(str(manifest_path))
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        manifest = json.loads(text(manifest_path))
+    except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep
         raise ValueError(f"{manifest_path}: {exc}") from None
     sheets = manifest.get("sheets") if isinstance(manifest, dict) else None
     if not (isinstance(sheets, list) and all(
@@ -251,7 +257,7 @@ def verify_directory(out_dir) -> VerifyReport:
 
     def grid(path: Path) -> dict[tuple[int, int], str]:
         try:
-            return csv_to_grid(path.read_text(encoding="utf-8"))
+            return csv_to_grid(text(path))
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"{path}: {exc}") from None
 

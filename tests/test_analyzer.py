@@ -10,6 +10,7 @@ from gridspec.analyzer import (
     typecheck,
 )
 from gridspec.ast import ConstantPattern, GuardedVarPattern, SpecDocument, VarPattern
+from gridspec.cli import main
 
 from helpers import analyze_fixture, fixture_text, random_document
 
@@ -115,6 +116,31 @@ class TestTypecheck:
             "b[ t ] = true.\na[ t ] = 1 = 1.")
         assert [(d.code, str(d.pos)) for d in diagnostics] == \
             [("TypeMismatch", "4:1"), ("TypeMismatch", "5:1")]
+
+    def test_self_reference_warning(self):
+        """An equation that reads its own cell at every cell of its box is
+        warned of once, however often it reads it; a read of the same
+        table elsewhere, such as a constant index, is not."""
+        header = "bounds b: 1 to 3.\ntable x : b -> number.\ntable m : b b -> number.\n"
+        diagnostics = typecheck_source(header + "x[ t ] = x[ t ] + x[ t ] + 1.\n"
+                                       "m[ i, j ] = m[ i, 1 ].\nm[ i, i ] = m[ i, i ].")
+        assert [str(d) for d in diagnostics] == [
+            "warning SelfReference 4:1 equation on 'x' reads its own cell at every cell it covers",
+            "warning SelfReference 6:1 equation on 'm' reads its own cell at every cell it covers"]
+        for near_miss in ("x[ t ] = x[ t - 1 ].", "x[ 1 ] = x[ 2 ].", "x[ t ] = sum( x[ all ] ).",
+                          "m[ i, j ] = m[ j, i ].", "x[ t ] = m[ t, t ]."):
+            assert typecheck_source(header + near_miss) == [], near_miss
+
+    def test_self_reference_keeps_exit_codes(self, tmp_path, capsys):
+        spec = tmp_path / "self.gsx"
+        spec.write_text("bounds b: 1 to 3.\ntable x : b -> number.\nx[ t ] = x[ t ] + 1.\n",
+                        encoding="utf-8")
+        warning = ("warning SelfReference 3:1 equation on 'x' reads its own cell "
+                   "at every cell it covers\n")
+        assert main(["check", str(spec)]) == 0
+        assert capsys.readouterr().out == warning
+        assert main(["compile", str(spec), "--out-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr() == (warning, "error: cyclic dependency: x[1] -> x[1]\n")
 
 
 class TestElaborate:

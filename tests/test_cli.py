@@ -727,6 +727,29 @@ class TestVerifyReadsAnyDirectory:
             assert main(["verify", str(mutated(compiled, edits, Path(tmp) / "out"))]) in (0, 1, 2, 3)
 
 
+class TestVerifyNamesWhyItCannotRead:
+    """A file verify cannot open is `error: cannot read <path>: <reason>`,
+    the form of check and compile, with exit code 2."""
+
+    def test_missing_manifest(self, tmp_path, capsys):
+        assert main(["verify", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: cannot read {tmp_path / 'manifest.json'}: No such file or directory\n"
+
+    def test_file_given_as_the_directory(self, tmp_path, capsys):
+        path = tmp_path / "not_a_directory"
+        path.write_text("", encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: cannot read {path / 'manifest.json'}: Not a directory\n"
+
+    def test_missing_formulas_document(self, compiled, tmp_path, capsys):
+        work = mutated(compiled, [("Model.formulas.csv", "remove")], tmp_path / "out")
+        assert main(["verify", str(work)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: cannot read {work / 'Model.formulas.csv'}: No such file or directory\n"
+
+
 class TestVerifyReadsBothDocuments:
     """A cell that is not a formula holds the same text in both documents,
     and a formula that reads a sheet the directory does not hold faults."""

@@ -256,6 +256,30 @@ class TestInputs:
         assert [text("y", t) for t in (1, 2, 3)] == ["6", "1", "1"]
         assert [text("z", i, j) for i in (1, 2, 3) for j in (1, 2, 3)] == ["4"] + [""] * 8
 
+    def test_bindings_are_placed_by_dense_number(self):
+        """A binding is written at its cell's dense number; one of the
+        wrong arity, below or above the bounds, to a derived cell or to an
+        unknown table names no input cell and is ignored, and no CellId
+        list is made for it."""
+        doc = parse_document(
+            "bounds b: 1 to 3.\nbounds c: 2 to 3.\ntable x : b c -> number.\n"
+            "table y : b -> number.\ny[ t ] = x[ t, 2 ] + x[ t, 3 ].")
+        symtab, plan, diagnostics = analyze(doc)
+        assert diagnostics == []
+        values = evaluate(plan, {
+            CellId("x", (2, 3)): Number(5), CellId("x", (3, 2)): Number(7),
+            CellId("x", (2,)): Number(100), CellId("x", (2, 3, 1)): Number(100),
+            CellId("x", ()): Number(100), CellId("x", (0, 2)): Number(100),
+            CellId("x", (2, 1)): Number(100), CellId("x", (2, 4)): Number(100),
+            CellId("y", (1,)): Number(100), CellId("q", (1,)): Number(100)})
+        assert "cells" not in symtab.__dict__
+        assert dict(zip(symtab.cells, values)) == {
+            CellId("x", (1, 2)): BLANK, CellId("x", (1, 3)): BLANK,
+            CellId("x", (2, 2)): BLANK, CellId("x", (2, 3)): Number(5),
+            CellId("x", (3, 2)): Number(7), CellId("x", (3, 3)): BLANK,
+            CellId("y", (1,)): Number(0), CellId("y", (2,)): Number(5),
+            CellId("y", (3,)): Number(7)}
+
 
 class TestFixtureValues:
     def test_cashflow_sequences(self):

@@ -7,14 +7,16 @@ give what elaborating, resolving and ordering one cell at a time gave
 diagnostics in the same order, the same rules, reads, edges, order,
 values, faults and cycles."""
 
+import importlib.util
 import random
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from gridspec import analyzer, evaluator, parse_document
-from gridspec.analyzer import CellId, analyze, elaborate, resolve
+from gridspec import analyzer, cli, evaluator, parse_document
+from gridspec.analyzer import Box, CellId, analyze, elaborate, resolve
 from gridspec.ast import (
     Binary,
     ConstantPattern,
@@ -29,6 +31,7 @@ from gridspec.cli import load_inputs, main
 from gridspec.errors import CyclicDependency, RuntimeFault
 from gridspec.evaluator import Number, build_graph, evaluate, resolve_references
 from gridspec.layout import emit, plan_layout, render_formula
+from gridspec.scheduler import schedule
 
 from helpers import (
     FIXTURES,
@@ -261,3 +264,83 @@ def test_reads_take_no_reference_scan():
     finally:
         sys.setprofile(None)
     assert calls == []
+
+
+# The box schedule: (source, the slices of each sweep the schedule makes, or
+# None where there is no schedule and order_cells orders every cell, and
+# what `compare` finds).  Over `b`, `x[ t ]` holds 10 * t.
+SCHEDULES = {
+    "reverse recurrence": (
+        "table y : b -> number.\ny[ t<3 ] = y[ t + 1 ] + 1.\ny[ 3 ] = x[ 1 ].",
+        None, "evaluated"),
+    "sweep on the second dimension": (
+        "table m : b l -> number.\nm[ t, 2 ] = x[ t ].\nm[ t, l>2 ] = m[ t, l - 1 ] + x[ t ].",
+        [(2, 5)], "evaluated"),
+    "diagonal": (
+        "bounds c: 1 to 3.\ntable d : b c -> number.\nd[ i, i>1 ] = d[ i - 1, i - 1 ] + x[ i ].\n"
+        "d[ 1, 1 ] = x[ 1 ].\nd[ 1, j>1 ] = j.\nd[ 2, j<>2 ] = x[ j ].\nd[ 3, j<>3 ] = 0.",
+        [(1, 3)], "evaluated"),
+    "constant pattern in a sweep": (
+        "table p : b -> number.\ntable q : b -> number.\np[ 2 ] = q[ 1 ] + 1.\n"
+        "p[ t<>2 ] = x[ t ].\nq[ t ] = p[ t ] * 2.",
+        [(1, 3)], "evaluated"),
+    "no sweep, acyclic cells": (
+        "table s : b b -> number.\ns[ i, 1 ] = x[ i ].\ns[ i, j>1 ] = s[ i, j - 1 ] + s[ 1, 1 ].",
+        None, "evaluated"),
+    # the sweep reaches y[2] first; order_cells reaches a[3], whose number is smaller
+    "fault in a sweep": (
+        "table y : b -> number.\ntable a : b -> number.\ny[ 1 ] = x[ 1 ].\n"
+        "y[ t>1 ] = y[ t - 1 ] / ( x[ t ] - 20 ).\na[ t ] = 1 / ( x[ t ] - 30 ).",
+        [(1, 3)], "fault"),
+}
+
+
+@pytest.mark.parametrize("source, sweeps, outcome", list(SCHEDULES.values()), ids=list(SCHEDULES))
+def test_schedules(source, sweeps, outcome):
+    doc = parse_document("bounds b: 1 to 3.\nbounds l: 2 to 5.\ntable x : b -> number.\n"
+                         + source + "\n")
+    bindings = {CellId("x", (t,)): Number(10 * t) for t in (1, 2, 3)}
+    assert compare(doc, bindings) == outcome
+    symtab, plan, diagnostics = analyze(doc)
+    assert diagnostics == []
+    steps = schedule(plan)
+    assert sweeps == (None if steps is None else
+                      [(step[0][0], step[0][-1]) for step in steps if type(step) is not Box])
+    if outcome == "fault":
+        with pytest.raises(RuntimeFault) as info:
+            evaluate(plan, bindings)
+        assert str(info.value) == "a[3]: division by zero"
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def test_clean_compile_orders_no_cell(monkeypatch, tmp_path):
+    """A clean compile of the fixtures and of the benchmark's workloads
+    (seed 1) evaluates on the box schedule: it never calls order_cells and
+    makes no CellId list (`symtab.cells`)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    calls, symtabs = [], []
+    order_cells, analyze_spec = evaluator.order_cells, cli.analyze
+    monkeypatch.setattr(evaluator, "order_cells", lambda plan: calls.append(plan) or order_cells(plan))
+
+    def analyzed(*args, **kwargs):
+        result = analyze_spec(*args, **kwargs)
+        symtabs.append(result[0])
+        return result
+    monkeypatch.setattr(cli, "analyze", analyzed)
+    models = [(FIXTURES / f"{name}.gsx", FIXTURES / f"{name}_inputs.csv")
+              for name in ("cashflow", "borrowing", "loans")]
+    for name in ("loans_grid", "cashflow_chain", "many_tables"):
+        workload = workloads.GENERATORS[name](1)
+        models.append((tmp_path / f"{name}.gsx", tmp_path / f"{name}.csv"))
+        models[-1][0].write_text(workload.spec, encoding="utf-8")
+        models[-1][1].write_text(workload.inputs, encoding="utf-8")
+    for source, inputs in models:
+        assert main(["compile", str(source), "--inputs", str(inputs),
+                     "--out-dir", str(tmp_path / source.stem)]) == 0
+    assert calls == []
+    assert len(symtabs) == 6 and not any("cells" in symtab.__dict__ for symtab in symtabs)
