@@ -4,9 +4,10 @@ Runtime values are Blank, Number, Boolean, DateValue, or the single NA
 error; currency is a table's type, which only emit reads.  Arithmetic
 coerces Blank to 0; NA propagates through arithmetic and comparison but
 is absorbed by isna.  Evaluation runs each equation's boxes in an order
-proved once per box (see schedule), so every read sees an already-written
-value.  The per-cell order of order_cells is the exact path for a plan
-that the schedule cannot order, and it names the first fault and a cycle.
+proved once per box (see scheduler.schedule), so every read sees an
+already-written value.  The per-cell order of order_cells is the exact
+path for a plan that the schedule cannot order, and it names the first
+fault and a cycle.
 """
 
 from __future__ import annotations

@@ -80,20 +80,21 @@ def _strong_components(sources: list[list[int]]) -> list[list[int]]:
     lists the nodes with an edge to b, each after those with an edge into
     it: Tarjan's algorithm, run along the edges backwards.  A node is in
     `low` from when it is reached until its component is complete."""
-    found, low, stack, components = {}, {}, [], []
+    found, low, stack, work, components = {}, {}, [], [], []
+
+    def reach(node):
+        found[node] = low[node] = len(found)
+        stack.append(node)
+        work.append((node, iter(sources[node])))
+
     for root in range(len(sources)):
-        if root in found:
-            continue
-        found[root] = low[root] = len(found)
-        stack.append(root)
-        work = [(root, iter(sources[root]))]
+        if root not in found:
+            reach(root)
         while work:
             node, edges = work[-1]
             for other in edges:
                 if other not in found:
-                    found[other] = low[other] = len(found)
-                    stack.append(other)
-                    work.append((other, iter(sources[other])))
+                    reach(other)
                     break
                 if other in low:
                     low[node] = min(low[node], found[other])
@@ -132,7 +133,8 @@ def _sweep(plan: CellPlan, boxes: list, members: list[int], sources: list):
             continue
         order = []
         for box in map(boxes.__getitem__, ordered):
-            own = box.stencil.home[position[box.stencil.equation.table]]  # a variable or a constant
+            # a left-hand form is one variable or a constant
+            own = box.stencil.home[position[box.stencil.equation.table]]
             order.append((box, own[1][0][0] if own[1] else None, *extremes(own, box.spans)))
         low, high = plan.symtab.bounds[bound]
         return range(low, high + 1), order

@@ -325,7 +325,8 @@ def test_clean_compile_orders_no_cell(monkeypatch, tmp_path):
     spec.loader.exec_module(workloads)
     calls, symtabs = [], []
     order_cells, analyze_spec = evaluator.order_cells, cli.analyze
-    monkeypatch.setattr(evaluator, "order_cells", lambda plan: calls.append(plan) or order_cells(plan))
+    monkeypatch.setattr(evaluator, "order_cells",
+                        lambda plan: calls.append(plan) or order_cells(plan))
 
     def analyzed(*args, **kwargs):
         result = analyze_spec(*args, **kwargs)
