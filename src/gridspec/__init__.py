@@ -13,11 +13,8 @@ from .errors import (
     GridSpecError,
     InputError,
     LayoutError,
-    LayoutOverflow,
     ParseFailure,
     RuntimeFault,
-    UnknownFunction,
-    UnsupportedMatchType,
 )
 from .evaluator import (
     BLANK,

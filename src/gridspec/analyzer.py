@@ -224,7 +224,7 @@ def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
 
     extents, base = {}, 0
     for name in sorted(tables):
-        # undeclared bounds are an UnknownBounds error, reported below
+        # bounds undeclared (UnknownBounds, below) or invalid (InvalidBounds, above) span no cell
         axes = tuple([(dim, *bounds.get(dim, (1, 0))) for dim in tables[name].dims])
         strides, size, origin = [], 1, base
         for _, low, high in reversed(axes):
@@ -237,10 +237,11 @@ def resolve(doc: SpecDocument) -> tuple[SymbolTable, list[Diagnostic]]:
         largest = max(tables.values(), key=lambda decl: extents[decl.name].size)
         diagnostics.append(Diagnostic("error", "TooManyCells", f"the tables hold {base:,} "
                                       f"cells, over the limit of {MAX_CELLS:,}", largest.pos))
+    declared = {element.name for element in doc.elements if isinstance(element, BoundsDecl)}
     for element in doc.elements:
         if isinstance(element, TableDecl):
             for dim in element.dims:
-                if dim not in bounds:
+                if dim not in declared:
                     diagnostics.append(Diagnostic(
                         "error", "UnknownBounds",
                         f"table '{element.name}' references undeclared bounds '{dim}'",

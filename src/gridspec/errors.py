@@ -1,4 +1,5 @@
-"""Exception types shared across the toolchain."""
+"""Exception types shared across the toolchain, one per kind of failure;
+a RuntimeFault is how evaluate reports the evaluator's internal _Fault."""
 
 from __future__ import annotations
 
@@ -34,20 +35,8 @@ class RuntimeFault(GridSpecError):
         super().__init__(f"{cell}: {reason}")
 
 
-class UnknownFunction(GridSpecError):
-    pass
-
-
-class UnsupportedMatchType(GridSpecError):
-    pass
-
-
 class LayoutError(GridSpecError):
     """The tables cannot be laid out as asked."""
-
-
-class LayoutOverflow(LayoutError):
-    pass
 
 
 class InputError(GridSpecError):

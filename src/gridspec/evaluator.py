@@ -34,13 +34,7 @@ from .ast import (
     IndexVar,
     NumberLit,
 )
-from .errors import (
-    CyclicDependency,
-    GridSpecError,
-    RuntimeFault,
-    UnknownFunction,
-    UnsupportedMatchType,
-)
+from .errors import CyclicDependency, RuntimeFault
 from .scheduler import schedule
 
 
@@ -233,7 +227,7 @@ def _sum(*args) -> Value:
 
 def _match(needle: Value, rng, mode: Value) -> Value:
     if not (isinstance(mode, Number) and mode.value == 0):
-        raise UnsupportedMatchType("third argument of match must be 0")
+        raise _Fault("third argument of match must be 0")
     if not isinstance(rng, list):
         rng = [rng]
     if is_na(needle):
@@ -291,10 +285,9 @@ def compile_template(template: Expr, leaf):
     Values, which only `sum` and `match` accept as an argument.  Each
     operator and builtin is chosen now; `if` evaluates only the branch it
     takes, and an unknown function, a wrong arity or a range elsewhere
-    faults only when its node is reached.  The function raises _Fault
-    when an operator or builtin rejects its operands, and gives 0 where
-    the formula's result is an empty cell, as the host application
-    does."""
+    faults only when its node is reached.  The function raises _Fault for
+    those and where an operator or builtin rejects its operands, and gives
+    0 where the formula's result is an empty cell, as the host does."""
     return partial(_blank_is_zero, _compile(template, leaf, False))
 
 
@@ -321,9 +314,9 @@ def _compile(node: Expr, leaf, range_ok: bool):
 def _compile_call(node: Call, leaf):
     name, count = node.func.lower(), len(node.args)
     if name not in BUILTINS:
-        return partial(_raise, UnknownFunction, f"unknown function {name}")
+        return partial(_raise, f"unknown function {name}")
     if not count or BUILTINS[name] not in (None, count):
-        return partial(_raise, _Fault, f"{name} given {count} argument(s)")
+        return partial(_raise, f"{name} given {count} argument(s)")
     args = [_compile(arg, leaf, name in AGGREGATES) for arg in node.args]
     if name == "if":
         return partial(_choose, *args)
@@ -375,8 +368,8 @@ def _outside(read, env):
     raise _Fault("range reference outside sum or match")
 
 
-def _raise(error, message, env):
-    raise error(message)
+def _raise(message, env):
+    raise _Fault(message)
 
 
 # --- reads, the evaluation order and the dependency graph ------------------
@@ -395,21 +388,6 @@ def expand_ref(ref, subst: dict[str, int]):
     return tuple([CellId(node.table, c) for c in product(*spans)])
 
 
-def _read_numbers(plan: CellPlan, number: int) -> list[int]:
-    """Every dense number that cell `number` reads, a range's each, in
-    row-major order (see Stencil.reads)."""
-    box = plan.owner[number]
-    if box is None:
-        return []
-    indices = plan.symtab.cells[number].indices
-    values = [indices[d] for d in box.stencil.variables.values()]
-    numbers = []
-    for first, steps, offsets in box.stencil.reads:
-        first += sum(map(operator.mul, steps, values))
-        numbers += [first + offset for offset in offsets or (0,)]
-    return numbers
-
-
 def resolve_references(plan: CellPlan) -> dict[CellId, tuple]:
     """The cells each derived cell reads, in plan.rules order: one entry per
     slot of its equation's stencil, a CellId or, for a range, a plain tuple
@@ -420,33 +398,37 @@ def resolve_references(plan: CellPlan) -> dict[CellId, tuple]:
             for cell, box in plan.derived()}
 
 
+def _edges(plan: CellPlan) -> tuple[int, list[int]]:
+    """The cell graph's edges, ascending, and `width`: a key `read * width +
+    reader` for each cell that each derived cell reads, a range's each, in
+    the row-major order of Stencil.reads.  A box's keys for one read cell
+    of a reference are affine in its variables' values, so they are listed
+    a run at a time.  A cell that reads another twice has two keys."""
+    width = 4 * len(plan.owner) + 4  # above any step of a reader's number, so no key step is 0
+    keys = []
+    for boxes in plan.boxes.values():
+        for box in boxes:
+            for start, coefficients, offsets in box.stencil.reads:
+                steps = [c * width + step for c, step in zip(coefficients, box.steps)]
+                for offset in offsets or (0,):
+                    for run in runs(box.spans, (start + offset) * width + box.first, steps):
+                        keys += run
+    keys.sort()
+    return width, keys
+
+
 def order_cells(plan: CellPlan) -> list[int]:
     """The dense numbers of all cells in evaluation order, by Kahn's
     algorithm over a min-heap: of the cells whose reads are all placed, the
     smallest number, which is the smallest (table, indices), goes next.
-
-    An edge is a key `read * width + reader`.  A box's keys for one read
-    cell of a reference are affine in its variables' values, so they are
-    listed a run at a time, sorted once, and a placed cell's readers are
-    the keys between two bisections.  A cell that reads another twice has
-    two keys and counts it twice, which places it no differently."""
-    owner = plan.owner
-    size = len(owner)
-    width = 4 * size + 4  # above any step of a reader's number, so no key step is 0
+    A placed cell's readers are the keys of _edges between two bisections;
+    a cell that reads another twice counts it twice, which places it no
+    differently."""
+    size = len(plan.owner)
+    width, keys = _edges(plan)
     indegree = [0] * size
-    keys = []
-    for boxes in plan.boxes.values():
-        for box in boxes:
-            first, steps = box.first, box.steps
-            reads = [(start + offset, coefficients) for start, coefficients, offsets
-                     in box.stencil.reads for offset in offsets or (0,)]
-            for run in runs(box.spans, first, steps):
-                indegree[run.start:run.stop:run.step] = [len(reads)] * len(run)
-            for start, coefficients in reads:
-                for run in runs(box.spans, start * width + first,
-                                [c * width + step for c, step in zip(coefficients, steps)]):
-                    keys += run
-    keys.sort()
+    for key in keys:
+        indegree[key % width] += 1
     ready = [n for n in range(size) if not indegree[n]]  # ascending, so a heap
     order = []
     while ready:
@@ -460,22 +442,24 @@ def order_cells(plan: CellPlan) -> list[int]:
             if not indegree[reader]:
                 heapq.heappush(ready, reader)
     if len(order) < size:
-        raise CyclicDependency(_find_cycle(plan, {n for n in range(size) if indegree[n]}))
+        raise CyclicDependency(_find_cycle(plan, width, keys, indegree))
     return order
 
 
-def _find_cycle(plan: CellPlan, remaining: set[int]) -> list[CellId]:
-    """Walk unplaced cells, each to the smallest unplaced cell it reads,
-    until one repeats; return the cycle path."""
-    start = min(remaining)
-    seen = {}
-    path = [start]
-    cell = start
+def _find_cycle(plan: CellPlan, width: int, keys: list[int], indegree: list[int]) -> list[CellId]:
+    """Walk the cells that order_cells left unplaced, those of indegree
+    above 0, from the smallest, each to the smallest unplaced cell it
+    reads, until one repeats; return the cycle path."""
+    reads = {}  # unplaced cell -> the smallest unplaced cell it reads
+    for key in keys:  # ascending, so a reader's first key names its smallest read
+        read, reader = divmod(key, width)
+        if indegree[read] and indegree[reader]:
+            reads.setdefault(reader, read)
+    cell, seen = min(reads), {}  # each cell of the walk -> its place in it
     while cell not in seen:
-        seen[cell] = len(path) - 1
-        cell = min(n for n in _read_numbers(plan, cell) if n in remaining)
-        path.append(cell)
-    return [plan.symtab.cells[n] for n in path[seen[cell]:]]
+        seen[cell] = len(seen)
+        cell = reads[cell]
+    return [plan.symtab.cells[n] for n in [*seen][seen[cell]:] + [cell]]
 
 
 @dataclass
@@ -490,10 +474,14 @@ def build_graph(plan: CellPlan) -> DependencyGraph:
     the region plan when asked for: the order of order_cells, in which
     `evaluate` reports a fault or a cycle."""
     cells, order = plan.symtab.cells, order_cells(plan)
-    numbers = [n for n, box in enumerate(plan.owner)
-               if box is not None or cells[n].table not in plan.boxes]
-    edges = {cells[n]: {cells[m] for m in _read_numbers(plan, n)} for n in numbers}
-    return DependencyGraph([cells[n] for n in numbers], edges, [cells[n] for n in order])
+    nodes = [cells[n] for n, box in enumerate(plan.owner)
+             if box is not None or cells[n].table not in plan.boxes]
+    edges = {cell: set() for cell in nodes}
+    width, keys = _edges(plan)
+    for key in keys:
+        read, reader = divmod(key, width)
+        edges[cells[reader]].add(cells[read])
+    return DependencyGraph(nodes, edges, [cells[n] for n in order])
 
 
 def _reader(store: list, read: tuple):
@@ -554,7 +542,9 @@ def evaluate(plan: CellPlan, inputs: dict[CellId, Value]) -> list[Value]:
     compile_template), and run over its boxes in the order of `schedule`.
     Where there is no schedule, or a cell faults, every cell is evaluated
     again in the order of order_cells, which reports the cycle or the
-    fault that it meets first."""
+    fault that it meets first.  Every evaluation failure, an unknown
+    function in a plan that skipped typecheck included, is a _Fault,
+    reported as a RuntimeFault that names its cell."""
     store: list[Value] = [BLANK] * len(plan.owner)
     for cell, value in inputs.items():
         number = _input_number(plan, cell)
@@ -568,7 +558,7 @@ def evaluate(plan: CellPlan, inputs: dict[CellId, Value]) -> list[Value]:
         try:
             _run(store, programs, steps)
             return store
-        except (_Fault, GridSpecError):
+        except _Fault:
             pass  # evaluated again below, which reports the fault that order_cells meets first
     cells, owner = plan.symtab.cells, plan.owner
     for number in order_cells(plan):

@@ -31,7 +31,7 @@ from itertools import chain, product, repeat
 from operator import itemgetter, mul
 
 from .a1 import MAX_COLUMNS, MAX_ROWS, column_letters, sheet_prefix
-from .analyzer import CellId, CellPlan, Stencil, SymbolTable
+from .analyzer import CellId, CellPlan, Stencil, SymbolTable, runs
 from .ast import (
     BooleanLit,
     Call,
@@ -45,7 +45,7 @@ from .ast import (
     format_number,
     print_expr,
 )
-from .errors import LayoutError, LayoutOverflow
+from .errors import LayoutError
 from .evaluator import (
     Blank,
     Boolean,
@@ -173,7 +173,7 @@ def plan_layout(doc: SpecDocument, symtab: SymbolTable,
 
     for region in regions.values():
         if region.right > MAX_COLUMNS or region.bottom > MAX_ROWS:
-            raise LayoutOverflow(
+            raise LayoutError(
                 f"layout exceeds sheet extents at {region.sheet}!{region.a1_range()}")
     # a range is written as the rectangle from its first cell to its last,
     # so along the dimensions that run down rows, all but a block's first,
@@ -346,10 +346,9 @@ def emit(layout: Layout, plan: CellPlan, values: list[Value],
             if box.stencil not in templates:
                 templates[box.stencil] = _template(box.stencil, layout)
             *outer, inner = box.spans or (range(1),)
-            step = box.steps[-1] if box.steps else 1
-            for fixed in product(*outer):  # a run: `fixed` outer values, cells `step` apart
-                start = box.first - base + sum(map(mul, box.steps, fixed)) + step * inner.start
-                cell_formulas[start:start + step * len(inner):step] = _format_run(
+            # a run: `fixed` outer values, and the offsets of its cells
+            for fixed, run in zip(product(*outer), runs(box.spans, box.first - base, box.steps)):
+                cell_formulas[run.start:run.stop:run.step] = _format_run(
                     templates[box.stencil], fixed, inner, letters)
         _put((formulas[region.sheet], value_doc[region.sheet]), (cell_formulas, texts),
              region.top, region.left, region.height)

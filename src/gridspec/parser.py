@@ -158,11 +158,6 @@ def tokenize(text: str) -> list[Token]:
             for kind, word, offset in zip(kinds, texts, offsets)]
 
 
-class _ParseDiagnostic(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        self.diagnostic = diagnostic
-
-
 class Parser:
     """Recursive-descent parser over a scanned token stream.  A symbol's
     or keyword's text is never another kind's, so the parser compares the
@@ -207,9 +202,9 @@ class Parser:
             return word
         self.fail(expected or (f"'{text}'" if text else kind))
 
-    def error(self, message: str, at: int | None = None) -> _ParseDiagnostic:
-        """A ParseError at token `at`, by default the current token."""
-        return _ParseDiagnostic(Diagnostic("error", "ParseError", message, self.position(at)))
+    def error(self, message: str, at: int | None = None) -> ParseFailure:
+        """A ParseFailure of one ParseError at token `at`, by default the current."""
+        return ParseFailure([Diagnostic("error", "ParseError", message, self.position(at))])
 
     def fail(self, expected: str):
         found = "end of input" if self.kinds[self.pos] == "eoi" else f"'{self.texts[self.pos]}'"
@@ -399,12 +394,9 @@ class Parser:
 
     def whole_expression(self) -> Expr:
         """An expression spanning every token; raises ParseFailure if not."""
-        try:
-            expr = self.expression()
-            if not self.at("eoi"):
-                self.fail("end of input")
-        except _ParseDiagnostic as exc:
-            raise ParseFailure([exc.diagnostic]) from None
+        expr = self.expression()
+        if not self.at("eoi"):
+            self.fail("end of input")
         return expr
 
     def index_expression(self) -> Expr:
@@ -437,8 +429,8 @@ def parse_document(text: str) -> SpecDocument:
     while not parser.at("eoi"):
         try:
             elements.append(parser.element())
-        except _ParseDiagnostic as exc:
-            diagnostics.append(exc.diagnostic)
+        except ParseFailure as exc:
+            diagnostics += exc.diagnostics
             parser.recover()
     if diagnostics:
         raise ParseFailure(diagnostics)

@@ -9,8 +9,6 @@ evaluated in the per-cell order of evaluator.order_cells.
 
 from __future__ import annotations
 
-from graphlib import CycleError, TopologicalSorter
-
 from .analyzer import CellPlan, extremes
 
 
@@ -127,12 +125,13 @@ def _sweep(plan: CellPlan, boxes: list, members: list[int], sources: list):
         after = _same_slice(boxes, members, sources, position)
         if after is None:
             continue
-        try:
-            ordered = list(TopologicalSorter(after).static_order())
-        except CycleError:  # as a box that reads itself in its own slice makes
+        components = _strong_components(after)
+        # a box that reads itself in its own slice is a cycle too
+        if any(len(group) > 1 or group[0] in after[group[0]] for group in components):
             continue
         order = []
-        for box in map(boxes.__getitem__, ordered):
+        for [k] in components:
+            box = boxes[members[k]]
             # a left-hand form is one variable or a constant
             own = box.stencil.home[position[box.stencil.equation.table]]
             order.append((box, own[1][0][0] if own[1] else None, *extremes(own, box.spans)))
@@ -142,17 +141,17 @@ def _sweep(plan: CellPlan, boxes: list, members: list[int], sources: list):
 
 
 def _same_slice(boxes: list, members: list[int], sources: list, position: dict):
-    """Per box of a component, the boxes of the component that it may read
-    in its own slice of the bound at `position` (per table, its
-    dimension), or None where some box may read a later slice.  A read's
-    index on the bound less the reader's own is affine, so its greatest
-    value over the reader's box is exact at the corners; `all` reads up to
-    the bound's high end."""
-    inside, after = set(members), {}
+    """Per box of a component, in the order of `members`, the positions in
+    `members` of the boxes that it may read in its own slice of the bound
+    at `position` (per table, its dimension), or None where some box may
+    read a later slice.  A read's index on the bound less the reader's own
+    is affine, so its greatest value over the reader's box is exact at the
+    corners; `all` reads up to the bound's high end."""
+    inside, after = {m: k for k, m in enumerate(members)}, []
     for m in members:
         stencil, spans = boxes[m].stencil, boxes[m].spans
         own = stencil.home[position[stencil.equation.table]]
-        after[m] = []
+        after.append([])
         for slot, a in sources[m]:
             if a not in inside:
                 continue
@@ -166,5 +165,5 @@ def _same_slice(boxes: list, members: list[int], sources: list, position: dict):
             if gap > 0:
                 return None
             if gap == 0:
-                after[m].append(a)
+                after[-1].append(inside[a])
     return after

@@ -5,8 +5,9 @@ shape, the values document supplies the value at each referenced
 address, the result is computed by the shape's template, compiled by the
 evaluator's own compile_template, and compared to the cell's own entry
 in the values document.  A formula that does not
-parse, calls an unknown function, reads a cell that holds no value or a
-sheet the directory does not hold, or whose operands make it fault is a
+parse (ParseFailure), or that faults (the evaluator's _Fault): calls an
+unknown function, reads a cell that holds no value or a sheet the
+directory does not hold, or has operands that make it fault, is a
 mismatch that names the reason.  Numbers compare within relative
 tolerance 1e-9; booleans, dates, and NA compare exactly.  Every other
 cell of the formulas document must hold the same text in the values
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .a1 import NUMBER, Address, formula_shape, make_template, parse_a1_formula
 from .ast import Hole
-from .errors import ParseFailure, UnknownFunction, UnsupportedMatchType
+from .errors import ParseFailure
 from .evaluator import (
     BLANK,
     NA,
@@ -216,7 +217,7 @@ def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
                 first = exc.diagnostics[0]
                 fault = f"does not parse: {first.code} {first.pos} {first.message}"
                 mismatch = Mismatch(Address(sheet, column, row), None, stored, fault)
-            except (_Fault, UnknownFunction, UnsupportedMatchType) as exc:
+            except _Fault as exc:
                 mismatch = Mismatch(Address(sheet, column, row), None, stored, str(exc))
             else:
                 if values_agree(computed, stored):

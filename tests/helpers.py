@@ -46,13 +46,7 @@ from gridspec.ast import (
 )
 from gridspec.a1 import Address, CellRef, parse_a1_formula, sheet_prefix
 from gridspec.cli import load_inputs
-from gridspec.errors import (
-    CyclicDependency,
-    ParseFailure,
-    RuntimeFault,
-    UnknownFunction,
-    UnsupportedMatchType,
-)
+from gridspec.errors import CyclicDependency, ParseFailure, RuntimeFault
 from gridspec.evaluator import (
     BLANK,
     NA,
@@ -607,7 +601,7 @@ def _reference_eval(expr, leaf, range_ok):
     if isinstance(expr, Call):
         name = expr.func.lower()
         if name not in BUILTINS:
-            raise UnknownFunction(f"unknown function {name}")
+            raise _Fault(f"unknown function {name}")
         arity = BUILTINS[name]
         if not expr.args or (arity is not None and len(expr.args) != arity):
             raise _Fault(f"{name} given {len(expr.args)} argument(s)")
@@ -687,7 +681,7 @@ def reference_apply_builtin(name, args):
     if name == "match":
         needle, rng, mode = args
         if not (isinstance(mode, Number) and mode.value == 0):
-            raise UnsupportedMatchType("third argument of match must be 0")
+            raise _Fault("third argument of match must be 0")
         if not isinstance(rng, list):
             rng = [rng]
         if is_na(needle):
@@ -786,7 +780,7 @@ def reference_verify_grid(formulas, values) -> VerifyReport:
                 fault = f"does not parse: {first.code} {first.pos} {first.message}"
                 report.mismatches.append(Mismatch(address, None, stored, fault))
                 continue
-            except (_Fault, UnknownFunction, UnsupportedMatchType) as exc:
+            except _Fault as exc:
                 report.mismatches.append(Mismatch(address, None, stored, str(exc)))
                 continue
             if not values_agree(computed, stored):

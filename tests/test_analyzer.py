@@ -1,9 +1,12 @@
 import itertools
 import random
 
+import pytest
+
 from gridspec import parse_document
 from gridspec.analyzer import (
     CellId,
+    analyze,
     elaborate,
     match_patterns,
     resolve,
@@ -47,6 +50,15 @@ class TestResolve:
         doc = parse_document("bounds b: 1 to 3.\ntable x : b -> number.\nx[i, j] = 1.")
         _, diagnostics = resolve(doc)
         assert codes(diagnostics) == ["ArityMismatch"]
+
+    def test_invalid_bounds_are_not_also_undeclared(self, tmp_path, capsys):
+        """Bounds whose low end exceeds the high end are reported once, as
+        InvalidBounds; a table over them names no undeclared bounds."""
+        spec = tmp_path / "spec.gsx"
+        spec.write_text("bounds b: 3 to 1.\ntable x : b -> number.\n", encoding="utf-8")
+        assert main(["check", str(spec)]) == 1
+        assert capsys.readouterr().out == \
+            "error InvalidBounds 1:1 bounds 'b': low bound 3 exceeds high bound 1\n"
 
 
 def typecheck_source(source):
@@ -141,6 +153,41 @@ class TestTypecheck:
         assert capsys.readouterr().out == warning
         assert main(["compile", str(spec), "--out-dir", str(tmp_path / "out")]) == 3
         assert capsys.readouterr() == (warning, "error: cyclic dependency: x[1] -> x[1]\n")
+
+
+# Inputs n, d and k, and derived tables x, c and e, one of each result
+# type that the cases below need; each case is written on lines 8 on.
+DIAGNOSED = ("bounds b: 1 to 3.\ntable n : b -> number.\ntable d : b -> date.\n"
+             "table k : b -> boolean.\ntable x : b -> general.\ntable c : b -> boolean.\n"
+             "table e : b -> date.\n")
+
+
+@pytest.mark.parametrize("fragment, diagnostics", [
+    ("table x : b -> number.", ["error DuplicateName 8:1 table 'x' declared more than once"]),
+    ("x[t] = y[t].", ["error UnknownTable 8:1 reference to undeclared table 'y'"]),
+    ("table y : b -> number.\nx[t] = y[t, t].",
+     ["error ArityMismatch 9:1 reference 'y' has 2 index expression(s) "
+      "but the table has 1 dimension(s)"]),
+    ("x[t] = d[t] + 1.", ["error TypeMismatch 8:1 left operand of '+' is date, expected a number"]),
+    ("x[t] = 1 + d[t].",
+     ["error TypeMismatch 8:1 right operand of '+' is date, expected a number"]),
+    ("c[t] = d[t] < 1.", ["error TypeMismatch 8:1 cannot compare date with number using '<'"]),
+    ("c[t] = d[t] < d[1].", []),
+    ("c[t] = not( k[t], k[t] ).", ["error ArityMismatch 8:1 'not' takes 1 argument(s), got 2"]),
+    ("c[t] = and().", ["error ArityMismatch 8:1 'and' needs at least one argument"]),
+    ("x[t] = if( k[t], d[t], 1 ).",
+     ["error TypeMismatch 8:1 if branches disagree: date versus number"]),
+    ("c[t] = or( n[t] ).", ["error BooleanExpected 8:1 'or' argument is number, expected boolean"]),
+    ("x[t] = sum( k[ all ] ).", ["error TypeMismatch 8:1 sum over boolean values"]),
+    ("x[t] = match( 1, n[ t ], 0 ).",
+     ["error MisplacedAll 8:1 second argument of match must be an element reference "
+      "with an 'all' index"]),
+    ("e[t] = date( k[t], 1, 1 ).",
+     ["error TypeMismatch 8:1 date part is boolean, expected a number"]),
+])
+def test_resolve_and_typecheck_texts(fragment, diagnostics):
+    _, _, found = analyze(parse_document(DIAGNOSED + fragment))
+    assert [str(d) for d in found] == diagnostics
 
 
 class TestElaborate:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import random
@@ -552,6 +553,85 @@ def test_module_entry_point():
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == ""
+
+
+@pytest.mark.parametrize("argv, code", [(["check", str(FIXTURES / "loans.gsx")], 0), ([], 2)],
+                         ids=["check", "no arguments"])
+def test_module_entry_point_exit_codes(argv, code):
+    """`python -m gridspec` is the one module entry point: it runs the
+    command line's `main` and exits with its code, 2 for a usage error."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "gridspec", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr
+
+
+class TestFailureTexts:
+    """What the command line prints for a formula, a spec or an input that
+    fails at run time, by the one exception of each kind of failure."""
+
+    SPEC = ("bounds t: 1 to 3.\ntable a : t -> number.\ntable b : t -> number.\n"
+            "table y : t -> number.\ny[ t ] = a[ t ] + b[ t ].\n")
+
+    @pytest.mark.parametrize("formula, reason", [
+        ("=NOSUCH(A3)", "unknown function nosuch"),
+        ("=MATCH(1,A3:A5,1)", "third argument of match must be 0"),
+    ])
+    def test_verify_names_the_fault(self, tmp_path, capsys, formula, reason):
+        code, out = run_cli(tmp_path, self.SPEC, "a,1,1\n")
+        assert code == 0
+        path = out / "Model.formulas.csv"
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[2][2] == "=A3+B3"
+        rows[2][2] = formula
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(rows)
+        assert main(["verify", str(out)]) == 1
+        assert capsys.readouterr().out == (
+            "checked 3 cells, 1 mismatch(es)\n"
+            f"  Model!C3: formula faults ({reason}), document holds Number(1.0)\n")
+
+    def test_date_part_not_an_integer(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "bounds t: 1 to 2.\ntable x : t -> date.\n"
+                                      "x[t] = date( 2020, 2, 1.5 ).\n")
+        assert code == 3
+        assert capsys.readouterr().err == "error: x[1]: date part 1.5 is not an integer\n"
+        assert not out.exists()
+
+    def test_match_over_dates(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "bounds t: 1 to 3.\ntable d : t -> date.\n"
+                                      "table m : t -> general.\n"
+                                      "m[ t ] = match( d[t], d[ all ], 0 ).\n",
+                            "d,1,2020-01-01\nd,2,2020-02-01\nd,3,2020-01-01\n")
+        assert code == 0, capsys.readouterr()
+        assert main(["verify", str(out)]) == 0
+        assert capsys.readouterr().out == "checked 3 cells, 0 mismatch(es)\n"
+        values = (out / "Model.values.csv").read_text(encoding="utf-8").splitlines()
+        assert [row.split(",")[1] for row in values[2:]] == ["1", "2", "1"]
+
+    @pytest.mark.parametrize("record, message", [
+        ("n,1,true", "boolean value for a number table"),
+        ("n,1,2020-01-01", "date value for a number table"),
+        ("n," + "9" * 5000 + ",1", f"index {'9' * 5000!r} is not an integer"),
+    ], ids=["boolean", "date", "5000-digit index"])
+    def test_bad_input_value(self, tmp_path, capsys, record, message):
+        code, out = run_cli(tmp_path, "bounds t: 1 to 2.\ntable n : t -> number.\n"
+                                      "table y : t -> number.\ny[ t ] = n[ t ].\n", record + "\n")
+        assert code == 1
+        assert capsys.readouterr().err == f"error BadValue: line 1: {message}\n"
+        assert not out.exists()
+
+    def test_values_field_over_the_csv_limit(self, compiled, tmp_path, capsys):
+        work = mutated(compiled, [], tmp_path / "out")
+        path = work / "Model.values.csv"
+        with open(path, "a", encoding="utf-8", newline="") as handle:
+            handle.write("x" * 131_073 + "\n")
+        assert main(["verify", str(work)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {path}: field larger than field limit (131072)\n"
 
 
 def compile_fixture(name, out, *options):

@@ -26,7 +26,6 @@ from gridspec.ast import (
     Hole,
     NumberLit,
 )
-from gridspec.errors import UnknownFunction, UnsupportedMatchType
 from gridspec.evaluator import (
     BLANK,
     NA,
@@ -51,7 +50,7 @@ FUNCTIONS = sorted(BUILTINS) + ["IF", "Sum", "nosuch"]
 def outcome(run):
     try:
         value = run()
-    except (_Fault, UnknownFunction, UnsupportedMatchType) as exc:
+    except _Fault as exc:
         return type(exc).__name__, str(exc)
     return repr(value)
 

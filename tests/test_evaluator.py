@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridspec import CyclicDependency, RuntimeFault, analyze, evaluate, parse_document
-from gridspec.analyzer import CellId
+from gridspec.analyzer import CellId, elaborate, resolve
 from gridspec.evaluator import (
     BLANK,
     NA,
@@ -231,6 +231,23 @@ class TestRuntimeFaults:
         with pytest.raises(RuntimeFault) as info:
             evaluate(plan, {CellId("g", (1,)): Boolean(True)})
         assert info.value.cell == CellId("x", (1,))
+
+    @pytest.mark.parametrize("equation, reason", [
+        ("x[t] = nosuch( t ).", "unknown function nosuch"),
+        ("x[t] = match( 1, y[ all ], 1 ).", "third argument of match must be 0"),
+    ])
+    def test_every_fault_names_its_cell(self, equation, reason):
+        """typecheck rejects both equations; evaluated without it, each
+        faults as a RuntimeFault at its first cell, as any failure does."""
+        doc = parse_document("bounds b: 1 to 3.\ntable x : b -> number.\n"
+                             "table y : b -> number.\n" + equation)
+        symtab, diagnostics = resolve(doc)
+        assert diagnostics == []
+        plan, diagnostics = elaborate(doc, symtab)
+        assert diagnostics == []
+        with pytest.raises(RuntimeFault) as info:
+            evaluate(plan, {})
+        assert str(info.value) == f"x[1]: {reason}"
 
 
 class TestInputs:
