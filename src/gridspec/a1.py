@@ -72,12 +72,6 @@ class RangeRef(Expr):
     first: Address
     last: Address
 
-    def addresses(self):
-        """All covered addresses in row-major order."""
-        for row in range(self.first.row, self.last.row + 1):
-            for col in range(self.first.column, self.last.column + 1):
-                yield Address(self.first.sheet, col, row)
-
 
 # The A1 grammar's tokens, for parser.scan: a cell reference is a `ref`
 # (tried before keywords, so TRUE1 is a cell) whose sheet is an identifier

@@ -81,6 +81,19 @@ class Extent(NamedTuple):
     strides: tuple[int, ...]
     axes: tuple[tuple[str, int, int], ...]
 
+    def number(self, indices) -> int | None:
+        """The dense number of the cell at `indices`, or None where they name
+        no cell of the table; an index is found by equality, as 2.0 for 2."""
+        if len(indices) != len(self.axes):
+            return None
+        number = self.base
+        for index, stride, (_, low, high) in zip(indices, self.strides, self.axes):
+            try:
+                number += range(low, high + 1).index(index) * stride
+            except ValueError:
+                return None
+        return number
+
 
 @dataclass(eq=False)
 class Stencil:
@@ -164,23 +177,18 @@ class CellPlan:
     boxes: dict[str, list[Box]] = field(repr=False)
     owner: list = field(repr=False)
 
-    def derived(self):
-        """Each derived cell and the box that covers it, tables in
-        declaration order, cells row-major."""
-        cells = self.symtab.cells
+    @cached_property
+    def rules(self) -> dict[CellId, RuleInstance]:
+        """Each derived cell's rule: tables in declaration order, cells row-major."""
+        rules, cells = {}, self.symtab.cells
         for name in self.boxes:
             extent = self.symtab.extents[name]
             numbers = slice(extent.base, extent.base + extent.size)
             for cell, box in zip(cells[numbers], self.owner[numbers]):
                 if box is not None:
-                    yield cell, box
-
-    @cached_property
-    def rules(self) -> dict[CellId, RuleInstance]:
-        """Each derived cell's rule, in the order of `derived`."""
-        return {cell: RuleInstance(box.stencil.equation, {
-                    var: cell.indices[d] for var, d in box.stencil.variables.items()})
-                for cell, box in self.derived()}
+                    rules[cell] = RuleInstance(box.stencil.equation, {
+                        var: cell.indices[d] for var, d in box.stencil.variables.items()})
+        return rules
 
 
 def compatible(declared: str, inferred: str) -> bool:

@@ -48,24 +48,12 @@ class Blank(Value):
     def __repr__(self):
         return "Blank"
 
-    def __eq__(self, other):
-        return isinstance(other, Blank)
-
-    def __hash__(self):
-        return hash(Blank)
-
 
 class NAError(Value):
     __slots__ = ()
 
     def __repr__(self):
         return "#N/A"
-
-    def __eq__(self, other):
-        return isinstance(other, NAError)
-
-    def __hash__(self):
-        return hash(NAError)
 
 
 BLANK = Blank()
@@ -127,21 +115,13 @@ class _Fault(Exception):
 
 
 def is_na(value: Value) -> bool:
-    return value is NA or isinstance(value, NAError)
+    return value is NA
 
 
 def value_equal(a: Value, b: Value) -> bool:
     """Type-and-value equality; Blank and NA equal nothing (not even
     themselves) for matching purposes."""
-    if isinstance(a, (Blank, NAError)) or isinstance(b, (Blank, NAError)):
-        return False
-    if isinstance(a, Number) and isinstance(b, Number):
-        return a.value == b.value
-    if isinstance(a, Boolean) and isinstance(b, Boolean):
-        return a.value == b.value
-    if isinstance(a, DateValue) and isinstance(b, DateValue):
-        return a.date == b.date
-    return False
+    return a is not BLANK and a is not NA and a == b
 
 
 class SparseRange(list):
@@ -388,16 +368,6 @@ def expand_ref(ref, subst: dict[str, int]):
     return tuple([CellId(node.table, c) for c in product(*spans)])
 
 
-def resolve_references(plan: CellPlan) -> dict[CellId, tuple]:
-    """The cells each derived cell reads, in plan.rules order: one entry per
-    slot of its equation's stencil, a CellId or, for a range, a plain tuple
-    of CellIds (tell them apart by exact type).  Made when asked for;
-    evaluation reads dense numbers instead."""
-    rules = plan.rules
-    return {cell: tuple([expand_ref(ref, rules[cell].substitution) for ref in box.stencil.refs])
-            for cell, box in plan.derived()}
-
-
 def _edges(plan: CellPlan) -> tuple[int, list[int]]:
     """The cell graph's edges, ascending, and `width`: a key `read * width +
     reader` for each cell that each derived cell reads, a range's each, in
@@ -424,11 +394,17 @@ def order_cells(plan: CellPlan) -> list[int]:
     A placed cell's readers are the keys of _edges between two bisections;
     a cell that reads another twice counts it twice, which places it no
     differently."""
+    return _kahn(plan, *_edges(plan))
+
+
+def _kahn(plan: CellPlan, width: int, keys: list[int]) -> list[int]:
+    """order_cells over the edge keys that _edges(plan) gives."""
     size = len(plan.owner)
-    width, keys = _edges(plan)
     indegree = [0] * size
-    for key in keys:
-        indegree[key % width] += 1
+    for box in chain.from_iterable(plan.boxes.values()):  # a key per cell read (see _edges)
+        reads = sum([len(offsets or (0,)) for *_, offsets in box.stencil.reads])
+        for run in runs(box.spans, box.first, box.steps):
+            indegree[run.start:run.stop:run.step] = [reads] * len(run)
     ready = [n for n in range(size) if not indegree[n]]  # ascending, so a heap
     order = []
     while ready:
@@ -473,11 +449,11 @@ def build_graph(plan: CellPlan) -> DependencyGraph:
     """The cell dependency graph and evaluation order as CellIds, made from
     the region plan when asked for: the order of order_cells, in which
     `evaluate` reports a fault or a cycle."""
-    cells, order = plan.symtab.cells, order_cells(plan)
+    cells, (width, keys) = plan.symtab.cells, _edges(plan)
+    order = _kahn(plan, width, keys)
     nodes = [cells[n] for n, box in enumerate(plan.owner)
              if box is not None or cells[n].table not in plan.boxes]
     edges = {cell: set() for cell in nodes}
-    width, keys = _edges(plan)
     for key in keys:
         read, reader = divmod(key, width)
         edges[cells[reader]].add(cells[read])
@@ -518,38 +494,26 @@ def _compiled(stencil, store: list):
     return compile_template(stencil.template, leaf)
 
 
-def _input_number(plan: CellPlan, cell) -> int | None:
-    """The dense number of the input cell that a binding names, or None."""
-    table, indices = cell
-    extent = plan.symtab.extents.get(table)
-    if extent is None or table in plan.boxes or len(indices) != len(extent.axes):
-        return None
-    number = extent.base
-    for index, stride, (_, low, high) in zip(indices, extent.strides, extent.axes):
-        try:
-            number += range(low, high + 1).index(index) * stride
-        except ValueError:
-            return None
-    return number
-
-
 def evaluate(plan: CellPlan, inputs: dict[CellId, Value]) -> list[Value]:
     """Evaluate every cell of the plan; returns every cell's value, inputs
     included, by dense number: `zip(plan.symtab.cells, values)` pairs each
-    with its cell.  An input cell takes its binding in `inputs`, or Blank;
-    a binding that names no input cell is ignored.  Each equation's
-    template is compiled once, to a function of its variables' values (see
-    compile_template), and run over its boxes in the order of `schedule`.
+    with its cell.  An input cell takes its binding in `inputs`, placed at
+    the number Extent.number gives it, or Blank; a binding that names no
+    input cell is ignored.  Each equation's template is compiled once, to a
+    function of its variables' values (see compile_template), and run over
+    its boxes in the order of `schedule`, steps of the plan's one box graph.
     Where there is no schedule, or a cell faults, every cell is evaluated
     again in the order of order_cells, which reports the cycle or the
     fault that it meets first.  Every evaluation failure, an unknown
     function in a plan that skipped typecheck included, is a _Fault,
     reported as a RuntimeFault that names its cell."""
     store: list[Value] = [BLANK] * len(plan.owner)
-    for cell, value in inputs.items():
-        number = _input_number(plan, cell)
-        if number is not None:
-            store[number] = value
+    extents = plan.symtab.extents
+    for (table, indices), value in inputs.items():
+        if table in extents and table not in plan.boxes:
+            number = extents[table].number(indices)
+            if number is not None:
+                store[number] = value
     programs = {box.stencil: None for boxes in plan.boxes.values() for box in boxes}
     for stencil in programs:
         programs[stencil] = _compiled(stencil, store)

@@ -26,6 +26,7 @@ import functools
 import io
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, product, repeat
 from operator import itemgetter, mul
@@ -33,10 +34,11 @@ from operator import itemgetter, mul
 from .a1 import MAX_COLUMNS, MAX_ROWS, column_letters, sheet_prefix
 from .analyzer import CellId, CellPlan, Stencil, SymbolTable, runs
 from .ast import (
+    Binary,
     BooleanLit,
     Call,
-    Comment,
     Expr,
+    Hole,
     IndexVar,
     NumberLit,
     SpecDocument,
@@ -177,16 +179,34 @@ def plan_layout(doc: SpecDocument, symtab: SymbolTable,
                 f"layout exceeds sheet extents at {region.sheet}!{region.a1_range()}")
     # a range is written as the rectangle from its first cell to its last,
     # so along the dimensions that run down rows, all but a block's first,
-    # its `all` indices come last
+    # its `all` indices come last; MATCH searches one row or one column
     for stencil in chain.from_iterable(symtab.stencils.values()):
-        for ref, indices, _, ranged in stencil.refs:
+        for slot, (ref, indices, extent, ranged) in enumerate(stencil.refs):
             if not ranged:
                 continue
             down = [i is None for i in (indices[1:] if len(indices) > 1 else indices)]
             if down != sorted(down):
                 raise LayoutError(f"range {print_expr(ref)} is not one rectangle: its 'all' "
                                   "indices must come last among the dimensions down rows")
+            wide = [i is None and high > low for i, (_, low, high) in zip(indices, extent.axes)]
+            if len(wide) > 1 and wide[0] and any(wide[1:]) and slot in _searched(stencil.template):
+                raise LayoutError(f"match range {print_expr(ref)} spans several rows and "
+                                  "columns: MATCH searches one row or one column")
     return Layout(sheets, regions, caption_column, caption_rows)
+
+
+def _searched(template: Expr) -> set[int]:
+    """The slots of the ranges that the `match` calls of a template search."""
+    slots, nodes = set(), [template]
+    while nodes:
+        node = nodes.pop()
+        if type(node) is Binary:
+            nodes += node.left, node.right
+        elif type(node) is Call:
+            nodes += node.args
+            if node.func.lower() == "match" and len(node.args) > 1 and type(node.args[1]) is Hole:
+                slots.add(node.args[1].slot)
+    return slots
 
 
 # --- formula rendering -----------------------------------------------------
@@ -254,8 +274,7 @@ def _format_run(template: tuple, outer: tuple, inner: range, letters) -> list[st
 def render_formula(cell: CellId, plan: CellPlan, layout: Layout) -> str:
     """Render a derived cell's equation as an A1 formula for its sheet; the
     equation is that of the box which covers the cell's dense number."""
-    extent = plan.symtab.extents[cell.table]
-    stencil = plan.owner[extent.origin + sum(map(mul, cell.indices, extent.strides))].stencil
+    stencil = plan.owner[plan.symtab.extents[cell.table].number(cell.indices)].stencil
     dims = stencil.variables.values()
     *outer, last = [cell.indices[d] for d in dims] or [0]  # no variables: one cell
     return _format_run(_template(stencil, layout), outer, range(last, last + 1),
@@ -376,21 +395,16 @@ def build_manifest(layout: Layout, symtab: SymbolTable,
 
 
 def _attach_comments(doc: SpecDocument) -> dict[str, str]:
-    """Attach each comment to the table declared most recently before it."""
-    events: list[tuple[int, int, object]] = []
-    for element in doc.elements:
-        if isinstance(element, TableDecl):
-            events.append((element.pos.offset, 0, element))
-    for comment in doc.comments:
-        events.append((comment.pos.offset, 1, comment))
-    events.sort(key=lambda e: (e[0], e[1]))
+    """Attach each comment to the table declared most recently before it:
+    bisect its offset into the tables' offsets, so a table that starts at
+    a comment's offset takes it."""
+    decls = sorted([e for e in doc.elements if isinstance(e, TableDecl)],
+                   key=lambda decl: decl.pos.offset)
+    starts = [decl.pos.offset for decl in decls]
     attached: dict[str, list[str]] = {}
-    current: str | None = None
-    for _, _, item in events:
-        if isinstance(item, TableDecl):
-            current = item.name
-        elif isinstance(item, Comment) and current is not None:
-            attached.setdefault(current, []).append(item.text)
+    for comment in doc.comments:
+        if k := bisect_right(starts, comment.pos.offset):
+            attached.setdefault(decls[k - 1].name, []).append(comment.text)
     return {name: "\n".join(lines) for name, lines in attached.items()}
 
 

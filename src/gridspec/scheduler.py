@@ -22,28 +22,19 @@ def schedule(plan: CellPlan) -> list | None:
 
     Box A goes before box B when a read of B's stencil can land in A's
     cells (see _box_graph), and the strongly connected components of that
-    graph go in topological order.  A component with no internal edge is
-    its box; any other needs a sweep (see _sweep).  Tables are put in
-    components first, so only the boxes of a component of tables that
-    reads itself are compared."""
-    names = list(plan.boxes)
-    number = {name: k for k, name in enumerate(names)}
-    reads = [sorted({number[ref.table] for stencil in plan.symtab.stencils[name]
-                     for ref, *_ in stencil.refs if ref.table in number}) for name in names]
+    graph, over every box of the plan, go in topological order.  A
+    component with no internal edge is its box; any other needs a sweep
+    (see _sweep)."""
+    boxes = [box for table in plan.boxes.values() for box in table]
+    sources = _box_graph(boxes)
     steps = []
-    for group in _strong_components(reads):
-        boxes = [box for k in group for box in plan.boxes[names[k]]]
-        if len(group) == 1 and group[0] not in reads[group[0]]:
-            steps += boxes
-            continue
-        sources = _box_graph(boxes)
-        for members in _strong_components([[a for _, a in lands] for lands in sources]):
-            if len(members) == 1 and all(a != members[0] for _, a in sources[members[0]]):
-                steps.append(boxes[members[0]])
-            elif (sweep := _sweep(plan, boxes, members, sources)) is not None:
-                steps.append(sweep)
-            else:
-                return None
+    for members in _strong_components([[a for _, a in lands] for lands in sources]):
+        if len(members) == 1 and all(a != members[0] for _, a in sources[members[0]]):
+            steps.append(boxes[members[0]])
+        elif (sweep := _sweep(plan, boxes, members, sources)) is not None:
+            steps.append(sweep)
+        else:
+            return None
     return steps
 
 

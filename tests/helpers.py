@@ -44,7 +44,7 @@ from gridspec.ast import (
     format_expr,
     format_number,
 )
-from gridspec.a1 import Address, CellRef, parse_a1_formula, sheet_prefix
+from gridspec.a1 import Address, CellRef, RangeRef, parse_a1_formula, sheet_prefix
 from gridspec.cli import load_inputs
 from gridspec.errors import CyclicDependency, ParseFailure, RuntimeFault
 from gridspec.evaluator import (
@@ -60,8 +60,8 @@ from gridspec.evaluator import (
     _Fault,
     _finite,
     compile_template,
+    expand_ref,
     is_na,
-    resolve_references,
     value_equal,
 )
 from gridspec.parser import MAX_EXPRESSION_DEPTH, MAX_INTEGER, Diagnostic
@@ -356,6 +356,25 @@ def _covering_rhs(rng, table, dims, patterns, readable):
     return term(0)
 
 
+def wide_match(doc: SpecDocument) -> bool:
+    """Whether a `match` of the document searches a range over several
+    columns and several rows: a table of two or more dimensions runs its
+    first across columns and the others down rows."""
+    sizes = {e.name: e.high - e.low + 1 for e in doc.elements if isinstance(e, BoundsDecl)}
+    dims = {e.name: e.dims for e in doc.elements if isinstance(e, TableDecl)}
+    for equation in doc.elements:
+        if not isinstance(equation, EquationDecl):
+            continue
+        for node in walk(equation.rhs):
+            if isinstance(node, Call) and node.func.lower() == "match":
+                ref = node.args[1]
+                wide = [isinstance(index, AllIndex) and sizes[dim] > 1
+                        for index, dim in zip(ref.indices, dims[ref.table])]
+                if len(wide) > 1 and wide[0] and any(wide[1:]):
+                    return True
+    return False
+
+
 def covering_inputs(rng: random.Random, doc: SpecDocument) -> str:
     """Input CSV records for every table without equations: whole numbers,
     or cents for currency; about a tenth of the cells blank."""
@@ -530,6 +549,16 @@ def reference_elaborate(doc, symtab):
             diagnostics.extend(reference_ref_bounds(
                 equation, _valid_refs(equation, symtab), subst, cell, symtab))
     return rules, inputs, diagnostics
+
+
+def resolve_references(plan) -> dict:
+    """The cells each derived cell of a region plan reads, in plan.rules
+    order: one entry per slot of its equation's stencil, a CellId or, for
+    a range, a plain tuple of CellIds (tell them apart by exact type)."""
+    extents = plan.symtab.extents
+    return {cell: tuple([expand_ref(ref, rule.substitution) for ref in
+                         plan.owner[extents[cell.table].number(cell.indices)].stencil.refs])
+            for cell, rule in plan.rules.items()}
 
 
 def reference_resolve_references(rules, symtab):
@@ -760,7 +789,7 @@ def reference_verify_grid(formulas, values) -> VerifyReport:
     def leaf(node):
         if isinstance(node, CellRef):
             return operand(node.address)
-        return [operand(a) for a in node.addresses()]
+        return [operand(a) for a in range_addresses(node)]
 
     for sheet in sorted(formulas):
         for (row, column), text in sorted(formulas[sheet].items()):
@@ -786,6 +815,13 @@ def reference_verify_grid(formulas, values) -> VerifyReport:
             if not values_agree(computed, stored):
                 report.mismatches.append(Mismatch(address, computed, stored))
     return report
+
+
+def range_addresses(rng: RangeRef) -> list[Address]:
+    """Every address a range covers, in row-major order."""
+    return [Address(rng.first.sheet, column, row)
+            for row in range(rng.first.row, rng.last.row + 1)
+            for column in range(rng.first.column, rng.last.column + 1)]
 
 
 # --- formula rendering, one walk per cell ----------------------------------

@@ -20,6 +20,8 @@ from gridspec.parser import MAX_EXPRESSION_DEPTH, MAX_INTEGER
 from helpers import (
     DEPTH_SHAPES,
     FIXTURES,
+    covering_document,
+    covering_inputs,
     fixture_text,
     nested_spec,
     random_document,
@@ -427,6 +429,67 @@ class TestCompileVerifyProperty:
             assert main(["verify", str(out)]) == 0, capsys.readouterr().out
             assert "0 mismatch(es)" in capsys.readouterr().out
         assert compiled >= 40
+
+    def test_covering_documents(self, tmp_path, capsys):
+        """Documents that cover every cell, `match` over ranges of blocks
+        included: trial 21 searched a block's rows and columns, which
+        compiled and then failed verify before such a range was refused."""
+        rng = random.Random(2)
+        compiled = 0
+        for trial in range(100):
+            doc = covering_document(rng)
+            work = tmp_path / str(trial)
+            work.mkdir()
+            code, out = run_cli(work, pretty_print(doc), covering_inputs(rng, doc))
+            assert code in (0, 1, 3)
+            if code != 0:
+                continue
+            compiled += 1
+            capsys.readouterr()
+            assert main(["verify", str(out)]) == 0, capsys.readouterr().out
+        assert compiled >= 90
+
+
+class TestMatchRanges:
+    """MATCH searches one row or one column.  A block runs its first
+    dimension across columns, so on the sheet a range over several rows
+    and columns lies in another order than the spec's row-major one, and
+    is refused."""
+
+    SPEC = "bounds b: 1 to 2.\ntable t : b b -> number.\ntable x : -> number.\n"
+    INPUTS = "t,1,1,1\nt,1,2,2\nt,2,1,3\nt,2,2,4\n"
+    CUBE = ("bounds a: 1 to 2. bounds b: 1 to 2. bounds c: 1 to 3. bounds r: 1 to 1.\n"
+            "table z : a b c -> number.\ntable y : a b r -> number.\ntable x : -> number.\n"
+            "y[ i, j, k ] = z[ i, j, 1 ].\n")
+    CUBE_INPUTS = "".join(f"z,{i},{j},{k},{100 * i + 10 * j + k}\n"
+                          for i in (1, 2) for j in (1, 2) for k in (1, 2, 3))
+
+    @pytest.mark.parametrize("command", ["check", "compile", "eval"])
+    def test_rows_and_columns_are_refused(self, tmp_path, capsys, command):
+        spec = tmp_path / "spec.gsx"
+        spec.write_text(self.SPEC + "x[] = match( 3, t[ all, all ], 0 ).\n", encoding="utf-8")
+        inputs = write_inputs(tmp_path, self.INPUTS)
+        options = [] if command == "check" else [
+            "--inputs", str(inputs), "--out-dir", str(tmp_path / "out")]
+        assert main([command, str(spec), *options]) == 1
+        assert capsys.readouterr().err == (
+            "error: match range t[ all, all ] spans several rows and columns: "
+            "MATCH searches one row or one column\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spec, inputs, position", [
+        (SPEC + "x[] = match( 3, t[ all, 1 ], 0 ).\n", INPUTS, "2"),
+        (CUBE + "x[] = match( 122, z[ 1, all, all ], 0 ) + match( 221, z[ 2, all, all ], 0 ).\n",
+         CUBE_INPUTS, "9"),
+        (CUBE + "x[] = match( 211, y[ all, 1, all ], 0 ).\n", CUBE_INPUTS, "2"),
+    ], ids=["one row", "one column of three dimensions", "one row over a bound of one value"])
+    def test_one_row_or_column_verifies(self, tmp_path, capsys, spec, inputs, position):
+        code, out = run_cli(tmp_path, spec, inputs)
+        assert code == 0, capsys.readouterr()
+        assert main(["verify", str(out)]) == 0
+        assert " 0 mismatch(es)" in capsys.readouterr().out
+        with open(out / "Model.values.csv", encoding="utf-8", newline="") as values:
+            assert list(csv.reader(values))[1][3] == position  # x, at D2
 
 
 class TestExpressionDepth:

@@ -22,7 +22,6 @@ from gridspec.ast import (
     NumberLit,
     SpecDocument,
 )
-from gridspec.evaluator import resolve_references
 
 from helpers import (
     covering_document,
@@ -32,6 +31,7 @@ from helpers import (
     reference_elaborate,
     reference_expand_ref,
     reference_ref_bounds,
+    resolve_references,
     walk,
 )
 

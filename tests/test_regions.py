@@ -11,6 +11,8 @@ import importlib.util
 import random
 import sys
 from collections import Counter
+from itertools import product
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -29,7 +31,7 @@ from gridspec.ast import (
 )
 from gridspec.cli import load_inputs, main
 from gridspec.errors import CyclicDependency, RuntimeFault
-from gridspec.evaluator import Number, build_graph, evaluate, resolve_references
+from gridspec.evaluator import Number, build_graph, evaluate
 from gridspec.layout import emit, plan_layout, render_formula
 from gridspec.scheduler import schedule
 
@@ -45,6 +47,7 @@ from helpers import (
     reference_elaborate,
     reference_evaluate,
     reference_resolve_references,
+    resolve_references,
 )
 from test_lowering import shifted_document
 
@@ -345,3 +348,59 @@ def test_clean_compile_orders_no_cell(monkeypatch, tmp_path):
                      "--out-dir", str(tmp_path / source.stem)]) == 0
     assert calls == []
     assert len(symtabs) == 6 and not any("cells" in symtab.__dict__ for symtab in symtabs)
+
+
+def assert_written_before_read(plan) -> bool:
+    """Walk schedule(plan) as evaluate runs it: a step at a time, a sweep a
+    slice at a time, and in a slice each member's cells there.  Every cell
+    that a member reads (Stencil.reads) is an input cell or was written by
+    an earlier step, slice or member, and every derived cell is written
+    exactly once.  False where there is no schedule."""
+    steps = schedule(plan)
+    if steps is None:
+        return False
+    written = [box is None for box in plan.owner]  # input cells hold their values at the start
+    writes = Counter()
+    for step in steps:
+        slices, members = (range(1), [(step, None, 0, 0)]) if type(step) is Box else step
+        for s in slices:
+            for box, n, first, last in members:
+                if not first <= s <= last:
+                    continue
+                spans = list(box.spans)
+                if n is not None:
+                    spans[n] = range(s, s + 1)
+                cells = []
+                for values in product(*spans):
+                    for start, strides, offsets in box.stencil.reads:
+                        read = start + sum(map(mul, strides, values))
+                        for number in (read,) if offsets is None else [read + o for o in offsets]:
+                            assert written[number], (box.stencil.equation, values, number)
+                    cells.append(box.first + sum(map(mul, box.steps, values)))
+                    assert plan.owner[cells[-1]] is box
+                for number in cells:
+                    written[number] = True
+                writes.update(cells)
+    assert writes == Counter(n for n, box in enumerate(plan.owner) if box is not None)
+    return True
+
+
+def test_schedule_writes_before_reads(monkeypatch):
+    """The schedule's order, checked on its own: comparing values could
+    miss an early read, since a blank cell reads as 0."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for name in ("cashflow", "borrowing", "loans"):
+        assert assert_written_before_read(analyze_fixture(name)[2])
+    for name in ("loans_grid", "cashflow_chain", "many_tables"):
+        doc = parse_document(workloads.GENERATORS[name](1).spec)
+        assert assert_written_before_read(analyze(doc)[1])
+    rng = random.Random(20261018)  # the documents of test_covering_documents
+    scheduled = 0
+    for trial in range(250):
+        doc = covering_document(rng)
+        covering_inputs(rng, doc)
+        scheduled += assert_written_before_read(analyze(doc)[1])
+    assert scheduled >= 200

@@ -10,7 +10,7 @@ from gridspec.evaluator import BLANK, NA, Boolean, DateValue, Number
 from gridspec.layout import emit, plan_layout
 from gridspec.verify import parse_value_text, values_agree, verify_grid
 
-from helpers import evaluate_fixture
+from helpers import evaluate_fixture, range_addresses
 
 
 def compile_fixture(name):
@@ -31,7 +31,7 @@ class TestFormulaParsing:
         assert isinstance(expr, Call) and expr.func == "MATCH"
         rng = expr.args[1]
         assert isinstance(rng, RangeRef)
-        assert list(rng.addresses()) == [Address("Model", c, 25) for c in range(2, 6)]
+        assert range_addresses(rng) == [Address("Model", c, 25) for c in range(2, 6)]
 
     def test_cross_sheet_reference(self):
         expr = parse_a1_formula("=Time!A3+1", default_sheet="Model")
