@@ -20,10 +20,7 @@ from .evaluator import (
     BLANK,
     NA,
     Blank,
-    Boolean,
-    DateValue,
     NAError,
-    Number,
     Value,
     build_graph,
     compile_template,

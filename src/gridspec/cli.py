@@ -22,7 +22,7 @@ from .errors import (
     ParseFailure,
     RuntimeFault,
 )
-from .evaluator import Boolean, DateValue, Number, Value, evaluate
+from .evaluator import Value, evaluate, read_date
 from .layout import emit, grid_to_csv, plan_layout, write_outputs
 from .parser import parse_document
 from .verify import verify_directory
@@ -81,8 +81,8 @@ def _parse_binding_value(text: str, result_type: str, line: int) -> Value:
         if result_type != "boolean":
             raise InputError("BadValue",
                              f"line {line}: boolean value for a {result_type} table")
-        return Boolean(text == "true")
-    date = DateValue.read(text)
+        return text == "true"
+    date = read_date(text)
     if date is not None:
         if result_type != "date":
             raise InputError("BadValue",
@@ -97,7 +97,7 @@ def _parse_binding_value(text: str, result_type: str, line: int) -> Value:
     if result_type in ("boolean", "date"):
         raise InputError("BadValue",
                          f"line {line}: numeric value for a {result_type} table")
-    return Number(number)
+    return number
 
 
 def _print_diagnostics(diagnostics):

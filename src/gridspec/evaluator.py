@@ -1,13 +1,15 @@
 """Evaluation of an elaborated plan, a box of cells at a time.
 
-Runtime values are Blank, Number, Boolean, DateValue, or the single NA
-error; currency is a table's type, which only emit reads.  Arithmetic
-coerces Blank to 0; NA propagates through arithmetic and comparison but
-is absorbed by isna.  Evaluation runs each equation's boxes in an order
-proved once per box (see scheduler.schedule), so every read sees an
-already-written value.  The per-cell order of order_cells is the exact
-path for a plan that the schedule cannot order, and it names the first
-fault and a cycle.
+Runtime values are plain: a number is a float, never an int, a boolean a
+bool and a date a datetime.date; BLANK and NA are the two singletons.
+Currency is a table's type, which only emit reads.  A number never
+equals a boolean, though 1.0 == True in Python, so equality and
+comparison test types too.  Arithmetic coerces Blank to 0; NA propagates
+through arithmetic and comparison but is absorbed by isna.  Evaluation
+runs each equation's boxes in an order proved once per box (see
+scheduler.schedule), so every read sees an already-written value.  The
+per-cell order of order_cells is the exact path for a plan that the
+schedule cannot order, and it names the first fault and a cycle.
 """
 
 from __future__ import annotations
@@ -38,18 +40,14 @@ from .errors import CyclicDependency, RuntimeFault
 from .scheduler import schedule
 
 
-class Value:
-    __slots__ = ()
-
-
-class Blank(Value):
+class Blank:
     __slots__ = ()
 
     def __repr__(self):
         return "Blank"
 
 
-class NAError(Value):
+class NAError:
     __slots__ = ()
 
     def __repr__(self):
@@ -58,54 +56,20 @@ class NAError(Value):
 
 BLANK = Blank()
 NA = NAError()
-
-
-class Number(Value):
-    """A real number."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def __repr__(self):
-        return f"Number({self.value})"
-
-    def __eq__(self, other):
-        return isinstance(other, Number) and self.value == other.value
-
-    def __hash__(self):
-        return hash((Number, self.value))
-
-
-@dataclass(frozen=True)
-class Boolean(Value):
-    value: bool
-
+Value = float | bool | datetime.date | Blank | NAError
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
-@dataclass(frozen=True)
-class DateValue(Value):
-    """A calendar date; proleptic Gregorian, validated on construction."""
-
-    date: datetime.date
-
-    @classmethod
-    def of(cls, year: int, month: int, day: int) -> "DateValue":
-        return cls(datetime.date(year, month, day))
-
-    @classmethod
-    def read(cls, text: str) -> "DateValue | None":
-        """The date written YYYY-MM-DD, the one form that dates are
-        written and read in; None for any other text."""
-        if _ISO_DATE.fullmatch(text):
-            try:
-                return cls(datetime.date.fromisoformat(text))
-            except ValueError:
-                pass
-        return None
+def read_date(text: str) -> datetime.date | None:
+    """The date written YYYY-MM-DD, the one form that dates are written and
+    read in; None for any other text."""
+    if _ISO_DATE.fullmatch(text):
+        try:
+            return datetime.date.fromisoformat(text)
+        except ValueError:
+            pass
+    return None
 
 
 class _Fault(Exception):
@@ -119,9 +83,9 @@ def is_na(value: Value) -> bool:
 
 
 def value_equal(a: Value, b: Value) -> bool:
-    """Type-and-value equality; Blank and NA equal nothing (not even
-    themselves) for matching purposes."""
-    return a is not BLANK and a is not NA and a == b
+    """Type-and-value equality, so 1.0 is not True; Blank and NA equal
+    nothing (not even themselves) for matching purposes."""
+    return a is not BLANK and a is not NA and type(a) is type(b) and a == b
 
 
 class SparseRange(list):
@@ -137,23 +101,21 @@ class SparseRange(list):
 
 
 def _as_number(value: Value) -> float:
-    if isinstance(value, Number):
-        return value.value
-    if isinstance(value, Blank):
+    if type(value) is float:
+        return value
+    if value is BLANK:
         return 0.0
     raise _Fault(f"expected a number, got {value!r}")
 
 
 def _as_boolean(value: Value) -> bool:
-    if isinstance(value, Boolean):
-        return value.value
-    if isinstance(value, Blank):
+    if type(value) is bool:
+        return value
+    if value is BLANK:
         return False
     raise _Fault(f"expected a boolean, got {value!r}")
 
 
-_BOOLEANS = (Boolean(False), Boolean(True))  # indexed by a bool
-_ZERO = Number(0.0)
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
                 "<=": operator.le, ">": operator.gt, ">=": operator.ge}
@@ -168,45 +130,41 @@ def apply_binary(op: str, left: Value, right: Value) -> Value:
         if op == "/" and b == 0:
             raise _Fault("division by zero")
         return _finite(_ARITHMETIC[op](a, b))
-    # comparisons; operands must share a type
-    if isinstance(left, DateValue) and isinstance(right, DateValue):
-        a, b = left.date, right.date
-    elif isinstance(left, Boolean) and isinstance(right, Boolean):
-        a, b = left.value, right.value
-    elif isinstance(left, (Number, Blank)) and isinstance(right, (Number, Blank)):
-        a, b = _as_number(left), _as_number(right)
-    else:
+    # comparisons; operands must share a type, Blank as the number 0
+    a = 0.0 if left is BLANK else left
+    b = 0.0 if right is BLANK else right
+    if type(a) is not type(b) or type(a) not in (float, bool, datetime.date):
         raise _Fault(f"cannot compare {left!r} with {right!r}")
-    return _BOOLEANS[_COMPARISONS[op](a, b)]
+    return _COMPARISONS[op](a, b)
 
 
 def _logical(combine, args) -> Value:
     if any([is_na(a) for a in args]):
         return NA
-    return _BOOLEANS[combine([_as_boolean(a) for a in args])]
+    return combine([_as_boolean(a) for a in args])
 
 
 def _not(value: Value) -> Value:
     if is_na(value):
         return NA
-    return _BOOLEANS[not _as_boolean(value)]
+    return not _as_boolean(value)
 
 
 def _sum(*args) -> Value:
     total = 0.0
     for arg in args:
         for item in arg if isinstance(arg, list) else (arg,):
-            if type(item) is Number:
-                total += item.value
+            if type(item) is float:
+                total += item
             elif is_na(item):
                 return NA
-            elif not isinstance(item, (Blank, Boolean)):
+            elif item is not BLANK and type(item) is not bool:
                 total += _as_number(item)
     return _finite(total)
 
 
 def _match(needle: Value, rng, mode: Value) -> Value:
-    if not (isinstance(mode, Number) and mode.value == 0):
+    if not (type(mode) is float and mode == 0):
         raise _Fault("third argument of match must be 0")
     if not isinstance(rng, list):
         rng = [rng]
@@ -215,7 +173,7 @@ def _match(needle: Value, rng, mode: Value) -> Value:
     positions = rng.positions if isinstance(rng, SparseRange) else count(1)
     for position, item in zip(positions, rng):
         if value_equal(needle, item):
-            return Number(position)
+            return float(position)
     return NA
 
 
@@ -230,22 +188,21 @@ def _date(*args) -> Value:
         parts.append(int(number))
     year, month, day = parts
     try:
-        return DateValue.of(year, month, day)
+        return datetime.date(year, month, day)
     except (ValueError, OverflowError) as exc:
         raise _Fault(f"invalid date({year}, {month}, {day}): {exc}") from None
 
 
 _BUILTIN_FUNCTIONS = {
     "or": lambda *args: _logical(any, args), "and": lambda *args: _logical(all, args),
-    "not": _not, "isna": lambda value: _BOOLEANS[is_na(value)],
-    "sum": _sum, "match": _match, "date": _date,
+    "not": _not, "isna": is_na, "sum": _sum, "match": _match, "date": _date,
 }
 
 
-def _finite(number: float) -> Number:
+def _finite(number: float) -> float:
     if not math.isfinite(number):
         raise _Fault(f"result {number} is not a finite number")
-    return Number(number)
+    return number
 
 
 # --- compiled templates ----------------------------------------------------
@@ -282,9 +239,9 @@ def _compile(node: Expr, leaf, range_ok: bool):
     if kind is Call:
         return _compile_call(node, leaf)
     if kind is NumberLit:
-        return partial(_constant, Number(node.value))
+        return partial(_constant, float(node.value))
     if kind is BooleanLit:
-        return partial(_constant, _BOOLEANS[node.value])
+        return partial(_constant, node.value)
     read = leaf(node)
     if range_ok or not (kind is Hole and node.ranged):
         return read
@@ -305,7 +262,7 @@ def _compile_call(node: Call, leaf):
 
 def _blank_is_zero(run, env):
     value = run(env)
-    return _ZERO if type(value) is Blank else value
+    return 0.0 if value is BLANK else value
 
 
 def _constant(value, env):
@@ -313,27 +270,27 @@ def _constant(value, env):
 
 
 def _arithmetic(op, combine, left, right, env):
-    """Two Numbers are combined here; any other operands, a division by
+    """Two floats are combined here; any other operands, a division by
     zero and a result that is not finite go to apply_binary."""
     a, b = left(env), right(env)
-    if type(a) is Number and type(b) is Number and (b.value or op != "/"):
-        result = combine(a.value, b.value)
+    if type(a) is float and type(b) is float and (b or op != "/"):
+        result = combine(a, b)
         if result - result == 0:  # finite
-            return Number(result)
+            return result
     return apply_binary(op, a, b)
 
 
 def _comparison(op, compare, left, right, env):
     a, b = left(env), right(env)
-    if type(a) is Number and type(b) is Number:
-        return _BOOLEANS[compare(a.value, b.value)]
+    if type(a) is float and type(b) is float:
+        return compare(a, b)
     return apply_binary(op, a, b)
 
 
 def _choose(cond, then, other, env):
     flag = cond(env)
-    if type(flag) is Boolean:
-        return then(env) if flag.value else other(env)
+    if type(flag) is bool:
+        return then(env) if flag else other(env)
     if is_na(flag):
         return NA
     return then(env) if _as_boolean(flag) else other(env)
@@ -479,7 +436,7 @@ def _read_cells(store, first, steps, offsets, values):
 
 
 def _index_number(n, values):
-    return Number(values[n])
+    return float(values[n])
 
 
 def _compiled(stencil, store: list):
@@ -497,9 +454,9 @@ def _compiled(stencil, store: list):
 def evaluate(plan: CellPlan, inputs: dict[CellId, Value]) -> list[Value]:
     """Evaluate every cell of the plan; returns every cell's value, inputs
     included, by dense number: `zip(plan.symtab.cells, values)` pairs each
-    with its cell.  An input cell takes its binding in `inputs`, placed at
-    the number Extent.number gives it, or Blank; a binding that names no
-    input cell is ignored.  Each equation's template is compiled once, to a
+    with its cell.  An input cell takes its binding in `inputs`, an int as
+    its float, placed at the number Extent.number gives it, or Blank; a
+    binding that names no input cell is ignored.  Each equation's template is compiled once, to a
     function of its variables' values (see compile_template), and run over
     its boxes in the order of `schedule`, steps of the plan's one box graph.
     Where there is no schedule, or a cell faults, every cell is evaluated
@@ -513,7 +470,7 @@ def evaluate(plan: CellPlan, inputs: dict[CellId, Value]) -> list[Value]:
         if table in extents and table not in plan.boxes:
             number = extents[table].number(indices)
             if number is not None:
-                store[number] = value
+                store[number] = float(value) if type(value) is int else value
     programs = {box.stencil: None for boxes in plan.boxes.values() for box in boxes}
     for stencil in programs:
         programs[stencil] = _compiled(stencil, store)

@@ -22,6 +22,7 @@ whose last dimension is the caption's.
 from __future__ import annotations
 
 import csv
+import datetime
 import functools
 import io
 import json
@@ -49,11 +50,8 @@ from .ast import (
 )
 from .errors import LayoutError
 from .evaluator import (
-    Blank,
-    Boolean,
-    DateValue,
-    NAError,
-    Number,
+    BLANK,
+    NA,
     Value,
     expand_ref,  # not called here; perfbench/tracing.py counts calls through this name
 )
@@ -294,14 +292,15 @@ def render_value(value: Value, currency: bool = False) -> str:
     number of a currency table to two decimals without a symbol where that
     is exact, other numbers in positional notation, booleans TRUE/FALSE,
     NA as #N/A, dates ISO, blanks empty."""
-    if isinstance(value, Number):
-        return (_currency_text if currency else format_number)(value.value)
-    if isinstance(value, Boolean):
-        return "TRUE" if value.value else "FALSE"
-    if isinstance(value, DateValue):
-        return value.date.isoformat()
-    if isinstance(value, (Blank, NAError)):
-        return "" if isinstance(value, Blank) else "#N/A"
+    kind = type(value)
+    if kind is float:
+        return (_currency_text if currency else format_number)(value)
+    if kind is bool:
+        return "TRUE" if value else "FALSE"
+    if kind is datetime.date:
+        return value.isoformat()
+    if value is BLANK or value is NA:
+        return "" if value is BLANK else "#N/A"
     raise TypeError(f"unrenderable value: {value!r}")
 
 
@@ -309,7 +308,7 @@ def _value_texts(name: str, symtab: SymbolTable, values: list[Value]) -> list[st
     """A table's value texts by dense number (see render_value)."""
     extent, currency = symtab.extents[name], symtab.tables[name].result_type == "currency"
     number = _currency_text if currency else format_number
-    return [number(value.value) if type(value) is Number else render_value(value, currency)
+    return [number(value) if type(value) is float else render_value(value, currency)
             for value in values[extent.base:extent.base + extent.size]]
 
 

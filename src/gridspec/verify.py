@@ -8,10 +8,12 @@ in the values document.  A formula that does not
 parse (ParseFailure), or that faults (the evaluator's _Fault): calls an
 unknown function, reads a cell that holds no value or a sheet the
 directory does not hold, or has operands that make it fault, is a
-mismatch that names the reason.  Numbers compare within relative
-tolerance 1e-9; booleans, dates, and NA compare exactly.  Every other
-cell of the formulas document must hold the same text in the values
-document; a cell only the values document holds is not checked.
+mismatch that names the reason.  A values document's texts are read
+back as the evaluator's plain values.  Numbers compare within relative
+tolerance 1e-9; booleans, dates, and NA compare exactly, by type as well
+as value, so 1.0 never agrees with TRUE.  Every other cell of the
+formulas document must hold the same text in the values document; a
+cell only the values document holds is not checked.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .a1 import NUMBER, Address, formula_shape, make_template, parse_a1_formula
 from .ast import Hole
@@ -27,14 +30,12 @@ from .errors import ParseFailure
 from .evaluator import (
     BLANK,
     NA,
-    Boolean,
-    DateValue,
-    Number,
     SparseRange,
     Value,
     _Fault,
     compile_template,
     is_na,
+    read_date,
 )
 from .layout import Grid
 
@@ -51,13 +52,11 @@ def parse_value_text(text: str) -> Value | None:
         return BLANK
     if text == "#N/A":
         return NA
-    if text == "TRUE":
-        return Boolean(True)
-    if text == "FALSE":
-        return Boolean(False)
+    if text == "TRUE" or text == "FALSE":
+        return text == "TRUE"
     if _NUMBER_RE.fullmatch(text):
-        return Number(float(text))
-    return DateValue.read(text)
+        return float(text)
+    return read_date(text)
 
 
 @dataclass
@@ -88,9 +87,8 @@ class VerifyReport:
 def values_agree(computed: Value, stored: Value | None) -> bool:
     if stored is None:
         return False
-    if isinstance(computed, Number) and isinstance(stored, Number):
-        return math.isclose(computed.value, stored.value,
-                            rel_tol=REL_TOLERANCE, abs_tol=REL_TOLERANCE)
+    if type(computed) is float and type(stored) is float:
+        return math.isclose(computed, stored, rel_tol=REL_TOLERANCE, abs_tol=REL_TOLERANCE)
     if is_na(computed):
         return is_na(stored)
     return type(computed) is type(stored) and computed == stored
@@ -166,8 +164,8 @@ def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
             slot = hole.slot
             if hole.ranged:
                 return lambda bound: cells_in(bound[slot], bound[slot + 1])
-            if kinds[slot] == NUMBER:
-                return lambda bound: Number(bound[slot])
+            if kinds[slot] == NUMBER:  # Shape.read gives the float
+                return itemgetter(slot)
 
             def cell(bound):
                 sheet, column, row = bound[slot]

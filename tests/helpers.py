@@ -7,6 +7,7 @@ compiled templates are compared against."""
 from __future__ import annotations
 
 import bisect
+import datetime
 import heapq
 import itertools
 import math
@@ -50,22 +51,14 @@ from gridspec.errors import CyclicDependency, ParseFailure, RuntimeFault
 from gridspec.evaluator import (
     BLANK,
     NA,
-    Blank,
-    Boolean,
-    DateValue,
-    Number,
     SparseRange,
-    _as_boolean,
-    _as_number,
     _Fault,
-    _finite,
     compile_template,
     expand_ref,
     is_na,
-    value_equal,
 )
 from gridspec.parser import MAX_EXPRESSION_DEPTH, MAX_INTEGER, Diagnostic
-from gridspec.verify import Mismatch, VerifyReport, parse_value_text, values_agree
+from gridspec.verify import Mismatch, VerifyReport, parse_value_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -610,20 +603,79 @@ def reference_build_graph(rules, inputs, references):
     return nodes, edges, order
 
 
+# --- the oracle's value rules ----------------------------------------------
+# Values are plain, as evaluate gives them: a float, a bool, a datetime.date,
+# BLANK or NA.  A bool is an int and 1.0 == True, so a rule that tells a
+# number from a boolean tests the type as well.
+
+def same(a, b) -> bool:
+    """Whether two values, or two lists or dicts of them, are one: the same
+    type and the same value, so 1.0 is not True."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same, a, b))
+    return a == b
+
+
+def is_plain(value) -> bool:
+    """Whether a value is one that evaluate may give: of type exactly float,
+    bool or datetime.date, or BLANK or NA; never an int."""
+    return value is BLANK or value is NA or type(value) in (float, bool, datetime.date)
+
+
+def _as_number(value) -> float:
+    if value is BLANK:
+        return 0.0
+    if isinstance(value, float):
+        return value
+    raise _Fault(f"expected a number, got {value!r}")
+
+
+def _as_boolean(value) -> bool:
+    if value is BLANK:
+        return False
+    if isinstance(value, bool):
+        return value
+    raise _Fault(f"expected a boolean, got {value!r}")
+
+
+def _finite(number: float) -> float:
+    if math.isinf(number) or math.isnan(number):
+        raise _Fault(f"result {number} is not a finite number")
+    return number
+
+
+def _value_equal(a, b) -> bool:
+    """Whether match finds `a` at `b`: never Blank or NA."""
+    return a is not BLANK and a is not NA and same(a, b)
+
+
+def _values_agree(computed, stored) -> bool:
+    """Whether a formula's one-step value agrees with a values document's."""
+    if stored is None:
+        return False
+    if isinstance(computed, float) and isinstance(stored, float):
+        return math.isclose(computed, stored, rel_tol=1e-9, abs_tol=1e-9)
+    return computed is stored if is_na(computed) else same(computed, stored)
+
+
 def reference_eval_expr(expr, leaf):
     """Evaluate a formula by walking its tree, the oracle that
     evaluator.compile_template is compared against.  `leaf(node)` gives
     the value of every node that is not a literal, operator or call: a
     list of Values for a range, which only `sum` and `match` accept."""
     value = _reference_eval(expr, leaf, False)
-    return Number(0.0) if isinstance(value, Blank) else value
+    return 0.0 if value is BLANK else value
 
 
 def _reference_eval(expr, leaf, range_ok):
     if isinstance(expr, NumberLit):
-        return Number(expr.value)
+        return float(expr.value)
     if isinstance(expr, BooleanLit):
-        return Boolean(expr.value)
+        return bool(expr.value)
     if isinstance(expr, Binary):
         return reference_apply_binary(expr.op, _reference_eval(expr.left, leaf, False),
                                       _reference_eval(expr.right, leaf, False))
@@ -667,19 +719,18 @@ def reference_apply_binary(op, left, right):
         else:
             result = a / b
         return _finite(result)
-    if isinstance(left, DateValue) and isinstance(right, DateValue):
-        a, b = left.date, right.date
-    elif isinstance(left, Boolean) and isinstance(right, Boolean):
-        a, b = left.value, right.value
-    elif isinstance(left, (Number, Blank)) and isinstance(right, (Number, Blank)):
+    if isinstance(left, datetime.date) and isinstance(right, datetime.date):
+        a, b = left, right
+    elif isinstance(left, bool) and isinstance(right, bool):
+        a, b = left, right
+    elif all(v is BLANK or isinstance(v, float) for v in (left, right)):
         a, b = _as_number(left), _as_number(right)
     else:
         raise _Fault(f"cannot compare {left!r} with {right!r}")
-    result = {
+    return {
         "=": a == b, "<>": a != b,
         "<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b,
     }[op]
-    return Boolean(result)
 
 
 def reference_apply_builtin(name, args):
@@ -690,26 +741,26 @@ def reference_apply_builtin(name, args):
         if any(is_na(a) for a in args):
             return NA
         flags = [_as_boolean(a) for a in args]
-        return Boolean(any(flags) if name == "or" else all(flags))
+        return any(flags) if name == "or" else all(flags)
     if name == "not":
         if is_na(args[0]):
             return NA
-        return Boolean(not _as_boolean(args[0]))
+        return not _as_boolean(args[0])
     if name == "isna":
-        return Boolean(is_na(args[0]))
+        return args[0] is NA
     if name == "sum":
         total = 0.0
         for item in itertools.chain.from_iterable(
                 arg if isinstance(arg, list) else [arg] for arg in args):
             if is_na(item):
                 return NA
-            if isinstance(item, (Blank, Boolean)):
+            if item is BLANK or isinstance(item, bool):
                 continue
             total += _as_number(item)
         return _finite(total)
     if name == "match":
         needle, rng, mode = args
-        if not (isinstance(mode, Number) and mode.value == 0):
+        if not (isinstance(mode, float) and mode == 0):
             raise _Fault("third argument of match must be 0")
         if not isinstance(rng, list):
             rng = [rng]
@@ -717,8 +768,8 @@ def reference_apply_builtin(name, args):
             return NA
         positions = rng.positions if isinstance(rng, SparseRange) else itertools.count(1)
         for position, item in zip(positions, rng):
-            if value_equal(needle, item):
-                return Number(position)
+            if _value_equal(needle, item):
+                return float(position)
         return NA
     assert name == "date", name
     parts = []
@@ -731,7 +782,7 @@ def reference_apply_builtin(name, args):
         parts.append(int(number))
     year, month, day = parts
     try:
-        return DateValue.of(year, month, day)
+        return datetime.date(year, month, day)
     except (ValueError, OverflowError) as exc:
         raise _Fault(f"invalid date({year}, {month}, {day}): {exc}") from None
 
@@ -756,7 +807,7 @@ def reference_evaluate(symtab, rules, inputs, references, order, bindings):
 
             def leaf(node):
                 if isinstance(node, IndexVar):
-                    return Number(subst[node.name])
+                    return float(subst[node.name])
                 cells = reads[slots[id(node)]]
                 return [store[c] for c in cells] if type(cells) is tuple else store[cells]
 
@@ -812,7 +863,7 @@ def reference_verify_grid(formulas, values) -> VerifyReport:
             except _Fault as exc:
                 report.mismatches.append(Mismatch(address, None, stored, str(exc)))
                 continue
-            if not values_agree(computed, stored):
+            if not _values_agree(computed, stored):
                 report.mismatches.append(Mismatch(address, computed, stored))
     return report
 

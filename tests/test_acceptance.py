@@ -11,7 +11,7 @@ import pytest
 from gridspec import evaluate
 from gridspec.analyzer import CellId, elaborate, resolve
 from gridspec.cli import main
-from gridspec.evaluator import Boolean, Number, is_na
+from gridspec.evaluator import is_na
 
 from helpers import (
     FIXTURES,
@@ -19,6 +19,7 @@ from helpers import (
     call_builtin,
     evaluate_fixture,
     random_document,
+    same,
 )
 from test_analyzer import naive_elaborate
 from test_evaluator import CLOSED_FORM_TEMPLATE, analyze_source, number_at
@@ -46,7 +47,7 @@ class TestAcceptance:
         for t in range(1, 13):
             want = values[CellId("want_to_borrow_during_period", (t,))]
             borrowed = number_at(values, "actually_borrowed_during_period", t)
-            assert borrowed == (want.value if isinstance(want, Number) else 0.0)
+            assert borrowed == (want if type(want) is float else 0.0)
         ends = [number_at(values, "total_cash_at_end_of_period", t)
                 for t in range(1, 13)]
         assert ends == [95, 90, 85, 80, 95, 90, 85, 90, 85, 80, 75, 70]
@@ -58,9 +59,9 @@ class TestAcceptance:
         expected_first = [1, 2, 3, 4, None, 2, 3, 4, None, None, 1, 1]
         for t, want in enumerate(expected_first, start=1):
             got = values[CellId("first_that_can_supply_wants", (t,))]
-            assert is_na(got) if want is None else got == Number(want)
+            assert is_na(got) if want is None else same(got, float(want))
         row_six = [values[CellId("can_supply_wants", (l, 6))] for l in range(1, 5)]
-        assert row_six == [Boolean(False), Boolean(True), Boolean(True), Boolean(True)]
+        assert same(row_six, [False, True, True, True])
         nonzero = {(1, 1): 15, (2, 2): 25, (3, 3): 45, (4, 4): 65,
                    (2, 6): 12, (3, 7): 12, (4, 8): 12}
         for l in range(1, 5):
@@ -80,9 +81,9 @@ class TestAcceptance:
             expense = rng.randint(0, 50)
             periods = rng.randint(1, 24)
             plan = analyze_source(CLOSED_FORM_TEMPLATE.format(n=periods))
-            inputs = {CellId("initial_cash", ()): Number(cash)}
+            inputs = {CellId("initial_cash", ()): float(cash)}
             for t in range(1, periods + 1):
-                inputs[CellId("expenses_during_period", (t,))] = Number(expense)
+                inputs[CellId("expenses_during_period", (t,))] = float(expense)
             values = dict(zip(plan.symtab.cells, evaluate(plan, inputs)))
             for t in range(1, periods + 1):
                 assert number_at(values, "total_cash_at_end_of_period", t) == \
@@ -116,13 +117,13 @@ class TestAcceptance:
 
         rng = random.Random(6174)
         for _ in range(1000):
-            haystack = [Boolean(rng.random() < 0.5)
+            haystack = [rng.random() < 0.5
                         for _ in range(rng.randint(1, 12))]
-            needle = Boolean(rng.random() < 0.5)
-            got = call_builtin("match", [needle, haystack, Number(0)])
+            needle = rng.random() < 0.5
+            got = call_builtin("match", [needle, haystack, 0.0])
             hits = [k for k, item in enumerate(haystack, start=1)
                     if item == needle]
-            assert got == (Number(hits[0]) if hits else NA)
+            assert same(got, float(hits[0]) if hits else NA)
         verdict(6, "match equals a linear scan on 1000 random boolean vectors, "
                    "with NA on absence")
 
@@ -152,11 +153,11 @@ class TestAcceptance:
                 start = number_at(values, "total_cash_at_start_of_period", t)
                 end = number_at(values, "total_cash_at_end_of_period", t)
                 expenses = inputs.get(CellId("expenses_during_period", (t,)),
-                                      Number(0))
-                assert end == pytest.approx(start - expenses.value + borrowed,
+                                      0.0)
+                assert end == pytest.approx(start - expenses + borrowed,
                                             abs=1e-9)
             for l in range(1, 5):
-                ceiling = inputs[CellId("ceiling", (l,))].value
+                ceiling = inputs[CellId("ceiling", (l,))]
                 for t in range(1, 13):
                     total = number_at(values, "total_loan_at_end_of_period", l, t)
                     assert total <= ceiling + 1e-9
@@ -168,17 +169,17 @@ class TestAcceptance:
         doc, symtab, plan = analyze_fixture("loans")
         rng = random.Random(28)
         for _ in range(100):
-            inputs = {CellId("initial_cash", ()): Number(rng.randint(0, 500))}
+            inputs = {CellId("initial_cash", ()): float(rng.randint(0, 500))}
             for t in range(1, 13):
                 inputs[CellId("expenses_during_period", (t,))] = \
-                    Number(rng.randint(0, 30))
+                    float(rng.randint(0, 30))
                 if rng.random() < 0.8:
                     inputs[CellId("want_to_borrow_during_period", (t,))] = \
-                        Number(rng.randint(0, 60))
+                        float(rng.randint(0, 60))
             for l in range(1, 5):
-                inputs[CellId("has_ceiling", (l,))] = Boolean(True)
-                inputs[CellId("ceiling", (l,))] = Number(rng.randint(0, 100))
-                inputs[CellId("initial_loan", (l,))] = Number(0)
+                inputs[CellId("has_ceiling", (l,))] = True
+                inputs[CellId("ceiling", (l,))] = float(rng.randint(0, 100))
+                inputs[CellId("initial_loan", (l,))] = 0.0
             values = dict(zip(plan.symtab.cells, evaluate(plan, inputs)))
             check_invariants(values, inputs)
         verdict(8, "lending conservation, cash balance, and ceiling safety "

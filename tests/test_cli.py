@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from gridspec import InputError, analyze, parse_document, pretty_print
 from gridspec.analyzer import MAX_CELLS, CellId, resolve
 from gridspec.cli import main, load_inputs
-from gridspec.evaluator import Boolean, Number
 from gridspec.parser import MAX_EXPRESSION_DEPTH, MAX_INTEGER
 
 from helpers import (
@@ -26,6 +25,7 @@ from helpers import (
     nested_spec,
     random_document,
     random_inputs,
+    same,
 )
 
 
@@ -44,9 +44,9 @@ def write_inputs(tmp_path, text):
 class TestLoadInputs:
     def test_fixture_file(self, loans_symtab):
         bindings = load_inputs(FIXTURES / "loans_inputs.csv", loans_symtab)
-        assert bindings[CellId("initial_cash", ())] == Number(100.0)
-        assert bindings[CellId("has_ceiling", (1,))] == Boolean(True)
-        assert bindings[CellId("ceiling", (2,))] == Number(37.0)
+        assert same(bindings[CellId("initial_cash", ())], 100.0)
+        assert same(bindings[CellId("has_ceiling", (1,))], True)
+        assert same(bindings[CellId("ceiling", (2,))], 37.0)
         # blank periods stay unbound rather than bound to zero
         assert CellId("want_to_borrow_during_period", (11,)) not in bindings
 
@@ -655,7 +655,7 @@ class TestFailureTexts:
         assert main(["verify", str(out)]) == 1
         assert capsys.readouterr().out == (
             "checked 3 cells, 1 mismatch(es)\n"
-            f"  Model!C3: formula faults ({reason}), document holds Number(1.0)\n")
+            f"  Model!C3: formula faults ({reason}), document holds 1.0\n")
 
     def test_date_part_not_an_integer(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "bounds t: 1 to 2.\ntable x : t -> date.\n"
@@ -923,9 +923,9 @@ class TestVerifyReadsBothDocuments:
         assert capsys.readouterr().out == (
             "checked 2 cells, 2 mismatch(es)\n"
             "  Model!A1: formula faults (references sheet 'Nowhere', which the directory "
-            "does not hold), document holds Number(1.0)\n"
+            "does not hold), document holds 1.0\n"
             "  Model!A2: formula faults (references sheet 'Nowhere', which the directory "
-            "does not hold), document holds Number(0.0)\n")
+            "does not hold), document holds 0.0\n")
 
 
 class TestA1Limits:

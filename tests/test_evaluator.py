@@ -1,23 +1,25 @@
 import datetime
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridspec import CyclicDependency, RuntimeFault, analyze, evaluate, parse_document
 from gridspec.analyzer import CellId, elaborate, resolve
+from gridspec.ast import Binary, Hole
 from gridspec.evaluator import (
     BLANK,
     NA,
-    Boolean,
-    DateValue,
-    Number,
+    _Fault,
     apply_binary,
     build_graph,
+    compile_template,
     is_na,
     value_equal,
 )
 from gridspec.layout import emit, plan_layout
+from gridspec.verify import values_agree
 
 from helpers import (
     analyze_fixture,
@@ -26,78 +28,94 @@ from helpers import (
     evaluate_fixture,
     random_document,
     reference_address,
+    same,
 )
 
 
 def number_at(values, table, *indices):
     value = values[CellId(table, indices)]
-    assert isinstance(value, Number), value
-    return value.value
+    assert type(value) is float, value
+    return value
 
 
 class TestValueAlgebra:
     def test_blank_is_zero_in_arithmetic(self):
-        assert apply_binary("+", BLANK, Number(5)) == Number(5)
-        assert apply_binary("*", BLANK, Number(5)) == Number(0)
-        assert apply_binary("-", Number(3), BLANK) == Number(3)
+        assert same(apply_binary("+", BLANK, 5.0), 5.0)
+        assert same(apply_binary("*", BLANK, 5.0), 0.0)
+        assert same(apply_binary("-", 3.0, BLANK), 3.0)
 
     def test_na_propagates_through_arithmetic_and_comparison(self):
-        assert is_na(apply_binary("+", NA, Number(1)))
-        assert is_na(apply_binary("<=", NA, Number(7)))
-        assert is_na(apply_binary("=", Number(1), NA))
+        assert is_na(apply_binary("+", NA, 1.0))
+        assert is_na(apply_binary("<=", NA, 7.0))
+        assert is_na(apply_binary("=", 1.0, NA))
 
     def test_blank_and_na_match_nothing(self):
         assert not value_equal(BLANK, BLANK)
         assert not value_equal(NA, NA)
-        assert not value_equal(BLANK, Number(0))
-        assert value_equal(Number(2), Number(2.0))
-        assert not value_equal(Number(1), Boolean(True))
+        assert not value_equal(BLANK, 0.0)
+        assert value_equal(2.0, 2.0)
+        assert not value_equal(1.0, True)
 
     def test_date_comparison(self):
-        jan = DateValue.of(2009, 1, 1)
-        feb = DateValue.of(2009, 2, 1)
-        assert apply_binary("<", jan, feb) == Boolean(True)
+        jan = datetime.date(2009, 1, 1)
+        feb = datetime.date(2009, 2, 1)
+        assert same(apply_binary("<", jan, feb), True)
+
+    @pytest.mark.parametrize("left, right", [
+        (1.0, True), (0.0, False), (True, 1.0), (datetime.date(2009, 1, 1), 1.0)])
+    def test_comparison_checks_type(self, left, right):
+        """A number never equals a boolean or a date, though 1.0 == True in
+        Python: no match, no agreement, and `=` and `<>` fault, both in
+        apply_binary and on the compiled template's fast path."""
+        assert not value_equal(left, right)
+        assert not values_agree(left, right)
+        for op in ("=", "<>"):
+            template = compile_template(Binary(op, Hole(0, False), Hole(1, False)),
+                                        lambda hole: itemgetter(hole.slot))
+            for run in (lambda: apply_binary(op, left, right), lambda: template((left, right))):
+                with pytest.raises(_Fault) as info:
+                    run()
+                assert str(info.value) == f"cannot compare {left!r} with {right!r}"
 
 
 class TestBuiltins:
     def test_or_and_blank_false_na_poison(self):
-        assert call_builtin("or", [Boolean(False), BLANK]) == Boolean(False)
-        assert call_builtin("or", [Boolean(True), NA]) == NA
-        assert call_builtin("and", [Boolean(True), BLANK]) == Boolean(False)
+        assert same(call_builtin("or", [False, BLANK]), False)
+        assert call_builtin("or", [True, NA]) == NA
+        assert same(call_builtin("and", [True, BLANK]), False)
 
     def test_not(self):
-        assert call_builtin("not", [Boolean(False)]) == Boolean(True)
+        assert same(call_builtin("not", [False]), True)
         assert call_builtin("not", [NA]) == NA
 
     def test_isna_absorbs_na(self):
-        assert call_builtin("isna", [NA]) == Boolean(True)
-        assert call_builtin("isna", [Number(3)]) == Boolean(False)
-        assert call_builtin("isna", [BLANK]) == Boolean(False)
+        assert same(call_builtin("isna", [NA]), True)
+        assert same(call_builtin("isna", [3.0]), False)
+        assert same(call_builtin("isna", [BLANK]), False)
 
     def test_sum_skips_blank_and_boolean(self):
-        values = [Number(1), BLANK, Boolean(True), Number(2.5)]
-        assert call_builtin("sum", [values]) == Number(3.5)
+        values = [1.0, BLANK, True, 2.5]
+        assert same(call_builtin("sum", [values]), 3.5)
 
     def test_sum_poisoned_by_na(self):
-        assert call_builtin("sum", [[Number(1), NA]]) == NA
+        assert call_builtin("sum", [[1.0, NA]]) == NA
 
     def test_match_finds_first_position(self):
-        rng = [Boolean(False), Boolean(True), Boolean(True)]
-        assert call_builtin("match", [Boolean(True), rng, Number(0)]) == Number(2)
+        rng = [False, True, True]
+        assert same(call_builtin("match", [True, rng, 0.0]), 2.0)
 
     def test_match_absent_is_na(self):
-        rng = [Boolean(False), Boolean(False)]
-        assert call_builtin("match", [Boolean(True), rng, Number(0)]) == NA
+        rng = [False, False]
+        assert call_builtin("match", [True, rng, 0.0]) == NA
 
     def test_match_requires_type_equality(self):
-        rng = [Number(1), Boolean(True)]
-        assert call_builtin("match", [Boolean(True), rng, Number(0)]) == Number(2)
+        rng = [1.0, True]
+        assert same(call_builtin("match", [True, rng, 0.0]), 2.0)
 
     def test_date_builds_and_validates(self):
-        assert call_builtin("date", [Number(2009), Number(2), Number(1)]) == \
-            DateValue(datetime.date(2009, 2, 1))
+        assert same(call_builtin("date", [2009.0, 2.0, 1.0]), datetime.date(2009, 2, 1))
         with pytest.raises(Exception):
-            call_builtin("date", [Number(2009), Number(13), Number(1)])
+            call_builtin("date", [2009.0, 13.0, 1.0])
 
 
 def analyze_source(source):
@@ -229,7 +247,7 @@ class TestRuntimeFaults:
             "bounds b: 1 to 1.\ntable g : b -> general.\ntable x : b -> general.\n"
             "x[t] = g[t] + 1.")
         with pytest.raises(RuntimeFault) as info:
-            evaluate(plan, {CellId("g", (1,)): Boolean(True)})
+            evaluate(plan, {CellId("g", (1,)): True})
         assert info.value.cell == CellId("x", (1,))
 
     @pytest.mark.parametrize("equation, reason", [
@@ -251,6 +269,22 @@ class TestRuntimeFaults:
 
 
 class TestInputs:
+    def test_int_binding_is_its_float(self):
+        """A Python caller may bind an int: it is read as its float, in a
+        formula and in the values document, while a bool stays a bool."""
+        doc = parse_document(
+            "bounds b: 1 to 2.\ntable x : b -> number.\ntable k : b -> general.\n"
+            "table y : b -> number.\ny[ t ] = x[ t ] + 1.")
+        symtab, plan, diagnostics = analyze(doc)
+        assert diagnostics == []
+        values = evaluate(plan, {CellId("x", (1,)): 5, CellId("x", (2,)): 7,
+                                 CellId("k", (1,)): True})
+        assert same(dict(zip(symtab.cells, values)), {
+            CellId("x", (1,)): 5.0, CellId("x", (2,)): 7.0,
+            CellId("k", (1,)): True, CellId("k", (2,)): BLANK,
+            CellId("y", (1,)): 6.0, CellId("y", (2,)): 8.0})
+        emit(plan_layout(doc, symtab), plan, values, doc)
+
     def test_bindings_to_no_input_cell_are_ignored(self):
         # by its indices, x[9] would be the ninth cell on from x[1]: z[1,3];
         # the values are read back from emit's values document
@@ -260,9 +294,9 @@ class TestInputs:
         symtab, plan, diagnostics = analyze(doc)
         assert diagnostics == []
         values = evaluate(plan, {
-            CellId("x", (1,)): Number(5), CellId("y", (2,)): Number(100),
-            CellId("x", (9,)): Number(7), CellId("q", (1,)): Number(3),
-            CellId("z", (1, 1)): Number(4)})
+            CellId("x", (1,)): 5.0, CellId("y", (2,)): 100.0,
+            CellId("x", (9,)): 7.0, CellId("q", (1,)): 3.0,
+            CellId("z", (1, 1)): 4.0})
         layout = plan_layout(doc, symtab)
         grid = emit(layout, plan, values, doc).values["Model"]
 
@@ -284,18 +318,18 @@ class TestInputs:
         symtab, plan, diagnostics = analyze(doc)
         assert diagnostics == []
         values = evaluate(plan, {
-            CellId("x", (2, 3)): Number(5), CellId("x", (3, 2)): Number(7),
-            CellId("x", (2,)): Number(100), CellId("x", (2, 3, 1)): Number(100),
-            CellId("x", ()): Number(100), CellId("x", (0, 2)): Number(100),
-            CellId("x", (2, 1)): Number(100), CellId("x", (2, 4)): Number(100),
-            CellId("y", (1,)): Number(100), CellId("q", (1,)): Number(100)})
+            CellId("x", (2, 3)): 5.0, CellId("x", (3, 2)): 7.0,
+            CellId("x", (2,)): 100.0, CellId("x", (2, 3, 1)): 100.0,
+            CellId("x", ()): 100.0, CellId("x", (0, 2)): 100.0,
+            CellId("x", (2, 1)): 100.0, CellId("x", (2, 4)): 100.0,
+            CellId("y", (1,)): 100.0, CellId("q", (1,)): 100.0})
         assert "cells" not in symtab.__dict__
-        assert dict(zip(symtab.cells, values)) == {
+        assert same(dict(zip(symtab.cells, values)), {
             CellId("x", (1, 2)): BLANK, CellId("x", (1, 3)): BLANK,
-            CellId("x", (2, 2)): BLANK, CellId("x", (2, 3)): Number(5),
-            CellId("x", (3, 2)): Number(7), CellId("x", (3, 3)): BLANK,
-            CellId("y", (1,)): Number(0), CellId("y", (2,)): Number(5),
-            CellId("y", (3,)): Number(7)}
+            CellId("x", (2, 2)): BLANK, CellId("x", (2, 3)): 5.0,
+            CellId("x", (3, 2)): 7.0, CellId("x", (3, 3)): BLANK,
+            CellId("y", (1,)): 0.0, CellId("y", (2,)): 5.0,
+            CellId("y", (3,)): 7.0})
 
 
 class TestFixtureValues:
@@ -309,7 +343,7 @@ class TestFixtureValues:
                   for t in range(1, 13)]
         assert starts[0] == 100
         assert starts[1:] == ends[:-1]
-        assert values[CellId("time", (3,))] == DateValue(datetime.date(2009, 3, 1))
+        assert same(values[CellId("time", (3,))], datetime.date(2009, 3, 1))
 
     def test_borrowing_sequences(self):
         _, symtab, _, _, values = evaluate_fixture("borrowing")
@@ -322,7 +356,7 @@ class TestFixtureValues:
         wanted = [values[CellId("want_to_borrow_during_period", (t,))]
                   for t in range(1, 13)]
         for got, want in zip(borrowed, wanted):
-            expected = want.value if isinstance(want, Number) else 0.0
+            expected = want if type(want) is float else 0.0
             assert got == expected
 
     def test_loans_first_supplier(self):
@@ -335,7 +369,7 @@ class TestFixtureValues:
             if want is None:
                 assert is_na(got)
             else:
-                assert got == Number(want)
+                assert same(got, float(want))
 
     def test_loans_lending_schedule(self):
         _, symtab, _, _, values = evaluate_fixture("loans")
@@ -389,9 +423,9 @@ class TestClosedForm:
         # integer data keeps every step exact in binary floating point,
         # so the recurrence must equal the closed form digit for digit
         plan = analyze_source(CLOSED_FORM_TEMPLATE.format(n=periods))
-        inputs = {CellId("initial_cash", ()): Number(cash)}
+        inputs = {CellId("initial_cash", ()): float(cash)}
         for t in range(1, periods + 1):
-            inputs[CellId("expenses_during_period", (t,))] = Number(expense)
+            inputs[CellId("expenses_during_period", (t,))] = float(expense)
         values = dict(zip(plan.symtab.cells, evaluate(plan, inputs)))
         for t in range(1, periods + 1):
             assert number_at(values, "total_cash_at_end_of_period", t) == \
@@ -401,16 +435,16 @@ class TestClosedForm:
 class TestMatchOracle:
     def test_thousand_random_vectors(self):
         rng = random.Random(411)
-        pool = [Boolean(True), Boolean(False), Number(1), Number(2), BLANK, NA]
+        pool = [True, False, 1.0, 2.0, BLANK, NA]
         for _ in range(1000):
             haystack = [rng.choice(pool) for _ in range(rng.randint(1, 8))]
-            needle = rng.choice([Boolean(True), Number(1), Number(2)])
-            got = call_builtin("match", [needle, haystack, Number(0)])
+            needle = rng.choice([True, 1.0, 2.0])
+            got = call_builtin("match", [needle, haystack, 0.0])
             # oracle: first 1-based position with type-and-value equality
             expected = NA
             for position, item in enumerate(haystack, start=1):
                 same_type = type(item) is type(needle)
                 if same_type and item == needle:
-                    expected = Number(position)
+                    expected = float(position)
                     break
-            assert got == expected
+            assert same(got, expected)

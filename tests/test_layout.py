@@ -1,3 +1,4 @@
+import datetime
 import itertools
 import random
 
@@ -14,7 +15,7 @@ from gridspec.layout import (
     plan_layout,
     render_value,
 )
-from gridspec.evaluator import BLANK, NA, Boolean, DateValue, Number
+from gridspec.evaluator import BLANK, NA
 
 from helpers import evaluate_fixture, random_shape_spec, reference_address
 
@@ -99,25 +100,25 @@ class TestRegions:
 
 class TestRenderValue:
     def test_examples(self):
-        assert render_value(Number(100.0), currency=True) == "100.00"
-        assert render_value(Number(3.0)) == "3"
-        assert render_value(Boolean(True)) == "TRUE"
+        assert render_value(100.0, currency=True) == "100.00"
+        assert render_value(3.0) == "3"
+        assert render_value(True) == "TRUE"
         assert render_value(NA) == "#N/A"
-        assert render_value(DateValue.of(2009, 1, 1)) == "2009-01-01"
+        assert render_value(datetime.date(2009, 1, 1)) == "2009-01-01"
         assert render_value(BLANK) == ""
 
     def test_number_text_reads_back_exactly(self):
         for value in (10 / 3, 0.1 + 0.2, -2.5, 1e21, 1e-5, 123456.78):
             for currency in (False, True):
-                text = render_value(Number(value), currency=currency)
+                text = render_value(value, currency=currency)
                 assert float(text) == value and "e" not in text, text
-        assert render_value(Number(1e-5)) == "0.00001"
-        assert render_value(Number(10 / 3), currency=True) == "3.3333333333333335"
+        assert render_value(1e-5) == "0.00001"
+        assert render_value(10 / 3, currency=True) == "3.3333333333333335"
 
     def test_negative_zero_is_zero(self):
-        assert render_value(Number(-0.0), currency=True) == "0.00"
-        assert render_value(Number(-0.0)) == "0"
-        assert render_value(Number(-0.001), currency=True) == "-0.001"
+        assert render_value(-0.0, currency=True) == "0.00"
+        assert render_value(-0.0) == "0"
+        assert render_value(-0.001, currency=True) == "-0.001"
 
 
 class TestRenderedFormulas:

@@ -31,7 +31,7 @@ from gridspec.ast import (
 )
 from gridspec.cli import load_inputs, main
 from gridspec.errors import CyclicDependency, RuntimeFault
-from gridspec.evaluator import Number, build_graph, evaluate
+from gridspec.evaluator import build_graph, evaluate
 from gridspec.layout import emit, plan_layout, render_formula
 from gridspec.scheduler import schedule
 
@@ -41,6 +41,7 @@ from helpers import (
     covering_document,
     covering_inputs,
     fixture_text,
+    is_plain,
     random_document,
     random_inputs,
     reference_build_graph,
@@ -98,6 +99,7 @@ def compare(doc, bindings) -> str:
         assert str(info.value) == str(expected_fault)
         return "fault"
     values = evaluate(plan, bindings)
+    assert all(map(is_plain, values)), [v for v in values if not is_plain(v)]
     # repr tells apart what == does not, such as 0.0 and -0.0
     assert {cell: repr(v) for cell, v in zip(symtab.cells, values)} == \
         {cell: repr(v) for cell, v in want.items()}
@@ -194,7 +196,7 @@ def test_broken_documents(tmp_path):
 ])
 def test_handpicked(source, outcome):
     doc = parse_document("bounds b: 1 to 3.\ntable x : b -> number.\n" + source + "\n")
-    bindings = {CellId("x", (t,)): Number(10 * t) for t in (1, 2, 3)}
+    bindings = {CellId("x", (t,)): float(10 * t) for t in (1, 2, 3)}
     assert compare(doc, bindings) == outcome
 
 
@@ -302,7 +304,7 @@ SCHEDULES = {
 def test_schedules(source, sweeps, outcome):
     doc = parse_document("bounds b: 1 to 3.\nbounds l: 2 to 5.\ntable x : b -> number.\n"
                          + source + "\n")
-    bindings = {CellId("x", (t,)): Number(10 * t) for t in (1, 2, 3)}
+    bindings = {CellId("x", (t,)): float(10 * t) for t in (1, 2, 3)}
     assert compare(doc, bindings) == outcome
     symtab, plan, diagnostics = analyze(doc)
     assert diagnostics == []

@@ -6,11 +6,11 @@ from hypothesis import given, strategies as st
 from gridspec.a1 import Address, CellRef, RangeRef, parse_a1_formula, sheet_prefix
 from gridspec.ast import Binary, BooleanLit, Call, NumberLit
 from gridspec.errors import ParseFailure
-from gridspec.evaluator import BLANK, NA, Boolean, DateValue, Number
+from gridspec.evaluator import BLANK, NA
 from gridspec.layout import emit, plan_layout
 from gridspec.verify import parse_value_text, values_agree, verify_grid
 
-from helpers import evaluate_fixture, range_addresses
+from helpers import evaluate_fixture, is_plain, range_addresses, same
 
 
 def compile_fixture(name):
@@ -80,10 +80,10 @@ class TestValueParsing:
     def test_examples(self):
         assert parse_value_text("") is BLANK
         assert parse_value_text("#N/A") is NA
-        assert parse_value_text("TRUE") == Boolean(True)
-        assert parse_value_text("100.00") == Number(100.0)
-        assert parse_value_text("-5") == Number(-5.0)
-        assert parse_value_text("2009-01-01") == DateValue(datetime.date(2009, 1, 1))
+        assert same(parse_value_text("TRUE"), True)
+        assert same(parse_value_text("100.00"), 100.0)
+        assert same(parse_value_text("-5"), -5.0)
+        assert same(parse_value_text("2009-01-01"), datetime.date(2009, 1, 1))
         assert parse_value_text("Expenses during period") is None
 
     @pytest.mark.parametrize("text", ["\u0661\u0662", "5\n", "\uff15", "1e5", "5.", ".5", "+5"])
@@ -91,21 +91,40 @@ class TestValueParsing:
         assert parse_value_text(text) is None
 
     def test_agreement_tolerance(self):
-        assert values_agree(Number(1.0), Number(1.0 + 1e-12))
-        assert not values_agree(Number(1.0), Number(1.001))
+        assert values_agree(1.0, 1.0 + 1e-12)
+        assert not values_agree(1.0, 1.001)
         assert values_agree(NA, NA)
-        assert not values_agree(Number(0.0), Boolean(False))
-        assert not values_agree(Number(1.0), None)
+        assert not values_agree(0.0, False)
+        assert not values_agree(1.0, None)
 
 
 class TestVerifyGrid:
+    def test_match_tells_a_number_from_a_boolean(self):
+        """MATCH finds TRUE third in 1, 0, TRUE: 1 and 0 are numbers."""
+        cells = {(1, 1): "1", (2, 1): "0", (3, 1): "TRUE"}
+        formulas = {"Model": {**cells, (4, 1): "=MATCH(TRUE,A1:A3,0)"}}
+        report = verify_grid(formulas, {"Model": {**cells, (4, 1): "3"}})
+        assert report.checks == 1 and report.ok, [str(m) for m in report.mismatches]
+        report = verify_grid(formulas, {"Model": {**cells, (4, 1): "1"}})
+        assert [str(m) for m in report.mismatches] == \
+            ["Model!A4: formula gives 3.0, document holds 1.0"]
+
     @pytest.mark.parametrize("name,derived", [
         ("cashflow", 36), ("borrowing", 48), ("loans", 252)])
-    def test_fixture_grids_verify_clean(self, name, derived):
+    def test_fixture_grids_verify_clean(self, monkeypatch, name, derived):
+        """Every value verify computes is a float, a bool, a date or NA,
+        never an int."""
+        computed = []
+
+        def agree(value, stored):
+            computed.append(value)
+            return values_agree(value, stored)
+        monkeypatch.setattr("gridspec.verify.values_agree", agree)
         plan, result = compile_fixture(name)
         report = verify_grid(result.formulas, result.values)
         assert report.ok, [str(m) for m in report.mismatches]
-        assert report.checks == len(plan.rules) == derived
+        assert report.checks == len(plan.rules) == derived == len(computed)
+        assert all(map(is_plain, computed)), [v for v in computed if not is_plain(v)]
 
     def test_corrupted_value_is_detected(self):
         _, result = compile_fixture("cashflow")
@@ -119,7 +138,7 @@ class TestVerifyGrid:
         flagged = sorted(m.address.a1() for m in report.mismatches)
         assert flagged == ["D4", "E3"]
         by_addr = {m.address.a1(): m for m in report.mismatches}
-        assert by_addr["E3"].actual == Number(96.0)
+        assert same(by_addr["E3"].actual, 96.0)
         result.values["Model"][cell] = original
 
     def test_corrupted_upstream_input_cascades(self):
