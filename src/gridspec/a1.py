@@ -11,6 +11,7 @@ the shape.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -40,6 +41,13 @@ def column_number(letters: str) -> int:
     for ch in letters.upper():
         number = number * 26 + ord(ch) - 64  # A is 65
     return number
+
+
+# One cache each way, for the life of the process: decoding is reached only
+# past _address's three-letter guard (at most 18,278 keys), and encoding
+# only for the columns of a planned layout (at most MAX_COLUMNS).
+cached_column_number = functools.cache(column_number)
+cached_column_letters = functools.cache(column_letters)
 
 
 class Address(NamedTuple):
@@ -104,7 +112,6 @@ class _A1Parser(Parser):
                                            f"illegal character {word!r}", pos)])
         super().__init__(stream)
         self.default_sheet = default_sheet
-        self.columns = {}
 
     def atom(self) -> Expr:
         if self.kinds[self.pos] != "ref":
@@ -126,23 +133,21 @@ class _A1Parser(Parser):
 
     def _address(self, default_sheet: str) -> tuple:
         """The address the current reference token names (see _address)."""
-        address = _address(self.refs[self.pos].groups(), _SHEET, default_sheet, self.columns)
+        address = _address(self.refs[self.pos].groups(), _SHEET, default_sheet)
         if address is None:
             self.fail(f"a cell reference within A1:XFD{MAX_ROWS}")
         return address
 
 
-def _address(groups, at, default_sheet, columns) -> tuple | None:
+def _address(groups, at, default_sheet) -> tuple | None:
     """The `(sheet, column, row)` that a reference's groups name, its
     sheet, quoted sheet, column letters and row from `groups[at]` on,
-    which equals its Address; None past the sheet's extents.  `columns`
-    memoises the number of column letters."""
+    which equals its Address; None past the sheet's extents.  Column
+    letters are decoded through cached_column_number."""
     letters, row = groups[at + 2], groups[at + 3]
     if len(letters) > 3 or len(row) > 7:  # so that no long text is read
         return None
-    column = columns.get(letters)
-    if column is None:
-        column = columns[letters] = column_number(letters)
+    column = cached_column_number(letters)
     if column > MAX_COLUMNS or (row := int(row)) > MAX_ROWS:
         return None
     return groups[at + 1] or groups[at] or default_sheet, column, row
@@ -213,13 +218,13 @@ class Shape(NamedTuple):
     kinds: tuple[int, ...]
     pattern: re.Pattern
 
-    def read(self, formula: str, default_sheet: str, columns: dict) -> list | None:
+    def read(self, formula: str, default_sheet: str) -> list | None:
         """The value of each hole of `formula`, '=' and all: a float, or a
         reference's `(sheet, column, row)` (see _address), a range's corners
         in order (see _corners).  None if the formula has another shape or a
         literal the parser reports: a number that is not finite, a
         reference past the sheet's extents or a range that ends on another
-        sheet.  `columns` memoises the number of column letters."""
+        sheet."""
         match = self.pattern.fullmatch(formula, 1)
         if match is None:
             return None
@@ -233,8 +238,7 @@ class Shape(NamedTuple):
                 at += 1
                 continue
             # a range's end is on the sheet of its start unless it names one
-            address = _address(groups, at, default_sheet if kind == ADDRESS else bound[-1][0],
-                               columns)
+            address = _address(groups, at, default_sheet if kind == ADDRESS else bound[-1][0])
             at += 4
             if address is None:
                 return None

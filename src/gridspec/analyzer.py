@@ -42,9 +42,10 @@ from .parser import Diagnostic
 
 _NUMERIC_FAMILY = frozenset({"number", "currency", "general"})
 
-# The most cells a model may hold: a compile peaks at about 0.75 KB per
-# cell over 15 MB, so under 1 GB.  resolve refuses more before making
-# anything per cell.
+# The most cells a model may hold: at 999,000 cells a compile peaks at
+# 412 MB and a verify of its output at 559 MB (ru_maxrss, fresh
+# processes), so both stay under 600 MB.  resolve refuses more before
+# making anything per cell.
 MAX_CELLS = 1_000_000
 
 _GUARDS = {"<": lt, "<=": le, ">": gt, ">=": ge, "<>": ne}

@@ -167,6 +167,10 @@ def cmd_eval(args) -> int:
     emitted = _compile_grids(args)
     if isinstance(emitted, int):
         return emitted
+    target = args.out_dir or args.out
+    if not target:
+        print("error: eval needs --out or --out-dir", file=sys.stderr)
+        return EXIT_IO_ERROR
     try:
         if args.out_dir:
             out = Path(args.out_dir)
@@ -174,17 +178,14 @@ def cmd_eval(args) -> int:
             for sheet, cells in emitted.values.items():
                 (out / f"{sheet}.values.csv").write_text(
                     grid_to_csv(cells), encoding="utf-8", newline="")
-        elif args.out:
+        else:
             from .layout import MAIN_SHEET
             values = emitted.values  # no sheet, for a spec without tables: an empty CSV
             sheet = MAIN_SHEET if MAIN_SHEET in values else next(iter(values), None)
             Path(args.out).write_text(grid_to_csv(values.get(sheet, {})),
                                       encoding="utf-8", newline="")
-        else:
-            print("error: eval needs --out or --out-dir", file=sys.stderr)
-            return EXIT_IO_ERROR
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        print(f"error: cannot write {target}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
     return EXIT_OK
 

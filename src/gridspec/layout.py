@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import datetime
-import functools
 import io
 import json
 import math
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 from itertools import chain, product, repeat
 from operator import itemgetter, mul
 
-from .a1 import MAX_COLUMNS, MAX_ROWS, column_letters, sheet_prefix
+from .a1 import MAX_COLUMNS, MAX_ROWS, cached_column_letters, column_letters, sheet_prefix
 from .analyzer import CellId, CellPlan, Stencil, SymbolTable, runs
 from .ast import (
     Binary,
@@ -240,13 +239,14 @@ def _template(stencil: Stencil, layout: Layout) -> tuple:
     return "=" + format_expr(stencil.template, leaf, pad=""), tuple(holes)
 
 
-def _format_run(template: tuple, outer: tuple, inner: range, letters) -> list[str]:
+def _format_run(template: tuple, outer: tuple, inner: range) -> list[str]:
     """Formulas of a run of one equation's cells (see _template): the index
     variables take the values `outer` but the last, which takes each of
     `inner`, so a reference reads cells `first + sum(step * value)`, `step`
     apart, and a range each to its last offset on.  They are placed as
     Region.at places them: by arithmetic in one row or one column, else one
-    by one; `letters` is column_letters."""
+    by one; column letters come from a1.cached_column_letters."""
+    letters = cached_column_letters
     text, holes = template
     count, fields = len(inner), []
     for hole in holes:
@@ -275,8 +275,7 @@ def render_formula(cell: CellId, plan: CellPlan, layout: Layout) -> str:
     stencil = plan.owner[plan.symtab.extents[cell.table].number(cell.indices)].stencil
     dims = stencil.variables.values()
     *outer, last = [cell.indices[d] for d in dims] or [0]  # no variables: one cell
-    return _format_run(_template(stencil, layout), outer, range(last, last + 1),
-                       column_letters)[0]
+    return _format_run(_template(stencil, layout), outer, range(last, last + 1))[0]
 
 
 # --- value rendering and emission ------------------------------------------
@@ -287,14 +286,14 @@ def _currency_text(value: float) -> str:
     return text if float(text) == value else format_number(value)
 
 
-def render_value(value: Value, currency: bool = False) -> str:
+def render_value(value: Value) -> str:
     """Machine-readable value text that reads back as the same value: a
-    number of a currency table to two decimals without a symbol where that
-    is exact, other numbers in positional notation, booleans TRUE/FALSE,
-    NA as #N/A, dates ISO, blanks empty."""
+    number in positional notation, booleans TRUE/FALSE, NA as #N/A, dates
+    ISO, blanks empty.  A number of a currency table is written by
+    _value_texts, see _currency_text."""
     kind = type(value)
     if kind is float:
-        return (_currency_text if currency else format_number)(value)
+        return format_number(value)
     if kind is bool:
         return "TRUE" if value else "FALSE"
     if kind is datetime.date:
@@ -308,7 +307,7 @@ def _value_texts(name: str, symtab: SymbolTable, values: list[Value]) -> list[st
     """A table's value texts by dense number (see render_value)."""
     extent, currency = symtab.extents[name], symtab.tables[name].result_type == "currency"
     number = _currency_text if currency else format_number
-    return [number(value) if type(value) is float else render_value(value, currency)
+    return [number(value) if type(value) is float else render_value(value)
             for value in values[extent.base:extent.base + extent.size]]
 
 
@@ -331,8 +330,7 @@ class EmitResult:
     manifest: dict
 
 
-def emit(layout: Layout, plan: CellPlan, values: list[Value],
-         doc: SpecDocument | None = None) -> EmitResult:
+def emit(layout: Layout, plan: CellPlan, values: list[Value], doc: SpecDocument) -> EmitResult:
     """Produce the formula grid, the parallel values grid, and the manifest
     from every cell's value, inputs included, by dense number, as
     `evaluate` gives them."""
@@ -354,7 +352,6 @@ def emit(layout: Layout, plan: CellPlan, values: list[Value],
             _put((formulas[sheet], value_doc[sheet]), (texts, texts), band_top, column, len(texts))
 
     # table cells, a box's formulas a run at a time; an input cell's formula is its value
-    letters = functools.cache(column_letters)
     for name in symtab.tables:
         region, base = layout.regions[name], symtab.extents[name].base
         templates = {}  # each stencil of the table that covers a cell -> its _template
@@ -367,7 +364,7 @@ def emit(layout: Layout, plan: CellPlan, values: list[Value],
             # a run: `fixed` outer values, and the offsets of its cells
             for fixed, run in zip(product(*outer), runs(box.spans, box.first - base, box.steps)):
                 cell_formulas[run.start:run.stop:run.step] = _format_run(
-                    templates[box.stencil], fixed, inner, letters)
+                    templates[box.stencil], fixed, inner)
         _put((formulas[region.sheet], value_doc[region.sheet]), (cell_formulas, texts),
              region.top, region.left, region.height)
 
@@ -375,9 +372,8 @@ def emit(layout: Layout, plan: CellPlan, values: list[Value],
     return EmitResult(formulas, value_doc, manifest)
 
 
-def build_manifest(layout: Layout, symtab: SymbolTable,
-                   doc: SpecDocument | None) -> dict:
-    comments = _attach_comments(doc) if doc is not None else {}
+def build_manifest(layout: Layout, symtab: SymbolTable, doc: SpecDocument) -> dict:
+    comments = _attach_comments(doc)
     tables = []
     for name, decl in symtab.tables.items():
         region = layout.regions[name]

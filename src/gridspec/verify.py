@@ -97,12 +97,12 @@ def values_agree(computed: Value, stored: Value | None) -> bool:
 def _by_row(cells) -> tuple[list[int], dict[int, list[int]]]:
     """The rows that hold cells, ascending, and each such row's columns,
     ascending."""
-    columns = {}
+    held_in = {}
     for row, column in cells:
-        columns.setdefault(row, []).append(column)
-    for held in columns.values():
+        held_in.setdefault(row, []).append(column)
+    for held in held_in.values():
         held.sort()
-    return sorted(columns), columns
+    return sorted(held_in), held_in
 
 
 class _Sheets(dict):
@@ -118,13 +118,13 @@ def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
     anchored pattern (see a1.make_template), and its template is compiled
     once, to a checker of the values at its holes.  Every formula is bound
     by a Shape's pattern alone: that of the formula above it in its
-    column, else of the formula checked before it, else of the template
-    its shape's key finds.  Only a formula that the first two miss is
-    split into tokens (a1.formula_shape), to find that key, and only a
-    formula that the key's template refuses or that has a new key is
-    parsed.  A range costs one lookup per row of its sheet that holds a
-    cell among the range's rows, plus the cells held inside it: bounded by
-    the cells the sheet holds, never by its area."""
+    column, else of the template its shape's key finds.  Only a formula
+    that the first misses is split into tokens (a1.formula_shape), to
+    find that key, and only a formula that the key's template refuses or
+    that has a new key is parsed.  A range costs one lookup per row of
+    its sheet that holds a cell among the range's rows, plus the cells
+    held inside it: bounded by the cells the sheet holds, never by its
+    area."""
     report = VerifyReport()
     # each cell's text is parsed once, however many formulas read it
     parsed = _Sheets({sheet: {at: parse_value_text(text) for at, text in cells.items()}
@@ -132,29 +132,21 @@ def verify_grid(formulas: Grid, values: Grid) -> VerifyReport:
     by_row = {}  # sheet -> its cells by row, see _by_row; made for a sheet's first range
     templates = {}  # shape key -> (Shape, checker), see a1.make_template
     above = {}  # column -> the template of the last formula read in it, on this sheet
-    before = None  # the template of the last formula read
-    columns = {}  # column letters -> their number, see Shape.read
 
     def read(text: str, sheet: str, column: int):
         """The template of a formula and the values at its holes.  Raises
         ParseFailure for a formula that does not parse."""
-        nonlocal before
-        tried = None
-        for template in (above.get(column), before):
-            if template is not None and template is not tried:
-                found = template[0].read(text, sheet, columns)
-                if found is not None:
-                    break
-                tried = template
-        else:
+        template = above.get(column)
+        found = template and template[0].read(text, sheet)
+        if found is None:
             key, parts = formula_shape(text[1:])
             template = templates.get(key)
-            found = template and template[0].read(text, sheet, columns)
+            found = template and template[0].read(text, sheet)
             if found is None:  # a new shape, or a literal the parser reports
                 expr, shape = make_template(parse_a1_formula(text, default_sheet=sheet), parts)
                 template = templates[key] = shape, compile_template(expr, holes(shape.kinds))
-                found = shape.read(text, sheet, columns)
-        above[column] = before = template
+                found = shape.read(text, sheet)
+        above[column] = template
         return template, found
 
     def holes(kinds):

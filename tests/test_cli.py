@@ -152,6 +152,23 @@ class TestEvalCommand:
     def test_missing_output_target(self):
         assert main(["eval", str(FIXTURES / "cashflow.gsx")]) == 2
 
+    @pytest.mark.parametrize("command, option, existing", [
+        ("compile", "--out-dir", "file"), ("eval", "--out", "directory"),
+        ("eval", "--out-dir", "file")])
+    def test_unwritable_target_is_named(self, tmp_path, capsys, command, option, existing):
+        """A target that cannot be written is an I/O error on one line that
+        names it, from `eval` as from `compile`."""
+        target = tmp_path / "target"
+        if existing == "directory":
+            target.mkdir()
+        else:
+            target.write_text("kept", encoding="utf-8")
+        assert main([command, str(FIXTURES / "cashflow.gsx"), "--inputs",
+                     str(FIXTURES / "cashflow_inputs.csv"), option, str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_out_and_out_dir_are_refused_together(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
             main(["eval", str(FIXTURES / "cashflow.gsx"), "--out", str(tmp_path / "a.csv"),

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from gridspec import analyze, evaluate, parse_document
 from gridspec.a1 import Address, column_letters, column_number
 from gridspec.layout import (
+    _currency_text,
     emit,
     grid_to_csv,
     csv_to_grid,
@@ -100,7 +101,7 @@ class TestRegions:
 
 class TestRenderValue:
     def test_examples(self):
-        assert render_value(100.0, currency=True) == "100.00"
+        assert _currency_text(100.0) == "100.00"
         assert render_value(3.0) == "3"
         assert render_value(True) == "TRUE"
         assert render_value(NA) == "#N/A"
@@ -109,16 +110,16 @@ class TestRenderValue:
 
     def test_number_text_reads_back_exactly(self):
         for value in (10 / 3, 0.1 + 0.2, -2.5, 1e21, 1e-5, 123456.78):
-            for currency in (False, True):
-                text = render_value(value, currency=currency)
+            for render in (render_value, _currency_text):
+                text = render(value)
                 assert float(text) == value and "e" not in text, text
         assert render_value(1e-5) == "0.00001"
-        assert render_value(10 / 3, currency=True) == "3.3333333333333335"
+        assert _currency_text(10 / 3) == "3.3333333333333335"
 
     def test_negative_zero_is_zero(self):
-        assert render_value(-0.0, currency=True) == "0.00"
+        assert _currency_text(-0.0) == "0.00"
         assert render_value(-0.0) == "0"
-        assert render_value(-0.001, currency=True) == "-0.001"
+        assert _currency_text(-0.001) == "-0.001"
 
 
 class TestRenderedFormulas:

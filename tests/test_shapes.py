@@ -19,6 +19,7 @@ from gridspec.a1 import (
     Address,
     CellRef,
     RangeRef,
+    cached_column_number,
     column_letters,
     formula_shape,
     make_template,
@@ -248,7 +249,7 @@ def check_binding(first, second, sheet):
         return
     if formula_shape(second[1:])[0] != key:  # a filler ran into the text next to its hole
         return
-    bound = holes.read(second, sheet, {})
+    bound = holes.read(second, sheet)
     try:
         expected = leaves(parse_a1_formula(second, sheet))
     except ParseFailure:
@@ -270,16 +271,26 @@ def test_binding_examples(first, second):
 
 
 def test_column_memo_keeps_no_long_run():
-    """Column letters past a sheet's three are refused before the memo of
+    """Column letters past a sheet's three are refused before the cache of
     column numbers is read, so a run of any length leaves nothing in it."""
     _, holes = make_template(parse_a1_formula("=A1+B2"), formula_shape("A1+B2")[1])
-    columns = {}
+
+    def holds(*letters):
+        """The cache holds exactly `letters`: as many entries, each a hit."""
+        before = cached_column_number.cache_info()
+        assert [cached_column_number(text) for text in letters] == [
+            {"A": 1, "XFD": 16384, "XFE": 16385}[text] for text in letters]
+        after = cached_column_number.cache_info()
+        return (before.currsize == after.currsize == len(letters)
+                and after.hits == before.hits + len(letters))
+
+    cached_column_number.cache_clear()
     for letters in ("XFDA", "ABCDEFGH", "Z" * 400):
-        assert holes.read(f"={letters}1+B2", "Model", columns) is None
-        assert holes.read(f"=A1+{letters}2", "Model", columns) is None
-    assert columns == {"A": 1}
-    assert holes.read("=XFD1+XFE2", "Model", columns) is None
-    assert columns == {"A": 1, "XFD": 16384, "XFE": 16385}
+        assert holes.read(f"={letters}1+B2", "Model") is None
+        assert holes.read(f"=A1+{letters}2", "Model") is None
+    assert holds("A")
+    assert holes.read("=XFD1+XFE2", "Model") is None
+    assert holds("A", "XFD", "XFE")
 
 
 @given(st.data(), st.sampled_from(SHAPES), st.sampled_from(["Model", "Time"]))
@@ -363,7 +374,7 @@ class TestCrossSheetRange:
         template, holes = make_template(parse_a1_formula("=SUM(A1:B1)"),
                                         formula_shape("SUM(A1:B1)")[1])
         assert holes.pattern.fullmatch(self.CROSS, 1) is not None
-        assert holes.read(self.CROSS, "Model", {}) is None
+        assert holes.read(self.CROSS, "Model") is None
 
     def test_end_naming_the_sheet_of_its_start(self):
         values = {"Model": {(1, 1): "1"}, "Time": {(1, 1): "10", (1, 2): "20"}}
@@ -402,7 +413,7 @@ class TestReversedRange:
         corners = [Address("Time", 1, 1), Address("Time", 2, 2)]
         assert leaves(parse_a1_formula(formula)) == corners
         _, holes = make_template(parse_a1_formula("=SUM(A1:B2)"), formula_shape("SUM(A1:B2)")[1])
-        assert holes.read(formula, "Model", {}) == corners
+        assert holes.read(formula, "Model") == corners
 
 
 # --- the anchored pattern of a shape ----------------------------------------
@@ -492,18 +503,22 @@ def test_pattern_examples(first, second, hits):
 
 def test_fast_path_splits_once_per_column(tmp_path, monkeypatch):
     """Verifying the compiled loans fixture splits a formula into tokens
-    at most once per formula column, and parses one formula per shape:
-    every other formula is read by the pattern of a formula before it."""
+    only where the formula before it in its column, on its sheet, has
+    another shape key, or none comes before it, and parses one formula
+    per shape: every other formula is read by the pattern of the formula
+    above it."""
     out = tmp_path / "out"
     assert main(["compile", str(FIXTURES / "loans.gsx"), "--inputs",
                  str(FIXTURES / "loans_inputs.csv"), "--out-dir", str(out)]) == 0
-    columns, shapes, count = set(), set(), 0
+    above, shapes, count, splits = {}, set(), 0, 0
     for sheet in json.loads((out / "manifest.json").read_text(encoding="utf-8"))["sheets"]:
         grid = csv_to_grid((out / f"{sheet}.formulas.csv").read_text(encoding="utf-8"))
-        for (_, column), text in grid.items():
+        for (_, column), text in sorted(grid.items()):
             if text.startswith("="):
-                columns.add((sheet, column))
-                shapes.add(formula_shape(text[1:])[0])
+                key = formula_shape(text[1:])[0]
+                splits += above.get((sheet, column)) != key
+                above[sheet, column] = key
+                shapes.add(key)
                 count += 1
     calls = collections.Counter()
 
@@ -516,8 +531,8 @@ def test_fast_path_splits_once_per_column(tmp_path, monkeypatch):
     for name in ("formula_shape", "parse_a1_formula"):
         monkeypatch.setattr(verify, name, counted(getattr(verify, name)))
     assert main(["verify", str(out)]) == 0
-    assert len(columns) < count
-    assert calls["formula_shape"] <= len(columns)
+    assert splits < count
+    assert calls["formula_shape"] == splits
     assert calls["parse_a1_formula"] == len(shapes)
 
 

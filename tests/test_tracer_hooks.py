@@ -6,7 +6,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from helpers import analyze_fixture
+from gridspec.layout import emit, plan_layout, write_outputs
+from gridspec.verify import verify_directory
+
+from helpers import analyze_fixture, evaluate_fixture
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -34,3 +37,23 @@ def test_rules_count_reads_the_plan():
     tracer.calls["analyzer.elaborate"] = ((doc, symtab), (plan, []))
     derived = len(plan.owner) - plan.owner.count(None)
     assert tracer._measure()["analyzer.rules"] == len(plan.rules) == derived > 0
+
+
+def test_formula_and_check_counts_read_emit_and_verify(tmp_path):
+    """`layout.formulas` counts the formula texts of the EmitResult `emit`
+    returned, one per derived cell, and `verify.checks` and
+    `verify.mismatches` read the report `verify_directory` returned."""
+    doc, symtab, plan, _, values = evaluate_fixture("loans")
+    layout = plan_layout(doc, symtab)
+    result = emit(layout, plan, values, doc)
+    derived = len(plan.owner) - plan.owner.count(None)
+    model = result.formulas["Model"]
+    model[next(at for at, text in sorted(model.items()) if text.startswith("="))] = "=1+"
+    write_outputs(result, tmp_path)
+    report = verify_directory(tmp_path)
+    tracer = load_tracing().Tracer()
+    tracer.calls["layout.emit"] = ((layout, plan, values, doc), result)
+    tracer.calls["verify.verify_directory"] = ((tmp_path,), report)
+    counts = tracer._measure()
+    assert counts["layout.formulas"] == counts["verify.checks"] == report.checks == derived > 0
+    assert counts["verify.mismatches"] == len(report.mismatches) == 1
